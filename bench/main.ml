@@ -14,10 +14,10 @@
    default skips heavy rows (--full forces them). *)
 
 module C = Socy_logic.Circuit
-module P = Socy_batch.Pipeline
+module P = Socy_core.Pipeline
 module Pool = Socy_batch.Pool
+module Campaign = Socy_campaign.Campaign
 module S = Socy_benchmarks.Suite
-module D = Socy_defects.Distribution
 module Scheme = Socy_order.Scheme
 module H = Socy_order.Heuristics
 module Mdd = Socy_mdd.Mdd
@@ -82,14 +82,6 @@ let record_report ~section ~label ~wall_s (r : P.report) =
           (List.fold_left
              (fun acc (_, d) -> acc +. d.Memory.promoted_words)
              0.0 r.P.stage_gc) );
-      (* per-stage high-water-mark growth summed over the run: how much
-         this row pushed the process peak, instead of the process-global
-         absolute every row used to repeat *)
-      ( "gc_top_heap_words",
-        Json.Int
-          (List.fold_left
-             (fun acc (_, d) -> acc + d.Memory.top_heap_words)
-             0 r.P.stage_gc) );
     ]
 
 let write_records ~path ~mode ~wall_s =
@@ -133,9 +125,7 @@ let fmt_int_opt = function
   | Some n -> Text_table.group_thousands n
   | None -> "-"
 
-let config_for ?(node_limit = 40_000_000) ?cpu_limit
-    ?(mv = P.default_config.P.mv_order) ?(bits = P.default_config.P.bit_order) () =
-  P.Config.make ~node_limit ~mv_order:mv ~bit_order:bits ?cpu_limit ()
+let config_for ?mv () = P.Config.make ?mv_order:mv ()
 
 (* Per-cell CPU budget for the ordering sweeps: pathological orderings
    (the paper's "-" entries) are cut off instead of churning for minutes. *)
@@ -176,22 +166,69 @@ let table1 _mode =
    budget blew up, and as "t/o" when the per-cell CPU budget cut off a
    pathological ordering (the typed Cpu_budget failure, not a stage
    string). *)
-let fmt_sweep_cell = function
-  | Ok size -> Text_table.group_thousands size
-  | Error (P.Cpu_budget _) -> "t/o"
-  | Error (P.Node_budget _ | P.Batch_cancelled) -> "-"
+let fmt_sweep_cell size = function
+  | Ok s -> Text_table.group_thousands (size s)
+  | Error (Campaign.Cpu_budget_hit _) -> "t/o"
+  | Error (Campaign.Node_budget_hit _ | Campaign.Cancelled) -> "-"
 
-(* Run one sweep-table grid (rows x per-row variants) as a single batch
-   over all cells: results come back in submission order, so cell [r*k+v]
-   is row r under variant v whatever the completion order was. *)
-let sweep_table ~rows ~variants ~job_of =
-  let jobs = List.concat_map (fun row -> List.map (job_of row) variants) rows in
-  let t0 = wall () in
-  let results = Array.of_list (P.run_batch jobs) in
-  pf "  ... %d cells on %d domains in %.1f s\n%!" (Array.length results)
-    (Pool.default_domains ()) (wall () -. t0);
-  let k = List.length variants in
-  fun ~row ~variant -> results.((row * k) + variant)
+(* The grid the bench's campaign sections start from: the paper's alpha
+   and epsilon, the default orderings and node budget, no CPU budget. *)
+let bench_grid name =
+  {
+    Campaign.name;
+    benchmarks = [];
+    lambdas = [];
+    epsilons = [ S.epsilon ];
+    mv_orders = [ P.default_config.P.mv_order ];
+    bit_order = P.default_config.P.bit_order;
+    alpha = S.alpha;
+    node_limit = P.default_config.P.node_limit;
+    cpu_limit = None;
+    reorder = false;
+    par_domains = 1;
+  }
+
+let run_campaign grid =
+  match Campaign.run grid with
+  | Ok c -> c
+  | Error msg -> failwith (grid.Campaign.name ^ ": " ^ msg)
+
+(* Run the sweep-table cells of [rows] as campaign grids: at one lambda
+   the table rows are a benchmark x lambda product, so each lambda is one
+   grid. Cells are looked up by row and mv ordering. *)
+let sweep_grids mode ~name ~rows ~mv_orders ~bit_order =
+  let cells =
+    List.concat_map
+      (fun lambda ->
+        let c =
+          run_campaign
+            {
+              (bench_grid name) with
+              benchmarks =
+                List.filter_map
+                  (fun r ->
+                    if r.S.lambda = lambda then Some r.S.instance.S.label
+                    else None)
+                  rows;
+              lambdas = [ lambda ];
+              mv_orders;
+              bit_order;
+              node_limit = (if mode = Full then 40_000_000 else 15_000_000);
+              cpu_limit = Some (sweep_cpu_limit mode);
+            }
+        in
+        pf "  ... %d cells on %d domains in %.1f s\n%!"
+          (List.length c.Campaign.rows) c.Campaign.domains c.Campaign.wall_s;
+        c.Campaign.rows)
+      (List.sort_uniq compare (List.map (fun r -> r.S.lambda) rows))
+  in
+  fun row mv ->
+    let point =
+      { Campaign.source = row.S.instance.S.label; lambda = row.S.lambda;
+        epsilon = S.epsilon; mv }
+    in
+    (List.find (fun (c : Campaign.row) -> c.Campaign.point = point) cells)
+      .Campaign.result
 
 let table2 mode =
   pf "== Table 2: ROMDD size vs multiple-valued variable ordering ==\n";
@@ -205,24 +242,18 @@ let table2 mode =
       ~aligns:(Left :: List.map (fun _ -> Text_table.Right) Scheme.table2_mv_orders)
       headers
   in
-  let node_limit = if mode = Full then 40_000_000 else 15_000_000 in
   let rows = rows_for mode ~sweep:true in
   let cell =
-    sweep_table ~rows ~variants:Scheme.table2_mv_orders ~job_of:(fun row mv ->
-        P.job
-          ~config:(config_for ~node_limit ~cpu_limit:(sweep_cpu_limit mode) ~mv ())
-          ~label:(S.row_label row) row.S.instance.S.circuit (S.lethal row))
+    sweep_grids mode ~name:"table2" ~rows ~mv_orders:Scheme.table2_mv_orders
+      ~bit_order:Scheme.Ml
   in
-  List.iteri
-    (fun ri row ->
+  List.iter
+    (fun row ->
       let label = S.row_label row in
       let paper = List.assoc_opt label Paper_data.table2 in
       let cells =
-        List.mapi
-          (fun vi mv ->
-            let ours =
-              Result.map (fun r -> r.P.romdd_size) (cell ~row:ri ~variant:vi)
-            in
+        List.map
+          (fun mv ->
             let paper_cell =
               match (paper, mv) with
               | Some p, Scheme.Wv -> p.Paper_data.wv
@@ -234,7 +265,9 @@ let table2 mode =
               | Some p, Scheme.Heur H.H4 -> p.Paper_data.h
               | None, _ -> None
             in
-            Printf.sprintf "%s / %s" (fmt_sweep_cell ours) (fmt_int_opt paper_cell))
+            Printf.sprintf "%s / %s"
+              (fmt_sweep_cell (fun s -> s.Campaign.romdd_size) (cell row mv))
+              (fmt_int_opt paper_cell))
           Scheme.table2_mv_orders
       in
       Text_table.add_row t (label :: cells))
@@ -253,33 +286,28 @@ let table3 mode =
     Text_table.create ~aligns:[ Left; Right; Right; Right ]
       [ "benchmark"; "ml"; "lm"; "w" ]
   in
-  let node_limit = if mode = Full then 40_000_000 else 15_000_000 in
   let rows = rows_for mode ~sweep:true in
-  let bit_orders = [ Scheme.Ml; Scheme.Lm; Scheme.Heur_bits H.Weight ] in
-  let cell =
-    sweep_table ~rows ~variants:bit_orders ~job_of:(fun row bits ->
-        P.job
-          ~config:
-            (config_for ~node_limit ~cpu_limit:(sweep_cpu_limit mode)
-               ~mv:(Scheme.Heur H.Weight) ~bits ())
-          ~label:(S.row_label row) row.S.instance.S.circuit (S.lethal row))
+  let mv = Scheme.Heur H.Weight in
+  let cell bit_order =
+    sweep_grids mode ~name:"table3" ~rows ~mv_orders:[ mv ] ~bit_order
   in
-  List.iteri
-    (fun ri row ->
+  let ml = cell Scheme.Ml and lm = cell Scheme.Lm in
+  let w = cell (Scheme.Heur_bits H.Weight) in
+  List.iter
+    (fun row ->
       let label = S.row_label row in
       let paper = List.assoc_opt label Paper_data.table3 in
-      let cell_at vi paper_v =
-        let ours =
-          Result.map (fun r -> r.P.robdd_size) (cell ~row:ri ~variant:vi)
-        in
-        Printf.sprintf "%s / %s" (fmt_sweep_cell ours) (fmt_int_opt paper_v)
+      let cell_at cell paper_v =
+        Printf.sprintf "%s / %s"
+          (fmt_sweep_cell (fun s -> s.Campaign.robdd_size) (cell row mv))
+          (fmt_int_opt paper_v)
       in
       Text_table.add_row t
         [
           label;
-          cell_at 0 (Option.map (fun p -> p.Paper_data.ml) paper);
-          cell_at 1 (Option.map (fun p -> p.Paper_data.lm) paper);
-          cell_at 2 (Option.map (fun p -> p.Paper_data.w_bits) paper);
+          cell_at ml (Option.map (fun p -> p.Paper_data.ml) paper);
+          cell_at lm (Option.map (fun p -> p.Paper_data.lm) paper);
+          cell_at w (Option.map (fun p -> p.Paper_data.w_bits) paper);
         ])
     rows;
   print_string (Text_table.render t);
@@ -375,91 +403,68 @@ let fig2 _mode =
 (* ------------------------------------------------------------------ *)
 
 (* Every (benchmark x lambda) curve point is an independent pipeline run,
-   so the whole grid goes through [run_batch]; a one-domain rerun of the
-   same jobs records the sequential-equivalence drift per point, which
-   compare.exe fails on when it ever exceeds 1e-12. *)
+   so the curves are one campaign grid; its one-domain rerun records the
+   sequential-equivalence drift per point, which compare.exe fails on when
+   it ever exceeds 1e-12. *)
 let curves mode =
   pf "== Figs. 2-3: yield vs expected manufacturing defects, batched ==\n\n";
-  let insts =
-    if mode = Quick then [ S.ms 2; S.esen ~n:4 ~m:1 ]
-    else [ S.ms 2; S.ms 4; S.esen ~n:4 ~m:1 ]
+  let par =
+    run_campaign
+      {
+        (bench_grid "curves") with
+        benchmarks =
+          (if mode = Quick then [ "MS2"; "ESEN4x1" ] else [ "MS2"; "MS4"; "ESEN4x1" ]);
+        lambdas = [ 2.0; 5.0; 10.0; 15.0; 20.0; 30.0 ];
+      }
   in
-  let lambdas = [ 2.0; 5.0; 10.0; 15.0; 20.0; 30.0 ] in
-  let jobs =
-    List.concat_map
-      (fun (inst : S.instance) ->
-        List.map
-          (fun lambda ->
-            let model =
-              Model.create (D.negative_binomial ~mean:lambda ~alpha:S.alpha)
-                inst.S.affect
-            in
-            ( (inst.S.label, lambda),
-              P.job_of_model ~config:(config_for ())
-                ~label:(Printf.sprintf "%s lambda=%g" inst.S.label lambda)
-                inst.S.circuit model ))
-          lambdas)
-      insts
-  in
-  let keys = List.map fst jobs and batch = List.map snd jobs in
-  let t0 = wall () in
-  let par = P.run_batch batch in
-  let wall_par = wall () -. t0 in
-  let t1 = wall () in
-  let seq = P.run_batch ~domains:1 batch in
-  let wall_seq = wall () -. t1 in
-  let drift_max = ref 0.0 in
+  let seq, drift = Campaign.sequential_rerun par in
   let t =
     Text_table.create
       ~aligns:[ Left; Right; Right; Right; Right ]
       [ "benchmark"; "lambda"; "Y_M"; "Y_M+eps"; "seq drift" ]
   in
   List.iter2
-    (fun ((label, lambda), pr) sr ->
-      match (pr, sr) with
-      | Ok (p : P.report), Ok (s : P.report) ->
-          let drift = Float.abs (p.P.yield_lower -. s.P.yield_lower) in
-          drift_max := Float.max !drift_max drift;
+    (fun ({ Campaign.point = p; result } : Campaign.row) row_drift ->
+      let label = p.Campaign.source and lambda = p.Campaign.lambda in
+      match (result, row_drift) with
+      | Ok s, Some d ->
           record ~section:"curves"
             ~label:(Printf.sprintf "%s, lambda=%g" label lambda)
             [
               ("lambda", Json.Float lambda);
-              ("yield_lower", Json.Float p.P.yield_lower);
-              ("yield_upper", Json.Float p.P.yield_upper);
+              ("yield_lower", Json.Float s.Campaign.yield_lower);
+              ("yield_upper", Json.Float s.Campaign.yield_upper);
               (* |parallel - one-domain| on the same job; compare.exe
                  fails the bench when this ever exceeds 1e-12 *)
-              ("seq_yield_drift", Json.Float drift);
+              ("seq_yield_drift", Json.Float d);
             ];
           Text_table.add_row t
             [
               label;
               Printf.sprintf "%g" lambda;
-              Printf.sprintf "%.6f" p.P.yield_lower;
-              Printf.sprintf "%.6f" p.P.yield_upper;
-              Printf.sprintf "%.1e" drift;
+              Printf.sprintf "%.6f" s.Campaign.yield_lower;
+              Printf.sprintf "%.6f" s.Campaign.yield_upper;
+              Printf.sprintf "%.1e" d;
             ]
-      | (Error _ as f), _ | _, (Error _ as f) ->
-          let msg =
-            match f with Error e -> P.failure_to_string e | Ok _ -> ""
-          in
-          Text_table.add_row t [ label; Printf.sprintf "%g" lambda; msg; "-"; "-" ])
-    (List.combine keys par) seq;
+      | _ ->
+          Text_table.add_row t
+            [ label; Printf.sprintf "%g" lambda; Campaign.status_name result; "-"; "-" ])
+    par.Campaign.rows drift.Campaign.row_drifts;
   print_string (Text_table.render t);
-  let domains = Pool.default_domains () in
+  let wall_par = par.Campaign.wall_s and wall_seq = seq.Campaign.wall_s in
+  let speedup = if wall_par > 0.0 then wall_seq /. wall_par else 0.0 in
   record ~section:"curves" ~label:"summary"
     [
-      ("domains", Json.Int domains);
-      ("jobs", Json.Int (List.length batch));
+      ("domains", Json.Int par.Campaign.domains);
+      ("jobs", Json.Int (List.length par.Campaign.rows));
       ("wall_s", Json.Float wall_par);
       ("wall_sequential_s", Json.Float wall_seq);
-      ( "speedup_vs_sequential",
-        Json.Float (if wall_par > 0.0 then wall_seq /. wall_par else 0.0) );
-      ("seq_yield_drift_max", Json.Float !drift_max);
+      ("speedup_vs_sequential", Json.Float speedup);
+      ("seq_yield_drift_max", Json.Float drift.Campaign.max_drift);
     ];
   pf "\n%d jobs: %.2f s on %d domains, %.2f s sequential (%.2fx), max drift %.1e\n\n"
-    (List.length batch) wall_par domains wall_seq
-    (if wall_par > 0.0 then wall_seq /. wall_par else 0.0)
-    !drift_max
+    (List.length par.Campaign.rows)
+    wall_par par.Campaign.domains wall_seq speedup drift.Campaign.max_drift
 
 (* ------------------------------------------------------------------ *)
 (* Monte Carlo comparison (the paper's "simulation" alternative)       *)

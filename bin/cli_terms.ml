@@ -2,17 +2,19 @@
 
    Every subcommand that evaluates something composes its interface from
    these four groups instead of redeclaring flags, so `eval`, `sweep`,
-   `query` and `campaign` cannot drift apart on spelling, defaults or
-   validation:
+   `tune`, `query` and `campaign` cannot drift apart on spelling, defaults
+   or validation:
 
    - [Model]    what to evaluate: fault tree / benchmark axes and the
                 defect-model parameters, plus the (circuit, model)
                 resolver;
    - [Budget]   how hard to try: epsilon, node/cpu budgets, batch
-                domains and wall budget;
+                domains (0 resolved to the recommended count) and wall
+                budget;
    - [Ordering] variable-ordering schemes, dynamic reordering,
                 intra-problem domains, and the tuned-registry override;
-   - [Out]      metrics/trace emission and output-file plumbing. *)
+   - [Out]      metrics/trace emission, output-file plumbing and the
+                --progress printer. *)
 
 module C = Socy_logic.Circuit
 module S = Socy_benchmarks.Suite
@@ -43,10 +45,7 @@ module Model = struct
     Arg.(value & opt (some string) None & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc)
 
   let benchmarks_arg =
-    let doc =
-      "Comma-separated built-in benchmark instances, e.g. MS2,MS4,ESEN4x1. \
-       Mutually exclusive with --fault-tree."
-    in
+    let doc = "Comma-separated built-in benchmark instances, e.g. MS2,MS4,ESEN4x1." in
     Arg.(value & opt (list string) [] & info [ "b"; "benchmarks" ] ~docv:"NAMES" ~doc)
 
   let lambda_arg =
@@ -128,7 +127,8 @@ module Budget = struct
       "Worker domains for the batch; 0 means the runtime's recommended \
        domain count."
     in
-    Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N" ~doc)
+    let resolve d = if d <= 0 then Socy_batch.Pool.default_domains () else d in
+    Term.(const resolve $ Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N" ~doc))
 
   let wall_budget_arg =
     let doc =
@@ -320,6 +320,31 @@ module Out = struct
         Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
 
   let with_metrics_channel out f = with_out_file ~what:"metrics" out f
+
+  (* --progress, as the callback a batch takes: it runs on whichever
+     worker domain finished the job, and the mutex keeps concurrent
+     completions from interleaving one line. *)
+  let progress_arg =
+    let doc =
+      "Print a live progress line to standard error as grid points finish \
+       (updated in place on a terminal, one line per job otherwise)."
+    in
+    let printer = function
+      | false -> None
+      | true ->
+          let lock = Mutex.create () in
+          let tty = Unix.isatty Unix.stderr in
+          Some
+            (fun ~completed ~total ~label ->
+              Mutex.lock lock;
+              if tty then begin
+                Printf.eprintf "\r\027[2K[%d/%d] %s%!" completed total label;
+                if completed = total then prerr_newline ()
+              end
+              else Printf.eprintf "[%d/%d] %s\n%!" completed total label;
+              Mutex.unlock lock)
+    in
+    Term.(const printer $ Arg.(value & flag & info [ "progress" ] ~doc))
 
   let write_trace out =
     match out with

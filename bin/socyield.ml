@@ -15,12 +15,9 @@
      dot     export the fault tree or the ROMDD as Graphviz *)
 
 module C = Socy_logic.Circuit
-module P = Socy_batch.Pipeline
-module Pool = Socy_batch.Pool
+module P = Socy_core.Pipeline
 module S = Socy_benchmarks.Suite
 module Scheme = Socy_order.Scheme
-module H = Socy_order.Heuristics
-module D = Socy_defects.Distribution
 module Model = Socy_defects.Model
 module Mdd = Socy_mdd.Mdd
 module Text_table = Socy_util.Text_table
@@ -32,6 +29,7 @@ module Doc = Socy_obs.Doc
 module Log = Socy_obs.Log
 module Proto = Socy_serve.Protocol
 module Server = Socy_serve.Server
+module Campaign = Socy_campaign.Campaign
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
@@ -208,21 +206,25 @@ let eval_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
+(* Grid commands: sweep, tune and campaign run                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every grid goes through Campaign.run, whose only failure is grid
+   validation: a usage error. *)
+let run_grid ?wall_budget ?progress ~domains grid =
+  match Campaign.run ~domains ?wall_budget ?progress grid with
+  | Ok c -> c
+  | Error msg ->
+      Printf.eprintf "socyield: %s\n" msg;
+      exit 2
+
+(* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* One job per point of the (source × lambda × epsilon × mv-order) grid,
-   evaluated by the Socy_batch domain pool. Results land in submission
-   order whatever the completion order was, so parallel output is stable
-   and --check-sequential can diff against a ~domains:1 rerun. *)
-
-type sweep_point = {
-  sp_source : string;
-  sp_lambda : float;
-  sp_epsilon : float;
-  sp_mv : Scheme.mv_order;
-}
-
+(* A campaign without a store. Rows land in grid order whatever the
+   completion order was, so parallel output is stable and
+   --check-sequential can diff it against a one-domain rerun. *)
 let sweep_cmd =
   let check_seq_arg =
     let doc =
@@ -232,7 +234,9 @@ let sweep_cmd =
     Arg.(value & flag & info [ "check-sequential" ] ~doc)
   in
   let output_arg =
-    let doc = "Output format: 'table' or 'json'." in
+    let doc =
+      "Output format: 'table' or 'json' (the socyield-campaign/1 document)."
+    in
     Arg.(
       value
       & opt (enum [ ("table", `Table); ("json", `Json) ]) `Table
@@ -242,137 +246,42 @@ let sweep_cmd =
     let doc = "Write the sweep output to $(docv) instead of standard output." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
-  let progress_arg =
-    let doc =
-      "Print a live progress line to standard error as grid points finish \
-       (updated in place on a terminal, one line per job otherwise)."
-    in
-    Arg.(value & flag & info [ "progress" ] ~doc)
-  in
-  let run fault_tree benchmarks lambdas epsilons mvs bits alpha p_lethal node_limit
-      reorder par_domains domains wall_budget check_seq output out metrics
-      metrics_out trace_out progress =
+  let run benchmarks lambdas epsilons mvs bits alpha node_limit reorder
+      par_domains domains wall_budget check_seq output out metrics metrics_out
+      trace_out progress =
     if metrics <> None || trace_out <> None then Obs.set_enabled true;
     check_par_domains ~reorder par_domains;
-    let sources =
-      match (fault_tree, benchmarks) with
-      | Some _, _ :: _ ->
-          prerr_endline "--fault-tree and --benchmarks are mutually exclusive";
-          exit 2
-      | None, [] ->
-          prerr_endline "one of --fault-tree or --benchmarks is required";
-          exit 2
-      | Some expr, [] -> (
-          match Socy_logic.Parse.fault_tree ~name:"cli" expr with
-          | exception Socy_logic.Parse.Syntax_error msg ->
-              Printf.eprintf "parse error: %s\n" msg;
-              exit 2
-          | circuit when circuit.C.num_inputs = 0 ->
-              prerr_endline "fault tree references no component";
-              exit 2
-          | circuit ->
-              let c = circuit.C.num_inputs in
-              [ (expr, circuit, Array.make c (p_lethal /. float_of_int c)) ])
-      | None, names ->
-          List.map
-            (fun name ->
-              match S.by_name name with
-              | exception Not_found ->
-                  Printf.eprintf "unknown benchmark %S\n" name;
-                  exit 2
-              | i -> (name, i.S.circuit, i.S.affect))
-            names
+    let c =
+      run_grid ~domains ?wall_budget ?progress
+        {
+          Campaign.name = "sweep";
+          benchmarks;
+          lambdas;
+          epsilons;
+          mv_orders = mvs;
+          bit_order = bits;
+          alpha;
+          node_limit;
+          cpu_limit = None;
+          reorder;
+          par_domains;
+        }
     in
-    if lambdas = [] || epsilons = [] || mvs = [] then begin
-      prerr_endline "empty sweep axis";
-      exit 2
-    end;
-    let points, jobs =
-      List.split
-        (List.concat_map
-           (fun (src, circuit, affect) ->
-             List.concat_map
-               (fun lambda ->
-                 let model =
-                   Model.create (D.negative_binomial ~mean:lambda ~alpha) affect
-                 in
-                 let lethal = Model.to_lethal model in
-                 List.concat_map
-                   (fun epsilon ->
-                     List.map
-                       (fun mv ->
-                         let config =
-                           P.Config.make ~epsilon ~node_limit ~mv_order:mv
-                             ~bit_order:bits ~reorder ~par_domains ()
-                         in
-                         let label =
-                           Printf.sprintf "%s l=%g e=%g %s" src lambda epsilon
-                             (Scheme.mv_order_name mv)
-                         in
-                         ( { sp_source = src; sp_lambda = lambda;
-                             sp_epsilon = epsilon; sp_mv = mv },
-                           P.job ~config ~label circuit lethal ))
-                       mvs)
-                   epsilons)
-               lambdas)
-           sources)
-    in
-    let domains = if domains <= 0 then Pool.default_domains () else domains in
-    (* The callback runs on whichever worker domain finished the job; the
-       mutex keeps concurrent completions from interleaving one line. *)
-    let progress_cb =
-      if not progress then None
-      else begin
-        let lock = Mutex.create () in
-        let tty = Unix.isatty Unix.stderr in
-        Some
-          (fun ~completed ~total ~label ->
-            Mutex.lock lock;
-            if tty then begin
-              Printf.eprintf "\r\027[2K[%d/%d] %s%!" completed total label;
-              if completed = total then prerr_newline ()
-            end
-            else Printf.eprintf "[%d/%d] %s\n%!" completed total label;
-            Mutex.unlock lock)
-      end
-    in
-    let wall = Unix.gettimeofday () in
-    let results = P.run_batch ~domains ?wall_budget ?progress:progress_cb jobs in
-    let wall_s = Unix.gettimeofday () -. wall in
-    let seq =
-      if not check_seq then None
-      else begin
-        let t0 = Unix.gettimeofday () in
-        let r = P.run_batch ~domains:1 jobs in
-        Some (r, Unix.gettimeofday () -. t0)
-      end
-    in
-    let drift_max, status_mismatches =
-      match seq with
-      | None -> (0.0, 0)
-      | Some (seq_results, _) ->
-          List.fold_left2
-            (fun (d, m) a b ->
-              match (a, b) with
-              | Ok ra, Ok rb ->
-                  (Float.max d (abs_float (ra.P.yield_lower -. rb.P.yield_lower)), m)
-              | Error _, Error _ -> (d, m)
-              | _ -> (d, m + 1))
-            (0.0, 0) results seq_results
-    in
-    let cpu_total =
-      List.fold_left
-        (fun acc -> function Ok r -> acc +. r.P.cpu_seconds | Error _ -> acc)
-        0.0 results
-    in
-    let status = function
-      | Ok _ -> "ok"
-      | Error (P.Node_budget _) -> "node budget"
-      | Error (P.Cpu_budget _) -> "cpu budget"
-      | Error P.Batch_cancelled -> "cancelled"
+    let seq = if check_seq then Some (Campaign.sequential_rerun c) else None in
+    let seq_summary oc ((s : Campaign.t), (d : Campaign.drift)) =
+      Printf.fprintf oc
+        "sequential rerun: %.2f s wall -> speedup %.2fx, max |dY| = %.3g, %d \
+         status mismatch(es)\n"
+        s.Campaign.wall_s
+        (s.Campaign.wall_s /. Float.max c.Campaign.wall_s 1e-9)
+        d.Campaign.max_drift d.Campaign.status_mismatches
     in
     with_metrics_channel out (fun oc ->
         match output with
+        | `Json ->
+            Json.to_channel oc (Campaign.to_json c);
+            output_char oc '\n';
+            Option.iter (seq_summary stderr) seq
         | `Table ->
             let t =
               Text_table.create
@@ -380,87 +289,42 @@ let sweep_cmd =
                 [ "source"; "lambda"; "eps"; "mv"; "M"; "yield [lo, hi]";
                   "ROMDD"; "CPU (s)"; "status" ]
             in
-            List.iter2
-              (fun pt result ->
+            List.iter
+              (fun ({ Campaign.point = p; result } : Campaign.row) ->
                 let cells =
                   match result with
-                  | Ok r ->
+                  | Ok s ->
                       [
-                        string_of_int r.P.m;
-                        Printf.sprintf "[%.6f, %.6f]" r.P.yield_lower r.P.yield_upper;
-                        Text_table.group_thousands r.P.romdd_size;
-                        Printf.sprintf "%.2f" r.P.cpu_seconds;
-                        "ok";
+                        string_of_int s.Campaign.m;
+                        Printf.sprintf "[%.6f, %.6f]" s.Campaign.yield_lower
+                          s.Campaign.yield_upper;
+                        Text_table.group_thousands s.Campaign.romdd_size;
+                        Printf.sprintf "%.2f" s.Campaign.cpu_s;
                       ]
-                  | Error _ as e -> [ "-"; "-"; "-"; "-"; status e ]
+                  | Error _ -> [ "-"; "-"; "-"; "-" ]
                 in
                 Text_table.add_row t
-                  (pt.sp_source
-                   :: Printf.sprintf "%g" pt.sp_lambda
-                   :: Printf.sprintf "%g" pt.sp_epsilon
-                   :: Scheme.mv_order_name pt.sp_mv
-                   :: cells))
-              points results;
+                  ((p.Campaign.source
+                   :: Printf.sprintf "%g" p.Campaign.lambda
+                   :: Printf.sprintf "%g" p.Campaign.epsilon
+                   :: Scheme.mv_order_name p.Campaign.mv
+                   :: cells)
+                  @ [ Campaign.status_name result ]))
+              c.Campaign.rows;
             output_string oc (Text_table.render t);
+            let cpu_total =
+              List.fold_left
+                (fun acc (r : Campaign.row) ->
+                  match r.Campaign.result with
+                  | Ok s -> acc +. s.Campaign.cpu_s
+                  | Error _ -> acc)
+                0.0 c.Campaign.rows
+            in
             Printf.fprintf oc
               "%d jobs on %d domains: %.2f s wall (%.2f s of pipeline CPU)\n"
-              (List.length jobs) domains wall_s cpu_total;
-            Option.iter
-              (fun (_, seq_wall) ->
-                Printf.fprintf oc
-                  "sequential rerun: %.2f s wall -> speedup %.2fx, max |dY| = %.3g, \
-                   %d status mismatch(es)\n"
-                  seq_wall
-                  (seq_wall /. Float.max wall_s 1e-9)
-                  drift_max status_mismatches)
-              seq
-        | `Json ->
-            let row pt result =
-              Json.Obj
-                ([
-                   ("source", Json.String pt.sp_source);
-                   ("lambda", Json.Float pt.sp_lambda);
-                   ("epsilon", Json.Float pt.sp_epsilon);
-                   ("mv_order", Json.String (Scheme.mv_order_name pt.sp_mv));
-                   ("status", Json.String (status result));
-                 ]
-                @
-                match result with
-                | Ok r ->
-                    [
-                      ("m", Json.Int r.P.m);
-                      ("yield_lower", Json.Float r.P.yield_lower);
-                      ("yield_upper", Json.Float r.P.yield_upper);
-                      ("robdd_peak", Json.Int r.P.robdd_peak);
-                      ("robdd_size", Json.Int r.P.robdd_size);
-                      ("romdd_size", Json.Int r.P.romdd_size);
-                      ("cpu_s", Json.Float r.P.cpu_seconds);
-                    ]
-                | Error f -> [ ("error", Json.String (P.failure_to_string f)) ])
-            in
-            let doc =
-              Json.Obj
-                ([
-                   ("schema", Json.String "socyield-sweep/1");
-                   ("domains", Json.Int domains);
-                   ("jobs", Json.Int (List.length jobs));
-                   ("wall_s", Json.Float wall_s);
-                   ("cpu_total_s", Json.Float cpu_total);
-                 ]
-                @ (match seq with
-                  | None -> []
-                  | Some (_, seq_wall) ->
-                      [
-                        ("wall_sequential_s", Json.Float seq_wall);
-                        ( "speedup_vs_sequential",
-                          Json.Float (seq_wall /. Float.max wall_s 1e-9) );
-                        ("seq_yield_drift_max", Json.Float drift_max);
-                        ("seq_status_mismatches", Json.Int status_mismatches);
-                      ])
-                @ [ ("rows", Json.List (List.map2 row points results)) ])
-            in
-            Json.to_channel oc doc;
-            output_char oc '\n');
+              (List.length c.Campaign.rows)
+              c.Campaign.domains c.Campaign.wall_s cpu_total;
+            Option.iter (seq_summary oc) seq);
     (match metrics with
     | None -> ()
     | Some `Json ->
@@ -470,21 +334,23 @@ let sweep_cmd =
         with_metrics_channel metrics_out (fun oc ->
             (Sink.pretty oc).Sink.emit ~label:"sweep" (Obs.snapshot ())));
     write_trace trace_out;
-    if check_seq && (drift_max > 1e-12 || status_mismatches > 0) then begin
-      Printf.eprintf
-        "sweep: parallel run diverged from sequential (max |dY| = %.3g, %d \
-         status mismatch(es))\n"
-        drift_max status_mismatches;
-      exit 1
-    end
+    match seq with
+    | Some (_, d)
+      when d.Campaign.max_drift > 1e-12 || d.Campaign.status_mismatches > 0 ->
+        Printf.eprintf
+          "sweep: parallel run diverged from sequential (max |dY| = %.3g, %d \
+           status mismatch(es))\n"
+          d.Campaign.max_drift d.Campaign.status_mismatches;
+        exit 1
+    | _ -> ()
   in
   let term =
     Term.(
-      const run $ fault_tree_arg $ benchmarks_arg $ lambdas_arg $ epsilons_arg
-      $ mv_orders_arg $ bit_order_arg $ alpha_arg $ p_lethal_arg $ node_limit_arg
-      $ reorder_arg $ par_domains_arg $ domains_arg $ wall_budget_arg
-      $ check_seq_arg $ output_arg $ out_arg $ metrics_arg $ metrics_out_arg
-      $ trace_arg $ progress_arg)
+      const run $ benchmarks_arg $ lambdas_arg $ epsilons_arg $ mv_orders_arg
+      $ bit_order_arg $ alpha_arg $ node_limit_arg $ reorder_arg
+      $ par_domains_arg $ domains_arg $ wall_budget_arg $ check_seq_arg
+      $ output_arg $ out_arg $ metrics_arg $ metrics_out_arg $ trace_arg
+      $ progress_arg)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -500,39 +366,15 @@ let sweep_cmd =
 (* The ordering autotuner: tournament the Table 2 static mv orderings,
    each with and without dynamic reordering, per benchmark family, and
    persist the winners to the on-disk registry that --tuned resolves.
-   The winner is deterministic: among completed runs, lowest ROBDD peak,
-   then lowest final size, then grid order — and the yields are
-   bit-identical across the whole grid row for a family (reordering is
-   walked back before the ROMDD conversion), so only memory is at stake. *)
+   The two variants are two grids that differ only in [reorder]. The
+   winner is deterministic: among completed runs, lowest ROBDD peak, then
+   lowest final size, then the earlier candidate (lower mv index, static
+   before sifted) — and the yields are bit-identical across the whole grid
+   row for a family (reordering is walked back before the ROMDD
+   conversion), so only memory is at stake. *)
 let tune_cmd =
   let module Registry = Socy_order.Registry in
-  let benchmarks_arg =
-    let doc =
-      "Comma-separated benchmark families to tune, e.g. MS2,MS4,ESEN4x1."
-    in
-    Arg.(
-      required
-      & opt (some (list string)) None
-      & info [ "b"; "benchmarks" ] ~docv:"NAMES" ~doc)
-  in
-  let domains_arg =
-    let doc =
-      "Worker domains for the tournament; 0 means the runtime's recommended \
-       domain count."
-    in
-    Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N" ~doc)
-  in
   let run benchmarks lambda alpha epsilon node_limit domains registry =
-    let instances =
-      List.map
-        (fun name ->
-          match S.by_name name with
-          | exception Not_found ->
-              Printf.eprintf "unknown benchmark %S\n" name;
-              exit 2
-          | i -> (name, i))
-        benchmarks
-    in
     let existing =
       match Registry.load registry with
       | entries -> entries
@@ -540,64 +382,51 @@ let tune_cmd =
           prerr_endline msg;
           exit 2
     in
-    (* One flat batch over families × mv orders × {static, sifted}: the
-       pool schedules across families, so one blown-up candidate doesn't
-       serialize the rest. *)
     let grid =
-      List.concat_map
-        (fun (family, instance) ->
-          let model =
-            Model.create (D.negative_binomial ~mean:lambda ~alpha)
-              instance.S.affect
-          in
-          let lethal = Model.to_lethal model in
-          List.concat_map
-            (fun mv ->
-              List.map
-                (fun reorder ->
-                  let config =
-                    P.Config.make ~epsilon ~node_limit ~mv_order:mv
-                      ~bit_order:Scheme.Ml ~reorder ()
-                  in
-                  let label =
-                    Printf.sprintf "%s %s%s" family (Scheme.mv_order_name mv)
-                      (if reorder then "+sift" else "")
-                  in
-                  ( (family, mv, reorder),
-                    P.job ~config ~label instance.S.circuit lethal ))
-                [ false; true ])
-            Scheme.table2_mv_orders)
-        instances
+      {
+        Campaign.name = "tune";
+        benchmarks;
+        lambdas = [ lambda ];
+        epsilons = [ epsilon ];
+        mv_orders = Scheme.table2_mv_orders;
+        bit_order = Scheme.Ml;
+        alpha;
+        node_limit;
+        cpu_limit = None;
+        reorder = false;
+        par_domains = 1;
+      }
     in
-    let points, jobs = List.split grid in
-    let domains = if domains <= 0 then Pool.default_domains () else domains in
-    let results = P.run_batch ~domains jobs in
-    let rows = List.combine points results in
-    let t =
-      Text_table.create
-        ~aligns:[ Left; Left; Left; Right; Right; Right; Left ]
-        [ "family"; "mv"; "sift"; "peak"; "size"; "CPU (s)"; "status" ]
+    let static = run_grid ~domains grid in
+    let sifted = run_grid ~domains { grid with Campaign.reorder = true } in
+    (* Candidates in tie-break order: family, mv, static before sifted. *)
+    let rows =
+      List.concat
+        (List.map2
+           (fun s r -> [ (false, s); (true, r) ])
+           static.Campaign.rows sifted.Campaign.rows)
     in
     let tuned, missing =
       List.fold_left
-        (fun (acc, missing) (family, _) ->
+        (fun (acc, missing) family ->
           let candidates =
             List.filter_map
-              (fun ((f, mv, reorder), result) ->
+              (fun (reorder, ({ Campaign.point = p; result } : Campaign.row)) ->
                 match result with
-                | Ok r when f = family -> Some (mv, reorder, r)
+                | Ok s when p.Campaign.source = family ->
+                    Some (p.Campaign.mv, reorder, s)
                 | _ -> None)
               rows
           in
           let winner =
             List.fold_left
-              (fun best (mv, reorder, r) ->
+              (fun best (mv, reorder, s) ->
                 match best with
                 | Some (_, _, b)
-                  when (b.P.robdd_peak, b.P.robdd_size)
-                       <= (r.P.robdd_peak, r.P.robdd_size) ->
+                  when (b.Campaign.robdd_peak, b.Campaign.robdd_size)
+                       <= (s.Campaign.robdd_peak, s.Campaign.robdd_size) ->
                     best
-                | _ -> Some (mv, reorder, r))
+                | _ -> Some (mv, reorder, s))
               None candidates
           in
           match winner with
@@ -607,39 +436,44 @@ let tune_cmd =
                  no registry entry written\n"
                 family;
               (acc, true)
-          | Some (mv, reorder, r) ->
+          | Some (mv, reorder, s) ->
               ( Registry.upsert acc
                   {
                     Registry.family;
                     mv;
                     bit = Scheme.Ml;
                     reorder;
-                    peak_nodes = r.P.robdd_peak;
+                    peak_nodes = s.Campaign.robdd_peak;
                   },
                 missing ))
-        (existing, false) instances
+        (existing, false) benchmarks
+    in
+    let t =
+      Text_table.create
+        ~aligns:[ Left; Left; Left; Right; Right; Right; Left ]
+        [ "family"; "mv"; "sift"; "peak"; "size"; "CPU (s)"; "status" ]
     in
     List.iter
-      (fun ((family, mv, reorder), result) ->
+      (fun (reorder, ({ Campaign.point = p; result } : Campaign.row)) ->
         let won =
-          match Registry.find tuned ~family with
-          | Some e -> e.Registry.mv = mv && e.Registry.reorder = reorder
+          match Registry.find tuned ~family:p.Campaign.source with
+          | Some e -> e.Registry.mv = p.Campaign.mv && e.Registry.reorder = reorder
           | None -> false
         in
         let cells =
           match result with
-          | Ok r ->
+          | Ok s ->
               [
-                Text_table.group_thousands r.P.robdd_peak;
-                Text_table.group_thousands r.P.robdd_size;
-                Printf.sprintf "%.2f" r.P.cpu_seconds;
+                Text_table.group_thousands s.Campaign.robdd_peak;
+                Text_table.group_thousands s.Campaign.robdd_size;
+                Printf.sprintf "%.2f" s.Campaign.cpu_s;
                 (if won then "ok *winner*" else "ok");
               ]
-          | Error f -> [ "-"; "-"; "-"; P.failure_to_string f ]
+          | Error _ -> [ "-"; "-"; "-"; Campaign.status_name result ]
         in
         Text_table.add_row t
-          (family
-          :: Scheme.mv_order_name mv
+          (p.Campaign.source
+          :: Scheme.mv_order_name p.Campaign.mv
           :: (if reorder then "yes" else "no")
           :: cells))
       rows;
@@ -1490,7 +1324,6 @@ let cutsets_cmd =
 (* campaign                                                            *)
 (* ------------------------------------------------------------------ *)
 
-module Campaign = Socy_campaign.Campaign
 module Cstore = Socy_campaign.Store
 module Gates = Socy_campaign.Gates
 module Trend = Socy_campaign.Trend
@@ -1525,10 +1358,6 @@ let campaign_run_cmd =
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let progress_arg =
-    let doc = "Print a live progress line to standard error as points finish." in
-    Arg.(value & flag & info [ "progress" ] ~doc)
-  in
   let run name store benchmarks lambdas epsilons mvs bits alpha node_limit
       cpu_limit reorder par_domains domains wall_budget save_metrics save_trace
       progress =
@@ -1549,56 +1378,35 @@ let campaign_run_cmd =
         par_domains;
       }
     in
-    let progress_cb =
-      if not progress then None
-      else begin
-        let lock = Mutex.create () in
-        let tty = Unix.isatty Unix.stderr in
-        Some
-          (fun ~completed ~total ~label ->
-            Mutex.lock lock;
-            if tty then begin
-              Printf.eprintf "\r\027[2K[%d/%d] %s%!" completed total label;
-              if completed = total then prerr_newline ()
-            end
-            else Printf.eprintf "[%d/%d] %s\n%!" completed total label;
-            Mutex.unlock lock)
-      end
+    let c = run_grid ~domains ?wall_budget ?progress grid in
+    let metrics =
+      if save_metrics then Some (Sink.snapshot_to_json (Obs.snapshot ()))
+      else None
     in
-    let domains = if domains <= 0 then Pool.default_domains () else domains in
-    match Campaign.run ~domains ?wall_budget ?progress:progress_cb grid with
-    | Error msg ->
-        Printf.eprintf "socyield: %s\n" msg;
-        exit 2
-    | Ok c ->
-        let metrics =
-          if save_metrics then Some (Sink.snapshot_to_json (Obs.snapshot ()))
-          else None
-        in
-        let trace = if save_trace then Some (Trace.to_json ()) else None in
-        let entry = Campaign.save ~root:store ?metrics ?trace c in
-        let ok, failed =
-          List.fold_left
-            (fun (ok, failed) (r : Campaign.row) ->
-              match r.Campaign.result with
-              | Ok _ -> (ok + 1, failed)
-              | Error _ -> (ok, failed + 1))
-            (0, 0) c.Campaign.rows
-        in
-        Printf.printf "stored %s: %d point(s), %d ok, %d failed, %.2f s wall\n"
-          (Cstore.campaign_file entry)
-          (List.length c.Campaign.rows)
-          ok failed c.Campaign.wall_s;
-        if failed > 0 then
-          List.iter
-            (fun (r : Campaign.row) ->
-              match r.Campaign.result with
-              | Ok _ -> ()
-              | Error _ ->
-                  Printf.printf "  failed %s: %s\n"
-                    (Campaign.point_label r.Campaign.point)
-                    (Campaign.status_name r.Campaign.result))
-            c.Campaign.rows
+    let trace = if save_trace then Some (Trace.to_json ()) else None in
+    let entry = Campaign.save ~root:store ?metrics ?trace c in
+    let ok, failed =
+      List.fold_left
+        (fun (ok, failed) (r : Campaign.row) ->
+          match r.Campaign.result with
+          | Ok _ -> (ok + 1, failed)
+          | Error _ -> (ok, failed + 1))
+        (0, 0) c.Campaign.rows
+    in
+    Printf.printf "stored %s: %d point(s), %d ok, %d failed, %.2f s wall\n"
+      (Cstore.campaign_file entry)
+      (List.length c.Campaign.rows)
+      ok failed c.Campaign.wall_s;
+    if failed > 0 then
+      List.iter
+        (fun (r : Campaign.row) ->
+          match r.Campaign.result with
+          | Ok _ -> ()
+          | Error _ ->
+              Printf.printf "  failed %s: %s\n"
+                (Campaign.point_label r.Campaign.point)
+                (Campaign.status_name r.Campaign.result))
+        c.Campaign.rows
   in
   let term =
     Term.(

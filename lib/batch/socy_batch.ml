@@ -1,19 +1,17 @@
 module Obs = Socy_obs.Obs
 module Trace = Socy_obs.Trace
-include Socy_core.Pipeline
+module P = Socy_core.Pipeline
+module Pool = Pool
 
 type job = {
   label : string;
   circuit : Socy_logic.Circuit.t;
   lethal : Socy_defects.Model.lethal;
-  config : config;
+  config : P.config;
 }
 
-let job ?(config = Config.default) ?(label = "") circuit lethal =
+let job ?(config = P.Config.default) ?(label = "") circuit lethal =
   { label; circuit; lethal; config }
-
-let job_of_model ?config ?label circuit model =
-  job ?config ?label circuit (Socy_defects.Model.to_lethal model)
 
 (* Result-aware outcome counters: at the pool level a budget blow-up is a
    normally-returned [Error], so the ok/failed split is made here. *)
@@ -40,7 +38,7 @@ let run_batch ?domains ?wall_budget ?progress jobs =
   let outcomes =
     Trace.with_span "batch" (fun () ->
         Pool.parallel_map ?domains ?wall_budget ?on_done
-          (fun j -> run_lethal ~config:j.config j.circuit j.lethal)
+          (fun j -> P.run_lethal ~config:j.config j.circuit j.lethal)
           arr)
   in
   Array.to_list
@@ -54,7 +52,7 @@ let run_batch ?domains ?wall_budget ?progress jobs =
              r
          | Pool.Cancelled ->
              Obs.incr cancelled_counter;
-             Error Batch_cancelled
+             Error P.Batch_cancelled
          (* Budget blow-ups are already Results; anything else escaping a
             pipeline run is a bug worth a real backtrace. *)
          | Pool.Failed e -> raise e)

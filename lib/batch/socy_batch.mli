@@ -1,20 +1,9 @@
-(** The pipeline API, batch-enabled.
+(** Multicore batch evaluation: the domain {!Pool} and {!run_batch}, the
+    entry point that evaluates many independent
+    [(circuit, lethal model, config)] pipeline jobs at once.
 
-    [Socy_batch.Pipeline] re-exports the whole of {!Socy_core.Pipeline}
-    (same types, same values — [report], [failure], [Config], [Artifacts],
-    [run], [run_lethal]) and adds {!run_batch}: the multicore entry point
-    for evaluating many independent [(circuit, model, config)] jobs at
-    once. Consumers that batch anything should alias this module instead
-    of the core one:
-
-    {[
-      module P = Socy_batch.Pipeline
-
-      let reports =
-        P.run_batch ~domains:4
-          [ P.job ~label:"MS2" ms2 lethal_ms2;
-            P.job ~label:"ESEN4x1" esen lethal_esen ]
-    ]}
+    {!Socy_campaign.Campaign.run} is the one caller that turns a grid into
+    jobs; everything else evaluates grids through it.
 
     Ownership model: a job shares {e nothing} mutable with its siblings.
     Each pipeline run builds its own {!Socy_bdd.Manager} and
@@ -24,9 +13,7 @@
     registry the engines publish into. That is what makes the paper-style
     sweeps embarrassingly parallel. *)
 
-include module type of struct
-  include Socy_core.Pipeline
-end
+module Pool = Pool
 
 (** One batch job: an independent pipeline run. The [label] is carried for
     consumers that render results (it does not influence evaluation). *)
@@ -34,25 +21,16 @@ type job = {
   label : string;
   circuit : Socy_logic.Circuit.t;
   lethal : Socy_defects.Model.lethal;
-  config : config;
+  config : Socy_core.Pipeline.config;
 }
 
-(** [job circuit lethal] with [?config] defaulting to {!Config.default}
-    and an empty label. *)
+(** [job circuit lethal] with [?config] defaulting to
+    {!Socy_core.Pipeline.Config.default} and an empty label. *)
 val job :
-  ?config:config ->
+  ?config:Socy_core.Pipeline.config ->
   ?label:string ->
   Socy_logic.Circuit.t ->
   Socy_defects.Model.lethal ->
-  job
-
-(** Like {!job}, mapping the full defect model to its lethal form first
-    (Eq. (1)) — the mapping is cheap and done on the submitting domain. *)
-val job_of_model :
-  ?config:config ->
-  ?label:string ->
-  Socy_logic.Circuit.t ->
-  Socy_defects.Model.t ->
   job
 
 (** [run_batch jobs] evaluates every job and returns the per-job results
@@ -89,4 +67,4 @@ val run_batch :
   ?wall_budget:float ->
   ?progress:(completed:int -> total:int -> label:string -> unit) ->
   job list ->
-  (report, failure) result list
+  (Socy_core.Pipeline.report, Socy_core.Pipeline.failure) result list

@@ -1,7 +1,7 @@
 module Json = Socy_obs.Json
 module Obs = Socy_obs.Obs
 module Bench = Socy_obs.Doc.Bench
-module P = Socy_batch.Pipeline
+module P = Socy_core.Pipeline
 module Scheme = Socy_order.Scheme
 module S = Socy_benchmarks.Suite
 module D = Socy_defects.Distribution
@@ -10,9 +10,9 @@ module Text_table = Socy_util.Text_table
 
 let schema = "socyield-campaign/1"
 
+let ( let* ) = Result.bind
+
 let runs_counter = Obs.counter "campaign.runs"
-let rows_ok_counter = Obs.counter "campaign.rows_ok"
-let rows_failed_counter = Obs.counter "campaign.rows_failed"
 let wall_gauge = Obs.gauge "campaign.wall_s"
 
 (* ------------------------------------------------------------------ *)
@@ -94,95 +94,142 @@ let points grid =
     grid.benchmarks
 
 let validate grid =
-  if grid.name = "" then Error "campaign name must not be empty"
-  else if
-    String.exists (fun c -> c = '/' || c = '\\' || c = '\000') grid.name
-  then Error (Printf.sprintf "campaign name %S must not contain '/'" grid.name)
-  else if grid.benchmarks = [] then Error "empty benchmark axis"
-  else if grid.lambdas = [] || grid.epsilons = [] || grid.mv_orders = [] then
-    Error "empty sweep axis"
-  else
-    let rec check = function
-      | [] -> Ok ()
-      | b :: rest -> (
-          match S.by_name b with
-          | _ -> check rest
-          | exception Not_found ->
-              Error (Printf.sprintf "unknown benchmark %S" b))
-    in
-    check grid.benchmarks
+  (* Everything the defect model or the pipeline would reject is caught
+     here, so [run] fails only with a typed [Error]. *)
+  let require ok msg = if ok then Ok () else Error msg in
+  let each_float ok what values =
+    match List.find_opt (fun v -> not (ok v)) values with
+    | None -> Ok ()
+    | Some v -> Error (Printf.sprintf "%s (got %g)" what v)
+  in
+  let positive x = Float.is_finite x && x > 0.0 in
+  let* () = require (grid.name <> "") "campaign name must not be empty" in
+  let* () =
+    require
+      (not (String.exists (fun c -> c = '/' || c = '\\' || c = '\000') grid.name))
+      (Printf.sprintf "campaign name %S must not contain '/'" grid.name)
+  in
+  let* () = require (grid.benchmarks <> []) "empty benchmark axis" in
+  let* () =
+    require
+      (grid.lambdas <> [] && grid.epsilons <> [] && grid.mv_orders <> [])
+      "empty sweep axis"
+  in
+  let* () =
+    match
+      List.find_opt
+        (fun b -> match S.by_name b with _ -> false | exception Not_found -> true)
+        grid.benchmarks
+    with
+    | Some b -> Error (Printf.sprintf "unknown benchmark %S" b)
+    | None -> Ok ()
+  in
+  let* () = each_float positive "lambda must be positive and finite" grid.lambdas in
+  let* () =
+    each_float (fun e -> e > 0.0 && e < 1.0) "epsilon must lie in (0, 1)"
+      grid.epsilons
+  in
+  let* () = each_float positive "alpha must be positive and finite" [ grid.alpha ] in
+  let* () =
+    require (grid.node_limit >= 1)
+      (Printf.sprintf "node limit must be at least 1 (got %d)" grid.node_limit)
+  in
+  each_float (fun s -> s > 0.0) "cpu limit must be positive"
+    (Option.to_list grid.cpu_limit)
 
 let failure_of_pipeline = function
   | P.Node_budget { peak; _ } -> Node_budget_hit peak
   | P.Cpu_budget { elapsed; _ } -> Cpu_budget_hit elapsed
   | P.Batch_cancelled -> Cancelled
 
+let job grid p =
+  let instance = S.by_name p.source in
+  let model =
+    Model.create
+      (D.negative_binomial ~mean:p.lambda ~alpha:grid.alpha)
+      instance.S.affect
+  in
+  let config =
+    P.Config.make ~epsilon:p.epsilon ~node_limit:grid.node_limit
+      ?cpu_limit:grid.cpu_limit ~mv_order:p.mv ~bit_order:grid.bit_order
+      ~reorder:grid.reorder ~par_domains:grid.par_domains ()
+  in
+  Socy_batch.job ~config ~label:(point_label p) instance.S.circuit
+    (Model.to_lethal model)
+
+let success_of_report (r : P.report) =
+  {
+    m = r.P.m;
+    yield_lower = r.P.yield_lower;
+    yield_upper = r.P.yield_upper;
+    robdd_peak = r.P.robdd_peak;
+    robdd_size = r.P.robdd_size;
+    romdd_size = r.P.romdd_size;
+    cpu_s = r.P.cpu_seconds;
+  }
+
 let run ?domains ?wall_budget ?progress ?(now = Unix.gettimeofday ()) grid =
-  match validate grid with
-  | Error _ as e -> e
-  | Ok () ->
-      let pts = points grid in
-      let jobs =
+  let* () = validate grid in
+  let points = points grid in
+  let jobs = List.map (job grid) points in
+  let domains =
+    match domains with
+    | Some d -> d
+    | None -> Socy_batch.Pool.default_domains ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let results = Socy_batch.run_batch ~domains ?wall_budget ?progress jobs in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let rows =
+    List.map2
+      (fun point result ->
+        {
+          point;
+          result =
+            Result.map_error failure_of_pipeline
+              (Result.map success_of_report result);
+        })
+      points results
+  in
+  Obs.incr runs_counter;
+  Obs.set wall_gauge wall_s;
+  Ok { grid; created_s = now; domains; wall_s; rows }
+
+type drift = {
+  row_drifts : float option list;
+  max_drift : float;
+  status_mismatches : int;
+}
+
+let sequential_rerun t =
+  match run ~domains:1 t.grid with
+  | Error msg -> invalid_arg ("Campaign.sequential_rerun: " ^ msg)
+  | Ok seq ->
+      let pairs = List.combine t.rows seq.rows in
+      let row_drifts =
         List.map
-          (fun p ->
-            let instance = S.by_name p.source in
-            let model =
-              Model.create
-                (D.negative_binomial ~mean:p.lambda ~alpha:grid.alpha)
-                instance.S.affect
-            in
-            let config =
-              P.Config.make ~epsilon:p.epsilon ~node_limit:grid.node_limit
-                ?cpu_limit:grid.cpu_limit ~mv_order:p.mv
-                ~bit_order:grid.bit_order ~reorder:grid.reorder
-                ~par_domains:grid.par_domains ()
-            in
-            P.job ~config ~label:(point_label p) instance.S.circuit
-              (Model.to_lethal model))
-          pts
+          (fun (a, b) ->
+            match (a.result, b.result) with
+            | Ok x, Ok y -> Some (Float.abs (x.yield_lower -. y.yield_lower))
+            | _ -> None)
+          pairs
       in
-      let domains =
-        match domains with
-        | Some d -> d
-        | None -> Socy_batch.Pool.default_domains ()
+      let max_drift =
+        List.fold_left
+          (fun acc d -> Option.fold ~none:acc ~some:(Float.max acc) d)
+          0.0 row_drifts
       in
-      let t0 = Unix.gettimeofday () in
-      let results = P.run_batch ~domains ?wall_budget ?progress jobs in
-      let wall_s = Unix.gettimeofday () -. t0 in
-      let rows =
-        List.map2
-          (fun point result ->
-            match result with
-            | Ok (r : P.report) ->
-                Obs.incr rows_ok_counter;
-                {
-                  point;
-                  result =
-                    Ok
-                      {
-                        m = r.P.m;
-                        yield_lower = r.P.yield_lower;
-                        yield_upper = r.P.yield_upper;
-                        robdd_peak = r.P.robdd_peak;
-                        robdd_size = r.P.robdd_size;
-                        romdd_size = r.P.romdd_size;
-                        cpu_s = r.P.cpu_seconds;
-                      };
-                }
-            | Error f ->
-                Obs.incr rows_failed_counter;
-                { point; result = Error (failure_of_pipeline f) })
-          pts results
+      let status_mismatches =
+        List.length
+          (List.filter
+             (fun (a, b) -> Result.is_ok a.result <> Result.is_ok b.result)
+             pairs)
       in
-      Obs.incr runs_counter;
-      Obs.set wall_gauge wall_s;
-      Ok { grid; created_s = now; domains; wall_s; rows }
+      (seq, { row_drifts; max_drift; status_mismatches })
 
 (* ------------------------------------------------------------------ *)
 (* Codec: socyield-campaign/1                                          *)
 (* ------------------------------------------------------------------ *)
-
-let ( let* ) = Result.bind
 
 let grid_to_json g =
   Json.Obj

@@ -3,15 +3,19 @@
     A campaign is ROADMAP item 5's answer to "run the same grid every
     week and tell me what moved": a {!grid} names a cartesian product of
     benchmarks × λ × ε × orderings evaluated through
-    {!Socy_batch.Pipeline.run_batch}, {!run} executes it (budget
+    {!Socy_batch.run_batch}, {!run} executes it (budget
     failures land as typed rows, not exceptions), {!save}/{!load} round
     it through the {!Store} as a versioned [socyield-campaign/1]
     document, {!diff} compares any two runs through the shared
     {!Gates} table, and {!render_text}/{!render_html} aggregate a whole
     store into a trend report via {!Trend}.
 
-    Probes: [campaign.runs], [campaign.rows_ok], [campaign.rows_failed]
-    (counters), [campaign.wall_s] (gauge). *)
+    {!run} is the one grid runner: [socyield sweep], [tune] and
+    [campaign run] and the bench's Table 2/3 and yield-curve sections all
+    evaluate their grids through it.
+
+    Probes: [campaign.runs] (counter), [campaign.wall_s] (gauge); per-point
+    outcomes are the batch's [batch.jobs_*] counters. *)
 
 val schema : string
 (** ["socyield-campaign/1"] *)
@@ -72,8 +76,10 @@ val status_name : (success, failure_kind) result -> string
 val points : grid -> point list
 
 val validate : grid -> (unit, string) result
-(** Reject empty axes, unknown benchmark names and names unusable as
-    directory prefixes. *)
+(** Reject empty axes, unknown benchmark names, names unusable as
+    directory prefixes, and values the defect model or the pipeline
+    cannot take: a non-finite or non-positive λ or α, an ε outside
+    (0, 1), a node limit below 1 and a non-positive CPU limit. *)
 
 val run :
   ?domains:int ->
@@ -84,9 +90,25 @@ val run :
   (t, string) result
 (** Evaluate the grid. [domains] defaults to
     {!Socy_batch.Pool.default_domains}; [progress] is forwarded to
-    {!Socy_batch.Pipeline.run_batch} (called on worker domains). Only
-    grid validation fails; per-point budget exhaustion becomes a failed
-    {!row}. *)
+    {!Socy_batch.run_batch} (called on worker domains as each point
+    settles). Only grid validation fails; per-point budget exhaustion
+    becomes a failed {!row}. *)
+
+(** {1 Sequential equivalence} *)
+
+type drift = {
+  row_drifts : float option list;
+      (** per row, |ΔY_M| between the two runs; [None] unless both are ok *)
+  max_drift : float;  (** largest row drift, 0 when no row compares *)
+  status_mismatches : int;  (** rows ok in one run and failed in the other *)
+}
+
+val sequential_rerun : t -> t * drift
+(** Rerun [t]'s grid on one domain (a plain sequential loop) and compare
+    it with [t] row by row. A parallel run must match its rerun bit for
+    bit: [max_drift = 0.] and no status mismatch. Raises
+    [Invalid_argument] when [t.grid] fails {!validate}, which a [t] from
+    {!run} never does. *)
 
 (** {1 Codec} *)
 

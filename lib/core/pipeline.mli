@@ -153,7 +153,7 @@ type report = {
 }
 
 (** Why a run produced no report. One type shared by {!run}, {!run_lethal}
-    and [Socy_batch.Pipeline.run_batch], so consumers match on the
+    and [Socy_batch.run_batch], so consumers match on the
     constructor instead of sniffing a stage string:
 
     - [Node_budget]: a node creation would have pushed the live-node count

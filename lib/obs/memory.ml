@@ -29,11 +29,13 @@ let delta_since (s0 : sample) =
     (* Deltas like every other field: a stage's heap growth, not the
        process-global absolute (which made every per-stage reading
        identical and meaningless in reports). [heap_words] can be
-       negative across a collection; [top_heap_words] is monotone so its
-       delta is the stage's contribution to the high-water mark, usually
-       0. *)
+       negative across a collection; [top_heap_words] is the stage's
+       contribution to the high-water mark, usually 0. OCaml 5 computes
+       the process figure as a sum of per-domain maxima, which drops when
+       a finished domain's statistics are cleaned up; a drop is no
+       contribution, hence the clamp. *)
     heap_words = s1.heap_words - s0.heap_words;
-    top_heap_words = s1.top_heap_words - s0.top_heap_words;
+    top_heap_words = max 0 (s1.top_heap_words - s0.top_heap_words);
   }
 
 let with_gc_delta f =
@@ -54,26 +56,29 @@ let delta_to_json d =
       ("top_heap_words", Json.Int d.top_heap_words);
     ]
 
-let c_minor = lazy (Obs.counter "gc.minor_collections")
-let c_major = lazy (Obs.counter "gc.major_collections")
-let c_compactions = lazy (Obs.counter "gc.compactions")
-let c_minor_words = lazy (Obs.counter "gc.minor_words")
-let c_promoted_words = lazy (Obs.counter "gc.promoted_words")
-let g_heap = lazy (Obs.gauge "gc.heap_words")
-let g_top_heap = lazy (Obs.gauge "gc.top_heap_words")
+(* Registered eagerly, like every other probe: [publish] runs on whichever
+   domain finishes a stage, and forcing one [lazy] from two domains at once
+   raises [CamlinternalLazy.Undefined]. *)
+let c_minor = Obs.counter "gc.minor_collections"
+let c_major = Obs.counter "gc.major_collections"
+let c_compactions = Obs.counter "gc.compactions"
+let c_minor_words = Obs.counter "gc.minor_words"
+let c_promoted_words = Obs.counter "gc.promoted_words"
+let g_heap = Obs.gauge "gc.heap_words"
+let g_top_heap = Obs.gauge "gc.top_heap_words"
 
 let publish ?stage d =
   if Obs.enabled () then begin
-    Obs.add (Lazy.force c_minor) (max 0 d.minor_collections);
-    Obs.add (Lazy.force c_major) (max 0 d.major_collections);
-    Obs.add (Lazy.force c_compactions) (max 0 d.compactions);
-    Obs.add (Lazy.force c_minor_words) (max 0 (int_of_float d.minor_words));
-    Obs.add (Lazy.force c_promoted_words) (max 0 (int_of_float d.promoted_words));
+    Obs.add c_minor (max 0 d.minor_collections);
+    Obs.add c_major (max 0 d.major_collections);
+    Obs.add c_compactions (max 0 d.compactions);
+    Obs.add c_minor_words (max 0 (int_of_float d.minor_words));
+    Obs.add c_promoted_words (max 0 (int_of_float d.promoted_words));
     (* The gauges stay absolutes (current heap, process high-water mark):
        a fresh sample, since the delta no longer carries them. *)
     let s = Gc.quick_stat () in
-    Obs.set (Lazy.force g_heap) (float_of_int s.Gc.heap_words);
-    Obs.set (Lazy.force g_top_heap) (float_of_int s.Gc.top_heap_words);
+    Obs.set g_heap (float_of_int s.Gc.heap_words);
+    Obs.set g_top_heap (float_of_int s.Gc.top_heap_words);
     match stage with
     | None -> ()
     | Some stage ->

@@ -4,7 +4,8 @@
    [run_batch ~domains:1] (a plain sequential loop) and a genuinely
    parallel run produce bit-identical report lists. *)
 
-module P = Socy_batch.Pipeline
+module P = Socy_core.Pipeline
+module B = Socy_batch
 module Pool = Socy_batch.Pool
 module S = Socy_benchmarks.Suite
 module Parse = Socy_logic.Parse
@@ -93,11 +94,11 @@ let mixed_jobs () =
       p_lethal = 0.1;
     }
   in
-  let bench r config label = P.job ~config ~label r.S.instance.S.circuit (S.lethal r) in
+  let bench r config label = B.job ~config ~label r.S.instance.S.circuit (S.lethal r) in
   [
     bench ms2_1 (P.Config.make ()) "ms2-default";
     bench ms2_1 (P.Config.make ~epsilon:1e-6 ~mv_order:Scheme.Vw ()) "ms2-vw";
-    P.job ~config:(P.Config.make ~epsilon:0.11 ~mv_order:Scheme.Vw ()) ~label:"fig2"
+    B.job ~config:(P.Config.make ~epsilon:0.11 ~mv_order:Scheme.Vw ()) ~label:"fig2"
       fig2 fig2_lethal;
     (* deliberately exhausts a tiny node budget mid-batch *)
     bench ms4 (P.Config.make ~node_limit:5_000 ()) "ms4-blowup";
@@ -137,11 +138,11 @@ let check_same_result label (a : (P.report, P.failure) result)
 
 let test_batch_matches_sequential () =
   let jobs = mixed_jobs () in
-  let seq = P.run_batch ~domains:1 jobs in
-  let par = P.run_batch ~domains:4 jobs in
+  let seq = B.run_batch ~domains:1 jobs in
+  let par = B.run_batch ~domains:4 jobs in
   Alcotest.(check int) "same length" (List.length seq) (List.length par);
   List.iter2
-    (fun job (s, p) -> check_same_result job.P.label s p)
+    (fun job (s, p) -> check_same_result job.B.label s p)
     jobs
     (List.map2 (fun s p -> (s, p)) seq par)
 
@@ -162,10 +163,10 @@ let prop_batch_deterministic =
         arr.(j) <- t
       done;
       let shuffled = Array.to_list arr in
-      let seq = P.run_batch ~domains:1 shuffled in
-      let par = P.run_batch ~domains shuffled in
+      let seq = B.run_batch ~domains:1 shuffled in
+      let par = B.run_batch ~domains shuffled in
       List.iter2
-        (fun job (s, p) -> check_same_result job.P.label s p)
+        (fun job (s, p) -> check_same_result job.B.label s p)
         shuffled
         (List.map2 (fun s p -> (s, p)) seq par);
       true)
@@ -173,10 +174,10 @@ let prop_batch_deterministic =
 let test_batch_node_budget_isolated () =
   (* The blow-up job lands as Error Node_budget; its siblings all succeed. *)
   let jobs = mixed_jobs () in
-  let results = P.run_batch ~domains:4 jobs in
+  let results = B.run_batch ~domains:4 jobs in
   List.iter2
     (fun job result ->
-      match (job.P.label, result) with
+      match (job.B.label, result) with
       | "ms4-blowup", Error (P.Node_budget { stage; peak }) ->
           Alcotest.(check string) "stage" "coded-robdd" stage;
           Alcotest.(check bool) "peak at least the budget" true (peak >= 5_000)
@@ -188,7 +189,7 @@ let test_batch_node_budget_isolated () =
 
 let test_batch_wall_budget () =
   let jobs = mixed_jobs () in
-  let results = P.run_batch ~domains:2 ~wall_budget:(-1.0) jobs in
+  let results = B.run_batch ~domains:2 ~wall_budget:(-1.0) jobs in
   List.iter
     (function
       | Error P.Batch_cancelled -> ()
@@ -203,7 +204,7 @@ let test_batch_obs_aggregation () =
     (fun () ->
       let jobs = mixed_jobs () in
       let n = List.length jobs in
-      ignore (P.run_batch ~domains:3 jobs);
+      ignore (B.run_batch ~domains:3 jobs);
       let snap = Obs.snapshot () in
       Alcotest.(check int) "batch.jobs counts submissions" n
         (List.assoc "batch.jobs" snap.Obs.counters);

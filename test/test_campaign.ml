@@ -394,6 +394,100 @@ let test_store_same_second_collision () =
       Alcotest.(check bool) "suffix disambiguates" true
         (e1.Store.id <> e2.Store.id))
 
+(* Values the defect model or the pipeline would reject must come back
+   as a typed [Error] from [validate] and [run], never as an exception. *)
+let test_validate_rejects_values () =
+  let g = tiny_grid "v" in
+  let rejected what grid =
+    (match Campaign.validate grid with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s: validate accepted" what);
+    match Campaign.run ~domains:1 grid with
+    | Error msg ->
+        Alcotest.(check bool) (what ^ ": one-line message") false
+          (String.contains msg '\n')
+    | Ok _ -> Alcotest.failf "%s: run accepted" what
+    | exception e ->
+        Alcotest.failf "%s: run raised %s" what (Printexc.to_string e)
+  in
+  Alcotest.(check bool) "tiny grid is valid" true (Campaign.validate g = Ok ());
+  rejected "negative lambda" { g with Campaign.lambdas = [ 10.0; -1.0 ] };
+  rejected "zero lambda" { g with Campaign.lambdas = [ 0.0 ] };
+  rejected "infinite lambda" { g with Campaign.lambdas = [ infinity ] };
+  rejected "nan lambda" { g with Campaign.lambdas = [ nan ] };
+  rejected "zero alpha" { g with Campaign.alpha = 0.0 };
+  rejected "nan alpha" { g with Campaign.alpha = nan };
+  rejected "zero epsilon" { g with Campaign.epsilons = [ 0.0 ] };
+  rejected "epsilon one" { g with Campaign.epsilons = [ 1e-3; 1.0 ] };
+  rejected "nan epsilon" { g with Campaign.epsilons = [ nan ] };
+  rejected "node limit 0" { g with Campaign.node_limit = 0 };
+  rejected "zero cpu limit" { g with Campaign.cpu_limit = Some 0.0 };
+  rejected "negative cpu limit" { g with Campaign.cpu_limit = Some (-1.0) };
+  rejected "unknown benchmark" { g with Campaign.benchmarks = [ "MS2"; "XX" ] };
+  rejected "empty axis" { g with Campaign.mv_orders = [] }
+
+(* The one grid runner is deterministic: the same grid on one domain and
+   on three gives equal rows field by field, floats bit for bit, budget
+   failures included. Only the timing field [cpu_s] may differ. *)
+let test_run_domains_deterministic () =
+  let grid =
+    {
+      (tiny_grid "det") with
+      Campaign.benchmarks = [ "MS2"; "ESEN4x1"; "ESEN4x2" ];
+      mv_orders = [ Scheme.Heur H.Weight; Scheme.Wv ];
+      node_limit = 50_000;
+    }
+  in
+  let run domains =
+    match Campaign.run ~domains grid with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "campaign run failed: %s" msg
+  in
+  let seq = run 1 and par = run 3 in
+  let bits f = Int64.bits_of_float f in
+  let budget_rows =
+    List.filter
+      (fun (r : Campaign.row) ->
+        match r.Campaign.result with
+        | Error (Campaign.Node_budget_hit _) -> true
+        | _ -> false)
+      seq.Campaign.rows
+  in
+  Alcotest.(check bool) "grid has a node-budget row" true (budget_rows <> []);
+  Alcotest.(check int) "same row count"
+    (List.length seq.Campaign.rows)
+    (List.length par.Campaign.rows);
+  List.iter2
+    (fun (a : Campaign.row) (b : Campaign.row) ->
+      let label = Campaign.point_label a.Campaign.point in
+      Alcotest.(check bool) (label ^ ": same point") true
+        (a.Campaign.point = b.Campaign.point);
+      match (a.Campaign.result, b.Campaign.result) with
+      | Ok x, Ok y ->
+          Alcotest.(check int) (label ^ ": m") x.Campaign.m y.Campaign.m;
+          Alcotest.(check int64) (label ^ ": yield_lower bits")
+            (bits x.Campaign.yield_lower) (bits y.Campaign.yield_lower);
+          Alcotest.(check int64) (label ^ ": yield_upper bits")
+            (bits x.Campaign.yield_upper) (bits y.Campaign.yield_upper);
+          Alcotest.(check int) (label ^ ": robdd_peak") x.Campaign.robdd_peak
+            y.Campaign.robdd_peak;
+          Alcotest.(check int) (label ^ ": robdd_size") x.Campaign.robdd_size
+            y.Campaign.robdd_size;
+          Alcotest.(check int) (label ^ ": romdd_size") x.Campaign.romdd_size
+            y.Campaign.romdd_size
+      | Error (Campaign.Node_budget_hit p), Error (Campaign.Node_budget_hit q)
+        ->
+          Alcotest.(check int) (label ^ ": peak at failure") p q
+      | ra, rb ->
+          Alcotest.failf "%s: %s on one domain, %s on three" label
+            (Campaign.status_name ra) (Campaign.status_name rb))
+    seq.Campaign.rows par.Campaign.rows;
+  let _, drift = Campaign.sequential_rerun par in
+  Alcotest.(check (float 0.0)) "sequential_rerun: no drift" 0.0
+    drift.Campaign.max_drift;
+  Alcotest.(check int) "sequential_rerun: no status mismatch" 0
+    drift.Campaign.status_mismatches
+
 (* ------------------------------------------------------------------ *)
 (* Codec property                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -580,6 +674,10 @@ let () =
             test_store_same_second_collision;
           Alcotest.test_case "rejects wrong schema" `Quick
             test_codec_rejects_wrong_schema;
+          Alcotest.test_case "validate rejects bad values" `Quick
+            test_validate_rejects_values;
+          Alcotest.test_case "one domain = three domains" `Quick
+            test_run_domains_deterministic;
           QCheck_alcotest.to_alcotest prop_campaign_codec_round_trip;
         ] );
       ( "bench-doc",

@@ -5,7 +5,7 @@
    mid-parallel-build must leave the store structurally consistent. *)
 
 module C = Socy_logic.Circuit
-module P = Socy_batch.Pipeline
+module P = Socy_core.Pipeline
 module M = Socy_bdd.Manager
 module Pbdd = Socy_bdd.Pbdd
 module Par = Socy_bdd.Par

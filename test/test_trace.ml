@@ -5,7 +5,7 @@
    every pipeline report must carry a GC delta per stage whether or not
    the observability flag is up. *)
 
-module P = Socy_batch.Pipeline
+module P = Socy_core.Pipeline
 module Pool = Socy_batch.Pool
 module S = Socy_benchmarks.Suite
 module Obs = Socy_obs.Obs
@@ -187,12 +187,12 @@ let bench_rows labels =
 let test_sweep_trace () =
   let jobs =
     List.map
-      (fun r -> P.job ~label:(S.row_label r) r.S.instance.S.circuit (S.lethal r))
+      (fun r -> Socy_batch.job ~label:(S.row_label r) r.S.instance.S.circuit (S.lethal r))
       (bench_rows [ "MS2, l'=1"; "MS4, l'=1" ])
   in
   let progressed = Atomic.make 0 in
   let results =
-    P.run_batch ~domains:2
+    Socy_batch.run_batch ~domains:2
       ~progress:(fun ~completed:_ ~total ~label:_ ->
         Alcotest.(check int) "progress total" 2 total;
         Atomic.incr progressed)
@@ -202,7 +202,7 @@ let test_sweep_trace () =
     (fun job result ->
       match result with
       | Ok _ -> ()
-      | Error f -> Alcotest.failf "%s failed: %s" job.P.label (P.failure_to_string f))
+      | Error f -> Alcotest.failf "%s failed: %s" job.Socy_batch.label (P.failure_to_string f))
     jobs results;
   Alcotest.(check int) "progress fired per job" 2 (Atomic.get progressed);
   let events = check_document (Trace.to_json ()) in
