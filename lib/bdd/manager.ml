@@ -44,12 +44,18 @@ type t = {
   mutable buckets : int array;
   mutable bucket_mask : int;
   (* Computed cache, direct-mapped, shared by ITE and the specialized
-     AND/OR entry points (AND entries use the reserved third key below). *)
-  cache_f : int array;
-  cache_g : int array;
-  cache_h : int array;
-  cache_r : int array;
-  cache_mask : int;
+     AND/OR entry points (AND entries use the reserved third key below).
+     It starts at [2^initial_cache_bits] lines and doubles with the node
+     store (see [grow_cache]) up to [cache_max] lines. *)
+  mutable cache_f : int array;
+  mutable cache_g : int array;
+  mutable cache_h : int array;
+  mutable cache_r : int array;
+  mutable cache_mask : int;
+  (* A miss doubles the cache once the store holds more nodes than this:
+     the line count, or [max_int] once the cache has [cache_max] lines. *)
+  mutable cache_grow_at : int;
+  cache_max : int;
   (* Work stack for the iterative ITE/AND: packed frames of [ite_stride]
      ints, reused across calls so the hot path allocates nothing per frame. *)
   mutable ite_frames : int array;
@@ -91,6 +97,7 @@ let handle_bound m = m.used lsl 1
 
 let initial_capacity = 1024
 let initial_buckets = 1 lsl 10
+let initial_cache_bits = 12
 
 (* Frame layout of the iterative ITE work stack:
    [kf; kg; kh] the normalized cache key, [lv] the branching level,
@@ -104,7 +111,11 @@ let ite_stride = 14
 
 let create ?(node_limit = max_int) ?cpu_limit ?(cache_bits = 18) ~num_vars () =
   if num_vars < 0 then invalid_arg "Manager.create: negative num_vars";
+  if cache_bits < 1 || cache_bits > 28 then
+    invalid_arg "Manager.create: cache_bits out of range";
   let cap = initial_capacity in
+  let lines = 1 lsl min cache_bits initial_cache_bits in
+  let cache_max = 1 lsl cache_bits in
   let m =
     {
       nvars = num_vars;
@@ -124,11 +135,13 @@ let create ?(node_limit = max_int) ?cpu_limit ?(cache_bits = 18) ~num_vars () =
       free_head = -1;
       buckets = Array.make initial_buckets (-1);
       bucket_mask = initial_buckets - 1;
-      cache_f = Array.make (1 lsl cache_bits) (-1);
-      cache_g = Array.make (1 lsl cache_bits) 0;
-      cache_h = Array.make (1 lsl cache_bits) 0;
-      cache_r = Array.make (1 lsl cache_bits) 0;
-      cache_mask = (1 lsl cache_bits) - 1;
+      cache_f = Array.make lines (-1);
+      cache_g = Array.make lines 0;
+      cache_h = Array.make lines 0;
+      cache_r = Array.make lines 0;
+      cache_mask = lines - 1;
+      cache_grow_at = (if lines < cache_max then lines else max_int);
+      cache_max;
       ite_frames = Array.make (64 * ite_stride) 0;
       alive_count = 0;
       dead_count = 0;
@@ -417,6 +430,45 @@ let not_ m f =
   ref_ m f;
   f lxor 1
 
+(* --- computed cache ------------------------------------------------------ *)
+
+(* Double the computed cache, re-inserting every filled line under the new
+   mask. Called from the miss branch of [ite] / [and_] once the store holds
+   more nodes (live and dead) than the cache has lines, so a small diagram
+   keeps a small, CPU-cache-resident table and a large one still reaches
+   [cache_max] lines.
+
+   Results cannot depend on the cache size. No cache line holds a
+   reference, so the diagram built is the same whatever the cache
+   remembers: only hit and miss counts change. ITE/AND frames pushed before
+   a resize keep a line index computed under the old mask, and storing
+   through it is safe: the index is still in range, because the table only
+   grows, and every lookup compares the full key (f, g, h, or the AND
+   code), so a line whose key hashes elsewhere can only miss, never return
+   a wrong result. [collect] and [reorder_end] flush whatever arrays are
+   current. *)
+let grow_cache m =
+  let n = 2 * (m.cache_mask + 1) in
+  let mask = n - 1 in
+  let f = Array.make n (-1) and g = Array.make n 0 in
+  let h = Array.make n 0 and r = Array.make n 0 in
+  for i = 0 to m.cache_mask do
+    let k = m.cache_f.(i) in
+    if k >= 0 then begin
+      let j = hash3 k m.cache_g.(i) m.cache_h.(i) land mask in
+      f.(j) <- k;
+      g.(j) <- m.cache_g.(i);
+      h.(j) <- m.cache_h.(i);
+      r.(j) <- m.cache_r.(i)
+    end
+  done;
+  m.cache_f <- f;
+  m.cache_g <- g;
+  m.cache_h <- h;
+  m.cache_r <- r;
+  m.cache_mask <- mask;
+  m.cache_grow_at <- (if n < m.cache_max then n else max_int)
+
 (* --- ITE ---------------------------------------------------------------- *)
 
 (* Iterative ITE: a state machine over an explicit stack of packed int
@@ -493,6 +545,13 @@ let ite m f g h =
         end
         else begin
           m.cache_misses <- m.cache_misses + 1;
+          let ci =
+            if m.alive_count + m.dead_count > m.cache_grow_at then begin
+              grow_cache m;
+              hash3 f g h land m.cache_mask
+            end
+            else ci
+          in
           let sf = f lsr 1 and sg = g lsr 1 and sh = h lsr 1 in
           let lf = m.level.(sf) and lg = m.level.(sg) and lh = m.level.(sh) in
           let lv = min lf (min lg lh) in
@@ -593,6 +652,13 @@ let and_ m f g =
       end
       else begin
         m.cache_misses <- m.cache_misses + 1;
+        let ci =
+          if m.alive_count + m.dead_count > m.cache_grow_at then begin
+            grow_cache m;
+            hash3 a b and_code land m.cache_mask
+          end
+          else ci
+        in
         let sa = a lsr 1 and sb = b lsr 1 in
         let la = m.level.(sa) and lb = m.level.(sb) in
         let lv = min la lb in

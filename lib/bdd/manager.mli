@@ -87,8 +87,14 @@ exception Cpu_limit_exceeded
 
 (** [create ~num_vars ()] is a fresh manager. [node_limit] bounds live
     nodes (default: unbounded); [cpu_limit] bounds CPU seconds from
-    creation (default: unbounded). [cache_bits] sizes the computed cache
-    at [2^cache_bits] entries (default 18). *)
+    creation (default: unbounded). [cache_bits] (1–28, default 18) caps
+    the computed cache at [2^cache_bits] lines. The cache starts at
+    [2^(min cache_bits 12)] lines and doubles whenever an ITE or AND/OR
+    cache miss finds more nodes in the store (live plus dead) than it has
+    lines, so it tracks the diagram's size: a manager that only calls
+    {!mk} / {!var} keeps 4096 lines. The size never changes a result, only
+    hit and miss counts. Raises [Invalid_argument] when [cache_bits] is
+    outside 1–28. *)
 val create :
   ?node_limit:int -> ?cpu_limit:float -> ?cache_bits:int -> num_vars:int -> unit -> t
 

@@ -30,21 +30,23 @@ let zero = Store.zero
 type t = {
   store : Store.t;
   team : Par.t;
-  cache_bits : int; (* per-domain *)
+  cache_bits : int; (* per-domain cap *)
   (* Cache statistics drained from the per-domain caches at task ends. *)
   agg_hits : int Atomic.t;
   agg_misses : int Atomic.t;
   agg_fast : int Atomic.t;
 }
 
-(* Per-domain cache bits: shrink the sequential budget by the team size
-   so total cache memory matches a sequential run's instead of
-   multiplying by the domain count. *)
+(* Per-domain cache cap: shrink the sequential cap by the team size so
+   total cache memory matches a sequential run's instead of multiplying
+   by the domain count. *)
 let scaled_cache_bits ~cache_bits ~domains =
   let rec log2ceil n = if n <= 1 then 0 else 1 + log2ceil ((n + 1) / 2) in
   max 14 (cache_bits - log2ceil domains)
 
 let create ?node_limit ?cpu_limit ?(cache_bits = 18) ~team ~num_vars () =
+  if cache_bits < 1 || cache_bits > 28 then
+    invalid_arg "Pbdd.create: cache_bits out of range";
   {
     store = Store.create ?node_limit ?cpu_limit ~num_vars ();
     team;
@@ -61,13 +63,18 @@ let team t = t.team
 
 let ite_stride = 14
 
+(* Each domain's cache starts at [2^initial_cache_bits] lines and doubles,
+   like [Manager]'s, once a miss finds more store nodes than it has lines,
+   up to [2^t.cache_bits] lines (at least [2^14], so it can always grow). *)
 type cache = {
   cid : int; (* owning store id *)
-  cf : int array;
-  cg : int array;
-  ch : int array;
-  cr : int array;
-  cmask : int;
+  mutable cf : int array;
+  mutable cg : int array;
+  mutable ch : int array;
+  mutable cr : int array;
+  mutable cmask : int;
+  mutable grow_at : int; (* line count, or [max_int] at [cmax] lines *)
+  cmax : int;
   mutable frames : int array;
   mutable hits : int;
   mutable misses : int;
@@ -80,8 +87,10 @@ type cache = {
 let cache_key : cache option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
+let initial_cache_bits = 12
+
 let fresh_cache t =
-  let n = 1 lsl t.cache_bits in
+  let n = 1 lsl initial_cache_bits in
   {
     cid = Store.id t.store;
     cf = Array.make n (-1);
@@ -89,6 +98,8 @@ let fresh_cache t =
     ch = Array.make n 0;
     cr = Array.make n 0;
     cmask = n - 1;
+    grow_at = n;
+    cmax = 1 lsl t.cache_bits;
     frames = Array.make (64 * ite_stride) 0;
     hits = 0;
     misses = 0;
@@ -116,6 +127,32 @@ let drain_cache_stats t c =
   c.pub_fast <- c.fast
 
 let hash3 = Store.hash3
+
+(* Double [c], re-inserting every filled line under the new mask: the
+   resize of [Manager.grow_cache], whose comment explains why no result
+   can change. The kernels check [Store.created_approx], a shared atomic,
+   only once per 1024 misses. *)
+let grow_cache c =
+  let n = 2 * (c.cmask + 1) in
+  let mask = n - 1 in
+  let f = Array.make n (-1) and g = Array.make n 0 in
+  let h = Array.make n 0 and r = Array.make n 0 in
+  for i = 0 to c.cmask do
+    let k = c.cf.(i) in
+    if k >= 0 then begin
+      let j = hash3 k c.cg.(i) c.ch.(i) land mask in
+      f.(j) <- k;
+      g.(j) <- c.cg.(i);
+      h.(j) <- c.ch.(i);
+      r.(j) <- c.cr.(i)
+    end
+  done;
+  c.cf <- f;
+  c.cg <- g;
+  c.ch <- h;
+  c.cr <- r;
+  c.cmask <- mask;
+  c.grow_at <- (if n < c.cmax then n else max_int)
 
 (* --- sequential kernels over the store ----------------------------------- *)
 
@@ -152,6 +189,14 @@ let seq_and t c f g =
       end
       else begin
         c.misses <- c.misses + 1;
+        let ci =
+          if c.misses land 1023 = 0 && Store.created_approx st > c.grow_at
+          then begin
+            grow_cache c;
+            hash3 a b and_code land c.cmask
+          end
+          else ci
+        in
         let sa = a lsr 1 and sb = b lsr 1 in
         let la = Store.level_of_slot st sa and lb = Store.level_of_slot st sb in
         let lv = min la lb in
@@ -245,6 +290,14 @@ let seq_ite t c f g h =
         end
         else begin
           c.misses <- c.misses + 1;
+          let ci =
+            if c.misses land 1023 = 0 && Store.created_approx st > c.grow_at
+            then begin
+              grow_cache c;
+              hash3 f g h land c.cmask
+            end
+            else ci
+          in
           let sf = f lsr 1 and sg = g lsr 1 and sh = h lsr 1 in
           let lf = Store.level_of_slot st sf
           and lg = Store.level_of_slot st sg

@@ -29,8 +29,12 @@ val create :
   num_vars:int ->
   unit ->
   t
-(** [cache_bits] is the sequential budget; the per-domain caches are
-    scaled down by the team size so total cache memory stays level. *)
+(** [cache_bits] (1–28, default 18) is the sequential cap; the per-domain
+    caps are scaled down by the team size (to no less than [2^14] lines)
+    so total cache memory stays level. Each domain's cache starts at 4096
+    lines and doubles, like [Manager]'s, once a miss finds more nodes in
+    the store than it has lines (checked every 1024 misses). Raises
+    [Invalid_argument] when [cache_bits] is outside 1–28. *)
 
 val store : t -> Store.t
 val team : t -> Par.t

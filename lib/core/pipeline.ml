@@ -54,6 +54,8 @@ module Config = struct
       ?(par_domains = default.par_domains) ?par_runner () =
     if par_domains < 1 then
       invalid_arg "Config.make: par_domains must be >= 1";
+    if cache_bits < 1 || cache_bits > 28 then
+      invalid_arg "Config.make: cache_bits must be in 1..28";
     {
       epsilon;
       mv_order;
@@ -72,7 +74,10 @@ module Config = struct
   let with_bit_order bit_order c = { c with bit_order }
   let with_node_limit node_limit c = { c with node_limit }
   let with_gc_threshold gc_threshold c = { c with gc_threshold }
-  let with_cache_bits cache_bits c = { c with cache_bits }
+  let with_cache_bits cache_bits c =
+    if cache_bits < 1 || cache_bits > 28 then
+      invalid_arg "Config.with_cache_bits: cache_bits must be in 1..28";
+    { c with cache_bits }
   let with_cpu_limit cpu_limit c = { c with cpu_limit }
   let with_reorder reorder c = { c with reorder }
 

@@ -35,7 +35,13 @@ type config = {
   bit_order : Socy_order.Scheme.bit_order;  (** default: ml *)
   node_limit : int;  (** live-BDD-node budget; default 40 million *)
   gc_threshold : int;  (** dead nodes tolerated between GCs *)
-  cache_bits : int;  (** log2 of the ITE computed-cache size *)
+  cache_bits : int;
+      (** log2 of the cap on the ROBDD computed cache (1–28, default 21).
+          The cache starts at 4096 lines and doubles whenever a miss finds
+          more nodes in the store than it has lines, up to [2^cache_bits];
+          the concurrent engine's per-domain caches grow the same way
+          under a cap scaled down by the team size. The size changes hit
+          and miss counts only, never a result. *)
   cpu_limit : float option;
       (** CPU-seconds budget for the coded-ROBDD build; exceeding it is
           reported as a failure, like the node budget *)
@@ -93,7 +99,8 @@ module Config : sig
     ?par_runner:Socy_bdd.Par.runner ->
     unit ->
     t
-  (** Raises [Invalid_argument] if [par_domains < 1]. *)
+  (** Raises [Invalid_argument] if [par_domains < 1] or [cache_bits] is
+      outside 1–28. *)
 
   val with_epsilon : float -> t -> t
   val with_mv_order : Socy_order.Scheme.mv_order -> t -> t
@@ -101,6 +108,7 @@ module Config : sig
   val with_node_limit : int -> t -> t
   val with_gc_threshold : int -> t -> t
   val with_cache_bits : int -> t -> t
+  (** Raises [Invalid_argument] if the argument is outside 1–28. *)
 
   val with_cpu_limit : float option -> t -> t
   (** Takes the option so a budget can also be cleared. *)

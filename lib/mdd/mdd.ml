@@ -33,12 +33,16 @@ type t = {
   mutable used : int;
   (* APPLY computed cache: direct-mapped over int keys (op, f, g), like the
      ROBDD manager's ITE cache. Bounded by construction — a colliding entry
-     overwrites — so repeated APPLYs on one manager cannot grow memory. *)
-  ap_op : int array;
-  ap_f : int array;
-  ap_g : int array;
-  ap_r : int array;
-  ap_mask : int;
+     overwrites — so repeated APPLYs on one manager cannot grow memory past
+     [ap_max] lines. It starts at [2^initial_cache_bits] lines and doubles
+     on a miss while the manager holds more nodes than it has lines. *)
+  mutable ap_op : int array;
+  mutable ap_f : int array;
+  mutable ap_g : int array;
+  mutable ap_r : int array;
+  mutable ap_mask : int;
+  mutable ap_grow_at : int; (* line count, or [max_int] at [ap_max] lines *)
+  ap_max : int;
   (* Plain integer statistics, unconditionally cheap; published to the
      process-wide registry as deltas by [publish_obs]. *)
   mutable apply_hits : int;
@@ -52,6 +56,8 @@ let zero = 0
 let one = 1
 let is_terminal n = n < 2
 
+let initial_cache_bits = 12
+
 let create ?(cache_bits = 16) specs =
   Array.iter
     (fun s ->
@@ -60,6 +66,8 @@ let create ?(cache_bits = 16) specs =
   if cache_bits < 1 || cache_bits > 28 then
     invalid_arg "Mdd.create: cache_bits out of range";
   let nvars = Array.length specs in
+  let lines = 1 lsl min cache_bits initial_cache_bits in
+  let ap_max = 1 lsl cache_bits in
   let levels = Array.make 1024 (-1) in
   levels.(0) <- nvars;
   levels.(1) <- nvars;
@@ -69,11 +77,13 @@ let create ?(cache_bits = 16) specs =
     levels;
     kids = Array.make 1024 [||];
     used = 2;
-    ap_op = Array.make (1 lsl cache_bits) (-1);
-    ap_f = Array.make (1 lsl cache_bits) 0;
-    ap_g = Array.make (1 lsl cache_bits) 0;
-    ap_r = Array.make (1 lsl cache_bits) 0;
-    ap_mask = (1 lsl cache_bits) - 1;
+    ap_op = Array.make lines (-1);
+    ap_f = Array.make lines 0;
+    ap_g = Array.make lines 0;
+    ap_r = Array.make lines 0;
+    ap_mask = lines - 1;
+    ap_grow_at = (if lines < ap_max then lines else max_int);
+    ap_max;
     apply_hits = 0;
     apply_misses = 0;
     sweeps = 0;
@@ -147,6 +157,32 @@ let hash3 a b c =
   let h = (h lxor (h lsr 29) lxor c) * 0x27D4EB2F165667C5 in
   (h lxor (h lsr 32)) land max_int
 
+(* Double the APPLY cache, re-inserting every filled line under the new
+   mask. Cache lines hold no node the diagram depends on, and a finished
+   call re-hashes its line under the current mask, so the size changes
+   hit and miss counts only. *)
+let grow_apply_cache t =
+  let n = 2 * (t.ap_mask + 1) in
+  let mask = n - 1 in
+  let op = Array.make n (-1) and f = Array.make n 0 in
+  let g = Array.make n 0 and r = Array.make n 0 in
+  for i = 0 to t.ap_mask do
+    let k = t.ap_op.(i) in
+    if k >= 0 then begin
+      let j = hash3 k t.ap_f.(i) t.ap_g.(i) land mask in
+      op.(j) <- k;
+      f.(j) <- t.ap_f.(i);
+      g.(j) <- t.ap_g.(i);
+      r.(j) <- t.ap_r.(i)
+    end
+  done;
+  t.ap_op <- op;
+  t.ap_f <- f;
+  t.ap_g <- g;
+  t.ap_r <- r;
+  t.ap_mask <- mask;
+  t.ap_grow_at <- (if n < t.ap_max then n else max_int)
+
 (* One suspended APPLY call: children [0 .. j-1] are already combined into
    [kid]; the result of combining child [j] arrives through [finished]. *)
 type apply_frame = {
@@ -199,6 +235,7 @@ let apply t op f g =
         end
         else begin
           t.apply_misses <- t.apply_misses + 1;
+          if t.used > t.ap_grow_at then grow_apply_cache t;
           let lv = min t.levels.(a) t.levels.(b) in
           let domain = t.specs.(lv).domain in
           stack := { fa = a; fb = b; flv = lv; kid = Array.make domain 0; j = -1 } :: !stack

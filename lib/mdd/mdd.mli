@@ -24,10 +24,13 @@ type t
 type node = int
 (** Node handle; {!zero} and {!one} are the terminals. *)
 
-(** [create ?cache_bits specs] — [cache_bits] (default 16, range 1–28) sizes
+(** [create ?cache_bits specs] — [cache_bits] (default 16, range 1–28) caps
     the direct-mapped APPLY computed cache at [2^cache_bits] slots. The cache
-    is bounded by construction: colliding entries overwrite, so arbitrarily
-    many {!apply_and}/{!apply_or}/{!apply_xor} calls never grow it. *)
+    starts at [2^(min cache_bits 12)] slots and doubles on an APPLY miss
+    while the manager holds more nodes than it has slots, so a manager built
+    only through {!mk} keeps 4096. It is bounded by construction: colliding
+    entries overwrite, so arbitrarily many {!apply_and}/{!apply_or}/
+    {!apply_xor} calls never grow it past the cap. *)
 val create : ?cache_bits:int -> spec array -> t
 
 val num_mvars : t -> int
@@ -109,7 +112,7 @@ type stats = {
   nodes : int;  (** nodes ever created, terminals included *)
   apply_hits : int;  (** APPLY answered from the computed cache *)
   apply_misses : int;  (** APPLY that had to recurse *)
-  apply_cache_slots : int;  (** fixed capacity of the direct-mapped cache *)
+  apply_cache_slots : int;  (** current capacity of the direct-mapped cache *)
   sweeps : int;  (** {!probability_sweep} traversals run *)
 }
 

@@ -249,7 +249,16 @@ let test_config_builder () =
        ~bit_order:Scheme.Lm ~gc_threshold:77 ~cache_bits:10 ~cpu_limit:2.5 ()
     = c);
   Alcotest.(check bool) "cpu budget clearable" true
-    ((c |> P.Config.with_cpu_limit None).P.cpu_limit = None)
+    ((c |> P.Config.with_cpu_limit None).P.cpu_limit = None);
+  List.iter
+    (fun bits ->
+      (match P.Config.make ~cache_bits:bits () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "make: cache_bits = %d accepted" bits);
+      match P.Config.with_cache_bits bits P.Config.default with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "with_cache_bits: cache_bits = %d accepted" bits)
+    [ -1; 0; 29; 63 ]
 
 let () =
   Alcotest.run "socy_batch"

@@ -606,7 +606,8 @@ let test_deep_chain_cofactors () =
       M.deref m restricted;
       M.deref m chain)
 
-let test_publish_obs_delta () =
+(* Runs [f] with a fresh, enabled observability registry. *)
+let with_obs f =
   let module Obs = Socy_obs.Obs in
   Obs.reset ();
   Obs.set_enabled true;
@@ -614,7 +615,11 @@ let test_publish_obs_delta () =
     ~finally:(fun () ->
       Obs.set_enabled false;
       Obs.reset ())
-    (fun () ->
+    f
+
+let test_publish_obs_delta () =
+  let module Obs = Socy_obs.Obs in
+  with_obs (fun () ->
       let counter name = Obs.counter_value (Obs.counter name) in
       with_manager 6 (fun m ->
           let x = M.var m 0 and y = M.var m 1 in
@@ -642,6 +647,166 @@ let test_publish_obs_delta () =
           M.deref m f;
           M.deref m x;
           M.deref m y))
+
+(* ------------------------------------------------------------------ *)
+(* Computed-cache growth                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The computed-cache line count the last [publish_obs] recorded. *)
+let cache_capacity () =
+  let module Obs = Socy_obs.Obs in
+  (List.assoc "table.occupancy.bdd.cache.capacity" (Obs.snapshot ()).Obs.gauges)
+    .Obs.g_last
+
+let test_cache_bits_validated () =
+  List.iter
+    (fun bits ->
+      match M.create ~cache_bits:bits ~num_vars:2 () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "cache_bits = %d accepted" bits)
+    [ -1; 0; 29; 63 ];
+  ignore (M.create ~cache_bits:1 ~num_vars:2 ());
+  ignore (M.create ~cache_bits:28 ~num_vars:2 ())
+
+(* Seeded random circuits: each gate combines two earlier signals, one
+   of them among the last few gates, each negated at random. *)
+let random_circuit rng ~inputs ~gates =
+  let b = C.builder ~num_inputs:inputs () in
+  let signals = Array.init inputs (C.input b) in
+  let signals = Array.append signals (Array.make gates signals.(0)) in
+  for k = inputs to inputs + gates - 1 do
+    let literal x = if Random.State.bool rng then C.not_ b x else x in
+    let recent = signals.(k - 1 - Random.State.int rng (min 4 (k - inputs + 1))) in
+    let any = signals.(Random.State.int rng k) in
+    let args = [ literal recent; literal any ] in
+    signals.(k) <-
+      (match Random.State.int rng 3 with
+      | 0 -> C.and_ b args
+      | 1 -> C.or_ b args
+      | _ -> C.xor_ b args)
+  done;
+  C.finish b ~name:"random" signals.(inputs + gates - 1)
+
+(* A manager capped at 2^12 lines never grows its cache; one capped at
+   2^21 grows with the diagram. Both must build the same diagrams. *)
+let test_cache_growth_keeps_results () =
+  with_obs (fun () ->
+      let inputs = 20 in
+      let capped = M.create ~cache_bits:12 ~num_vars:inputs () in
+      let grown = M.create ~cache_bits:21 ~num_vars:inputs () in
+      let rng = Random.State.make [| 2003 |] in
+      let p v = 0.05 +. (0.9 *. float_of_int v /. float_of_int inputs) in
+      for i = 1 to 12 do
+        let circuit = random_circuit rng ~inputs ~gates:120 in
+        let compile m = Compile.of_circuit m circuit ~var_of_input:Fun.id in
+        let r12, s12 = compile capped in
+        let r21, s21 = compile grown in
+        let check what = Alcotest.(check int) (Printf.sprintf "circuit %d %s" i what) in
+        check "peak" s12.Compile.peak_nodes s21.Compile.peak_nodes;
+        check "final size" s12.Compile.final_size s21.Compile.final_size;
+        check "created" s12.Compile.created s21.Compile.created;
+        Alcotest.(check int64)
+          (Printf.sprintf "circuit %d probability bits" i)
+          (Int64.bits_of_float (M.probability capped r12 ~p))
+          (Int64.bits_of_float (M.probability grown r21 ~p));
+        M.deref capped r12;
+        M.deref grown r21
+      done;
+      M.publish_obs capped;
+      Alcotest.(check (float 0.0)) "capped cache keeps 4096 lines" 4096.0
+        (cache_capacity ());
+      M.publish_obs grown;
+      let lines = cache_capacity () in
+      Alcotest.(check bool)
+        (Printf.sprintf "cache grew past 4096 lines (%.0f)" lines)
+        true (lines > 4096.0);
+      Alcotest.(check bool) "cache within 2^21 lines" true
+        (lines <= float_of_int (1 lsl 21)))
+
+(* F = x0 ? x1 : (x1 ? x2 : (x2 ? x3 : ...)), built bottom-up with one
+   [ite] per level. *)
+let select_chain m n =
+  let f = ref (M.var m (n - 1)) in
+  for v = n - 2 downto 0 do
+    let x = M.var m v and y = M.var m (v + 1) in
+    let nxt = M.ite m x y !f in
+    List.iter (M.deref m) [ x; y; !f ];
+    f := nxt
+  done;
+  !f
+
+(* Parity of x0 … x(n-1), built bottom-up with one [xor_] per level. *)
+let parity_chain m n =
+  let p = ref M.zero in
+  for v = n - 1 downto 0 do
+    let x = M.var m v in
+    let nxt = M.xor_ m x !p in
+    M.deref m x;
+    M.deref m !p;
+    p := nxt
+  done;
+  !p
+
+(* One [and_] call that grows the cache while frames are deep on its
+   stack. At each level of F ∧ P the then-branch x(k+1) ∧ ¬P(k+1) creates
+   a node, and the else-branch F(k+1) ∧ P(k+1) misses one level deeper,
+   so misses and creations interleave all the way down. Building F and P
+   leaves about 3n nodes in the store and the cache at 2^18 lines; the
+   call adds one node per level on the way down and crosses 2^18 about
+   50k levels deep. The same call on a manager capped at 2^12 lines is
+   the reference. *)
+let test_cache_growth_inside_one_call () =
+  with_obs (fun () ->
+      let n = 70_000 in
+      let build cache_bits =
+        let m = M.create ~cache_bits ~num_vars:n () in
+        let f = select_chain m n and p = parity_chain m n in
+        (m, f, p)
+      in
+      let m, f, p = build 21 in
+      M.publish_obs m;
+      let before = cache_capacity () in
+      Alcotest.(check bool) "no growth pending before the call" true
+        (float_of_int (M.alive m + M.dead m) <= before);
+      let r = M.and_ m f p in
+      M.publish_obs m;
+      let after = cache_capacity () in
+      Alcotest.(check bool)
+        (Printf.sprintf "cache grew inside the call (%.0f -> %.0f)" before after)
+        true (after > before);
+      let mc, fc, pc = build 12 in
+      let rc = M.and_ mc fc pc in
+      Alcotest.(check int) "size" (M.size mc rc) (M.size m r);
+      let prob m r = M.probability m r ~p:(fun v -> 0.3 +. (0.4 *. float_of_int (v land 1))) in
+      Alcotest.(check int64) "probability bits"
+        (Int64.bits_of_float (prob mc rc))
+        (Int64.bits_of_float (prob m r));
+      (* F = 1 when x0 = x1 = 1; the parity decides *)
+      let ones k v = v < k in
+      Alcotest.(check bool) "x0 x1 set: even parity" false (M.eval m r (ones 2));
+      Alcotest.(check bool) "x0 x1 x2 set: odd parity" true (M.eval m r (ones 3));
+      Alcotest.(check bool) "x0 clear, x1 set: F follows x2" false
+        (M.eval m r (fun v -> v = 1)))
+
+(* The import target of the parallel path only calls [mk] / [var]: it
+   never misses, so its cache keeps its first 4096 lines at any cap. *)
+let test_mk_only_manager_keeps_small_cache () =
+  with_obs (fun () ->
+      let n = 20_000 in
+      let m = M.create ~cache_bits:21 ~num_vars:n () in
+      let chain = ref M.one in
+      for lv = n - 1 downto 0 do
+        let nxt = M.mk m lv M.zero !chain in
+        M.deref m !chain;
+        chain := nxt
+      done;
+      let x = M.var m 0 in
+      Alcotest.(check int) "chain size" (n + 1) (M.size m !chain);
+      M.publish_obs m;
+      Alcotest.(check (float 0.0)) "cache keeps 4096 lines" 4096.0
+        (cache_capacity ());
+      M.deref m x;
+      M.deref m !chain)
 
 let () =
   Alcotest.run "socy_bdd"
@@ -712,5 +877,16 @@ let () =
             test_deep_chain_cofactors;
           Alcotest.test_case "publish_obs is delta-based" `Quick
             test_publish_obs_delta;
+        ] );
+      ( "computed-cache",
+        [
+          Alcotest.test_case "cache_bits validated" `Quick
+            test_cache_bits_validated;
+          Alcotest.test_case "growth keeps compiled results" `Quick
+            test_cache_growth_keeps_results;
+          Alcotest.test_case "growth inside one call" `Quick
+            test_cache_growth_inside_one_call;
+          Alcotest.test_case "mk-only manager keeps 4096 lines" `Quick
+            test_mk_only_manager_keeps_small_cache;
         ] );
     ]

@@ -576,6 +576,47 @@ let test_apply_cache_bounded () =
   Alcotest.(check bool) "misses bounded by work" true (s.Mdd.apply_misses > 0);
   Alcotest.(check int) "sweeps counted" 500 s.Mdd.sweeps
 
+(* The APPLY cache starts at 4096 slots and doubles on a miss while the
+   manager holds more nodes than slots. An OR chain over 5000 ternary
+   variables, one APPLY per level, leaves 10k nodes: the cache grows
+   past 4096 slots. Building the chain a second time answers from lines
+   the resizes moved. Both builds must equal a build whose cache is
+   capped at 4096, node ids included. *)
+let test_apply_cache_grows () =
+  let n = 5000 in
+  let chain t =
+    let f = ref Mdd.zero in
+    for v = n - 1 downto 0 do
+      f := Mdd.apply_or t (Mdd.literal t v ~values:[ 1; 2 ]) !f
+    done;
+    !f
+  in
+  let build cache_bits =
+    let t =
+      Mdd.create ~cache_bits
+        (Array.init n (fun i -> spec (Printf.sprintf "v%d" i) 3))
+    in
+    (t, chain t)
+  in
+  let capped, rc = build 12 and grown, rg = build 16 in
+  let hits = (Mdd.stats grown).Mdd.apply_hits in
+  Alcotest.(check int) "rebuild from the grown cache" rg (chain grown);
+  Alcotest.(check bool) "rebuild hit the cache" true
+    ((Mdd.stats grown).Mdd.apply_hits > hits);
+  Alcotest.(check int) "capped cache keeps 4096 slots" 4096
+    (Mdd.stats capped).Mdd.apply_cache_slots;
+  let slots = (Mdd.stats grown).Mdd.apply_cache_slots in
+  Alcotest.(check bool)
+    (Printf.sprintf "cache grew within its cap (%d slots)" slots)
+    true
+    (slots > 4096 && slots <= 1 lsl 16);
+  Alcotest.(check int) "same root id" rc rg;
+  Alcotest.(check int) "same size" (Mdd.size capped rc) (Mdd.size grown rg);
+  let p _ j = [| 0.5; 0.3; 0.2 |].(j) in
+  Alcotest.(check int64) "probability bits"
+    (Int64.bits_of_float (Mdd.probability capped rc ~p))
+    (Int64.bits_of_float (Mdd.probability grown rg ~p))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -631,5 +672,6 @@ let () =
             test_conversion_deep_scan;
           Alcotest.test_case "bounded APPLY cache" `Quick
             test_apply_cache_bounded;
+          Alcotest.test_case "APPLY cache grows" `Quick test_apply_cache_grows;
         ] );
     ]

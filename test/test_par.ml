@@ -170,6 +170,42 @@ let test_engine_bit_identity () =
       Alcotest.(check bool) "par path reports gc_runs = 0" true
         (st_par.Compile.gc_runs = 0 && st_par.Compile.reorders = 0))
 
+(* Each domain's computed cache starts at 4096 lines and doubles with the
+   store up to its cap. At [cache_bits = 14], the per-domain floor, the
+   caches stop at 2^14 lines; at 21 they may grow to 2^20 on a 2-domain
+   team. Cache size changes hit and miss counts only, never a result. *)
+let test_cache_cap_keeps_results () =
+  let rows = S.table_rows () in
+  let row = List.find (fun r -> S.row_label r = "MS2, l'=1") rows in
+  let run cache_bits =
+    let config = P.Config.make ~par_domains:2 ~cache_bits () in
+    match P.run_lethal ~config row.S.instance.S.circuit (S.lethal row) with
+    | Ok r -> r
+    | Error f -> Alcotest.failf "cache_bits %d: %s" cache_bits (P.failure_to_string f)
+  in
+  let floor = run 14 and capped = run 21 in
+  Alcotest.(check int64) "yield bits"
+    (Int64.bits_of_float floor.P.yield_lower)
+    (Int64.bits_of_float capped.P.yield_lower);
+  Alcotest.(check int64) "upper yield bits"
+    (Int64.bits_of_float floor.P.yield_upper)
+    (Int64.bits_of_float capped.P.yield_upper);
+  Alcotest.(check int) "ROBDD size" floor.P.robdd_size capped.P.robdd_size;
+  Alcotest.(check int) "ROMDD size" floor.P.romdd_size capped.P.romdd_size
+
+let test_pbdd_cache_bits_validated () =
+  let team = Par.spawn ~domains:1 in
+  Fun.protect
+    ~finally:(fun () -> Par.shutdown team)
+    (fun () ->
+      List.iter
+        (fun bits ->
+          match Pbdd.create ~cache_bits:bits ~team ~num_vars:4 () with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "cache_bits = %d accepted" bits)
+        [ -1; 0; 29; 63 ];
+      ignore (Pbdd.create ~cache_bits:1 ~team ~num_vars:4 ()))
+
 (* ------------------------------------------------------------------ *)
 (* Budget abort under parallelism                                      *)
 (* ------------------------------------------------------------------ *)
@@ -260,6 +296,10 @@ let () =
         [
           Alcotest.test_case "MS2 bit identity, 3 domains" `Quick
             test_engine_bit_identity;
+          Alcotest.test_case "MS2 cache cap 14 = 21, 2 domains" `Quick
+            test_cache_cap_keeps_results;
+          Alcotest.test_case "cache_bits validated" `Quick
+            test_pbdd_cache_bits_validated;
         ] );
       ( "budget-abort",
         [
