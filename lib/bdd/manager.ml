@@ -210,6 +210,7 @@ module Obs = Socy_obs.Obs
 module Trace = Socy_obs.Trace
 module Memory = Socy_obs.Memory
 module Json = Socy_obs.Json
+module Int_vec = Socy_util.Int_vec
 
 (* Gauges are process-wide; with several managers alive they interleave
    samples, which is the (documented) intended reading: total engine load. *)
@@ -848,63 +849,64 @@ let forall m vars f = quantify m (fun a b -> and_ m a b) vars f
 
 (* Physical-node traversal: the complement bit is dropped, every reachable
    slot is visited exactly once (as its regular handle), children before
-   parents. This is the "number of nodes" convention of the paper under
-   complement edges: ¬f shares every slot with f. *)
+   parents, low before high. This is the "number of nodes" convention of
+   the paper under complement edges: ¬f shares every slot with f.
+
+   Slots are dense (below [m.used]), so the walks mark them in a [Bytes]
+   and keep their explicit stacks in an [Int_vec]: no hashing, O(used)
+   bytes per walk. Here a stack frame packs [slot lsl 2 lor stage], stage
+   0 = descend low, 1 = descend high, 2 = report. *)
 let iter_reachable m n f =
-  let seen = Hashtbl.create 64 in
-  let stack = ref [] in
+  let seen = Bytes.make m.used '\000' in
+  let stack = Int_vec.create () in
   let visit h =
-    let r = h land -2 in
-    if not (Hashtbl.mem seen r) then begin
-      Hashtbl.add seen r ();
-      if r = 0 then f r else stack := (r, ref 0) :: !stack
+    let s = h lsr 1 in
+    if Bytes.get seen s = '\000' then begin
+      Bytes.set seen s '\001';
+      if s = 0 then f 0 else ignore (Int_vec.push stack (s lsl 2))
     end
   in
   visit n;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | (x, j) :: rest ->
-        (match !j with
-        | 0 ->
-            j := 1;
-            visit m.low.(x lsr 1)
-        | 1 ->
-            j := 2;
-            visit m.high.(x lsr 1)
-        | _ ->
-            stack := rest;
-            f x);
-        drain ()
-  in
-  drain ()
-
-let size m n =
-  let c = ref 0 in
-  iter_reachable m n (fun _ -> incr c);
-  !c
+  while Int_vec.length stack > 0 do
+    let top = Int_vec.length stack - 1 in
+    let fr = Int_vec.get stack top in
+    let s = fr lsr 2 in
+    match fr land 3 with
+    | 0 ->
+        Int_vec.set stack top (fr + 1);
+        visit m.low.(s)
+    | 1 ->
+        Int_vec.set stack top (fr + 1);
+        visit m.high.(s)
+    | _ ->
+        ignore (Int_vec.pop stack);
+        f (s lsl 1)
+  done
 
 let size_multi m roots =
-  let seen = Hashtbl.create 64 in
-  let stack = ref [] in
+  let seen = Bytes.make m.used '\000' in
+  let stack = Int_vec.create () in
+  let count = ref 0 in
   let visit h =
-    let r = h land -2 in
-    if not (Hashtbl.mem seen r) then begin
-      Hashtbl.add seen r ();
-      if r <> 0 then stack := r :: !stack
+    let s = h lsr 1 in
+    if Bytes.get seen s = '\000' then begin
+      Bytes.set seen s '\001';
+      incr count;
+      if s <> 0 then ignore (Int_vec.push stack s)
     end
   in
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | x :: rest ->
-        stack := rest;
-        visit m.low.(x lsr 1);
-        visit m.high.(x lsr 1);
-        drain ()
-  in
-  List.iter (fun n -> visit n; drain ()) roots;
-  Hashtbl.length seen
+  List.iter
+    (fun n ->
+      visit n;
+      while Int_vec.length stack > 0 do
+        let s = Int_vec.pop stack in
+        visit m.low.(s);
+        visit m.high.(s)
+      done)
+    roots;
+  !count
+
+let size m n = size_multi m [ n ]
 
 let eval m n assignment =
   let rec go n =
@@ -916,58 +918,24 @@ let eval m n assignment =
   go n
 
 let probability m n ~p =
-  if n = zero then 0.0
-  else if n = one then 1.0
-  else begin
-    (* Bottom-up over the physical cone in level order: every child sits
-       strictly deeper than its parent, so bucketing slots by level and
-       evaluating deepest-first is a topological order — no recursion, no
-       deep stack. Values are stored for the *regular* function of each
-       slot; reading through a complemented edge takes 1 - v, which makes
-       P(f) + P(¬f) = 1 exact by construction. *)
-    let buckets = Array.make m.nvars [] in
-    let seen = Hashtbl.create 64 in
-    let root_slot = n lsr 1 in
-    Hashtbl.add seen root_slot ();
-    let stack = ref [ root_slot ] in
-    let rec drain () =
-      match !stack with
-      | [] -> ()
-      | x :: rest ->
-          stack := rest;
-          let lv = m.level.(x) in
-          buckets.(lv) <- x :: buckets.(lv);
-          let push c =
-            let s = c lsr 1 in
-            if s > 0 && not (Hashtbl.mem seen s) then begin
-              Hashtbl.add seen s ();
-              stack := s :: !stack
-            end
-          in
-          push m.low.(x);
-          push m.high.(x);
-          drain ()
-    in
-    drain ();
-    let value = Hashtbl.create 64 in
-    let handle_value h =
-      if h = one then 1.0
-      else if h = zero then 0.0
-      else
-        let v = Hashtbl.find value (h lsr 1) in
-        if h land 1 = 1 then 1.0 -. v else v
-    in
-    for lv = m.nvars - 1 downto 0 do
-      List.iter
-        (fun x ->
-          let pv = p m.var_at_level.(lv) in
-          Hashtbl.replace value x
-            ((pv *. handle_value m.high.(x))
-            +. ((1.0 -. pv) *. handle_value m.low.(x))))
-        buckets.(lv)
-    done;
-    handle_value n
-  end
+  (* Bottom-up in [iter_reachable]'s postorder, so both children of a slot
+     are valued before it. Values are stored per slot for the *regular*
+     function; reading through a complemented edge takes 1 - v, which makes
+     P(f) + P(¬f) = 1 exact by construction. Slot 0 is the TRUE sink. *)
+  let value = Array.make m.used 1.0 in
+  let handle_value h =
+    let v = value.(h lsr 1) in
+    if h land 1 = 1 then 1.0 -. v else v
+  in
+  iter_reachable m n (fun x ->
+      let s = x lsr 1 in
+      if s <> 0 then begin
+        let pv = p m.var_at_level.(m.level.(s)) in
+        value.(s) <-
+          (pv *. handle_value m.high.(s))
+          +. ((1.0 -. pv) *. handle_value m.low.(s))
+      end);
+  handle_value n
 
 let sat_fraction m n = probability m n ~p:(fun _ -> 0.5)
 

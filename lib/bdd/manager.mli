@@ -235,8 +235,11 @@ val support : t -> node -> int list
 val any_sat : t -> node -> (int * bool) list
 
 (** [iter_reachable m n f] calls [f] once per distinct reachable {e
-    physical} node (as its regular handle), children before parents, sink
-    included. *)
+    physical} node (as its regular handle), sink included, in postorder:
+    children before parents, the low child's cone before the high
+    child's. The walk marks slots in a byte array of one byte per slot
+    handed out, so it costs O(nodes in the store) however small the
+    cone. *)
 val iter_reachable : t -> node -> (node -> unit) -> unit
 
 (** {1 Dynamic reordering} *)

@@ -115,10 +115,9 @@ let run ?team bdd root mdd layout =
   let mapping = Array.make (max 2 (B.handle_bound bdd)) (-1) in
   mapping.(B.zero) <- Mdd.zero;
   mapping.(B.one) <- Mdd.one;
-  let simulate g entry value =
-    (* Follow the codeword of [value] through layer [g], skipping the bits
-       the BDD does not test. *)
-    let bits = layout.codeword g value in
+  let simulate g bits entry =
+    (* Follow the codeword [bits] through layer [g], skipping the bits the
+       BDD does not test. *)
     let rec follow n =
       if B.is_terminal n || group_of n <> g then n
       else
@@ -127,8 +126,11 @@ let run ?team bdd root mdd layout =
     in
     follow entry
   in
-  let child g entry value =
-    let target = simulate g entry value in
+  (* [words.(value)] is the codeword of [value] in layer [g], built once
+     per layer before any entry is simulated (and before [Par.run], so the
+     team only reads it). *)
+  let child g words entry value =
+    let target = simulate g words.(value) entry in
     let mnode = mapping.(target) in
     if mnode < 0 then
       (* Unreachable in a correct layout: targets are terminals or
@@ -147,6 +149,7 @@ let run ?team bdd root mdd layout =
         Obs.add entry_counter n;
         Obs.observe layer_hist (float_of_int n);
         let domain = (Mdd.spec mdd g).domain in
+        let words = Array.init domain (layout.codeword g) in
         match team with
         | Some team when n >= par_layer_threshold && Par.domains team > 1 ->
             Obs.incr obs_par_layers;
@@ -160,7 +163,7 @@ let run ?team bdd root mdd layout =
                     let i1 = min n (i0 + chunk) in
                     for i = i0 to i1 - 1 do
                       let entry = ents.(i) in
-                      kids.(i) <- Array.init domain (child g entry)
+                      kids.(i) <- Array.init domain (child g words entry)
                     done)
             in
             Par.run team tasks;
@@ -171,7 +174,7 @@ let run ?team bdd root mdd layout =
             Array.iter
               (fun entry ->
                 mapping.(entry) <-
-                  Mdd.mk mdd g (Array.init domain (child g entry)))
+                  Mdd.mk mdd g (Array.init domain (child g words entry)))
               ents)
   done;
   mapping.(root)

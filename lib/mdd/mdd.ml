@@ -2,6 +2,7 @@ module Obs = Socy_obs.Obs
 module Trace = Socy_obs.Trace
 module Memory = Socy_obs.Memory
 module Json = Socy_obs.Json
+module Int_vec = Socy_util.Int_vec
 
 type spec = { name : string; domain : int }
 
@@ -287,60 +288,57 @@ let eval t n assignment =
 (* Nonterminal nodes of the cone of [n], bucketed by level. Every child sits
    at a strictly greater level than its parent, so iterating buckets from the
    deepest level upward is a bottom-up topological order — the iterative
-   replacement for the old recursive memoized descent. *)
+   replacement for the old recursive memoized descent. The discovery order
+   (pop a node, push its unseen children in index order) fixes the order
+   within each bucket, and with it the summation order of the downward
+   sweep in [probability_with_sensitivities].
+
+   Node ids are dense (below [t.used]), so this walk and [iter_reachable]
+   mark them in a [Bytes] and the value tables below are arrays indexed by
+   node id: no hashing, nothing kept on the manager between calls. *)
 let cone_by_level t n =
   let buckets = Array.make (num_mvars t) [] in
   if not (is_terminal n) then begin
-    let seen = Hashtbl.create 256 in
-    Hashtbl.add seen n ();
-    let stack = ref [ n ] in
-    let rec drain () =
-      match !stack with
-      | [] -> ()
-      | x :: rest ->
-          stack := rest;
-          let lv = t.levels.(x) in
-          buckets.(lv) <- x :: buckets.(lv);
-          Array.iter
-            (fun c ->
-              if (not (is_terminal c)) && not (Hashtbl.mem seen c) then begin
-                Hashtbl.add seen c ();
-                stack := c :: !stack
-              end)
-            t.kids.(x);
-          drain ()
+    let seen = Bytes.make t.used '\000' in
+    let stack = Int_vec.create () in
+    let push c =
+      if (not (is_terminal c)) && Bytes.get seen c = '\000' then begin
+        Bytes.set seen c '\001';
+        ignore (Int_vec.push stack c)
+      end
     in
-    drain ()
+    push n;
+    while Int_vec.length stack > 0 do
+      let x = Int_vec.pop stack in
+      let lv = t.levels.(x) in
+      buckets.(lv) <- x :: buckets.(lv);
+      Array.iter push t.kids.(x)
+    done
   end;
   buckets
 
+(* Per-call value table indexed by node id, terminals preset. *)
+let terminal_values t =
+  let value = Array.make t.used 0.0 in
+  value.(one) <- 1.0;
+  value
+
 let probability t n ~p =
-  if n = zero then 0.0
-  else if n = one then 1.0
-  else begin
-    let buckets = cone_by_level t n in
-    (* Per-call value table — nothing persists on the manager, so repeated
-       traversals with different probabilities cannot grow its memory. *)
-    let value = Hashtbl.create 256 in
-    let node_value x =
-      if x = zero then 0.0
-      else if x = one then 1.0
-      else Hashtbl.find value x
-    in
-    for lv = num_mvars t - 1 downto 0 do
-      List.iter
-        (fun x ->
-          let kids = t.kids.(x) in
-          let acc = ref 0.0 in
-          for j = 0 to Array.length kids - 1 do
-            let pj = p lv j in
-            if pj <> 0.0 then acc := !acc +. (pj *. node_value kids.(j))
-          done;
-          Hashtbl.replace value x !acc)
-        buckets.(lv)
-    done;
-    Hashtbl.find value n
-  end
+  let value = terminal_values t in
+  let buckets = cone_by_level t n in
+  for lv = num_mvars t - 1 downto 0 do
+    List.iter
+      (fun x ->
+        let kids = t.kids.(x) in
+        let acc = ref 0.0 in
+        for j = 0 to Array.length kids - 1 do
+          let pj = p lv j in
+          if pj <> 0.0 then acc := !acc +. (pj *. value.(kids.(j)))
+        done;
+        value.(x) <- !acc)
+      buckets.(lv)
+  done;
+  value.(n)
 
 let sweep_counter = Obs.counter "mdd.sweep.runs"
 
@@ -365,7 +363,7 @@ let probability_sweep t n ~nk ~p =
       pv.(lv)
     in
     let buckets = cone_by_level t n in
-    let value = Hashtbl.create 256 in
+    let value = Array.make t.used [||] in
     for lv = num_mvars t - 1 downto 0 do
       let vecs = if buckets.(lv) = [] then [||] else pvec lv in
       List.iter
@@ -381,62 +379,53 @@ let probability_sweep t n ~nk ~p =
                   acc.(k) <- acc.(k) +. pj.(k)
                 done
               else begin
-                let cv : float array = Hashtbl.find value c in
+                let cv : float array = value.(c) in
                 for k = 0 to nk - 1 do
                   acc.(k) <- acc.(k) +. (pj.(k) *. cv.(k))
                 done
               end
             end
           done;
-          Hashtbl.replace value x acc)
+          value.(x) <- acc)
         buckets.(lv)
     done;
-    Hashtbl.find value n
+    value.(n)
   end
 
 let probability_with_sensitivities t n ~p =
   let nvars = num_mvars t in
   let buckets = cone_by_level t n in
   (* Upward sweep: value of every node in the cone, bottom level first. *)
-  let value = Hashtbl.create 256 in
-  let node_value x =
-    if x = zero then 0.0
-    else if x = one then 1.0
-    else Hashtbl.find value x
-  in
+  let value = terminal_values t in
   for lv = nvars - 1 downto 0 do
     List.iter
       (fun x ->
         let kids = t.kids.(x) in
         let acc = ref 0.0 in
         for j = 0 to Array.length kids - 1 do
-          acc := !acc +. (p lv j *. node_value kids.(j))
+          acc := !acc +. (p lv j *. value.(kids.(j)))
         done;
-        Hashtbl.replace value x !acc)
+        value.(x) <- !acc)
       buckets.(lv)
   done;
-  let total = node_value n in
+  let total = value.(n) in
   (* Downward sweep: reach probability of every node (sum over paths of the
      product of edge probabilities), in topological (level) order. *)
-  let reach = Hashtbl.create 256 in
-  if not (is_terminal n) then Hashtbl.replace reach n 1.0;
+  let reach = Array.make t.used 0.0 in
+  if not (is_terminal n) then reach.(n) <- 1.0;
   let sens =
     Array.init nvars (fun v -> Array.make t.specs.(v).domain 0.0)
   in
   for lv = 0 to nvars - 1 do
     List.iter
       (fun x ->
-        let r = Option.value ~default:0.0 (Hashtbl.find_opt reach x) in
+        let r = reach.(x) in
         if r <> 0.0 then begin
           let kids = t.kids.(x) in
           for j = 0 to Array.length kids - 1 do
-            sens.(lv).(j) <- sens.(lv).(j) +. (r *. node_value kids.(j));
-            if not (is_terminal kids.(j)) then begin
-              let cur =
-                Option.value ~default:0.0 (Hashtbl.find_opt reach kids.(j))
-              in
-              Hashtbl.replace reach kids.(j) (cur +. (r *. p lv j))
-            end
+            sens.(lv).(j) <- sens.(lv).(j) +. (r *. value.(kids.(j)));
+            if not (is_terminal kids.(j)) then
+              reach.(kids.(j)) <- reach.(kids.(j)) +. (r *. p lv j)
           done
         end)
       buckets.(lv)
@@ -444,35 +433,38 @@ let probability_with_sensitivities t n ~p =
   (total, sens)
 
 let iter_reachable t n f =
-  let seen = Hashtbl.create 256 in
-  (* Explicit stack of (node, next-child cursor); same postorder as the old
-     recursive walk — children before their parent — without consuming OCaml
-     stack proportional to the diagram depth. *)
-  let stack = ref [] in
+  let seen = Bytes.make t.used '\000' in
+  (* Explicit stack of (node, next-child cursor) pairs, flattened into one
+     vector; same postorder as the old recursive walk — children before
+     their parent, in index order — without consuming OCaml stack
+     proportional to the diagram depth. *)
+  let stack = Int_vec.create () in
   let visit n =
-    if not (Hashtbl.mem seen n) then begin
-      Hashtbl.add seen n ();
-      if is_terminal n then f n else stack := (n, ref 0) :: !stack
+    if Bytes.get seen n = '\000' then begin
+      Bytes.set seen n '\001';
+      if is_terminal n then f n
+      else begin
+        ignore (Int_vec.push stack n);
+        ignore (Int_vec.push stack 0)
+      end
     end
   in
   visit n;
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | (x, j) :: rest ->
-        let kids = t.kids.(x) in
-        if !j < Array.length kids then begin
-          let c = kids.(!j) in
-          incr j;
-          visit c
-        end
-        else begin
-          stack := rest;
-          f x
-        end;
-        drain ()
-  in
-  drain ()
+  while Int_vec.length stack > 0 do
+    let top = Int_vec.length stack - 1 in
+    let x = Int_vec.get stack (top - 1) in
+    let j = Int_vec.get stack top in
+    let kids = t.kids.(x) in
+    if j < Array.length kids then begin
+      Int_vec.set stack top (j + 1);
+      visit kids.(j)
+    end
+    else begin
+      ignore (Int_vec.pop stack);
+      ignore (Int_vec.pop stack);
+      f x
+    end
+  done
 
 let size t n =
   let c = ref 0 in

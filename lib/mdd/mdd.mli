@@ -100,6 +100,11 @@ val probability_sweep :
 val probability_with_sensitivities :
   t -> node -> p:(int -> int -> float) -> float * float array array
 
+(** [iter_reachable t n f] calls [f] once per distinct node in the cone of
+    [n], terminals included, in postorder: children before their parent,
+    in child-index order. *)
+val iter_reachable : t -> node -> (node -> unit) -> unit
+
 (** Distinct nodes in the cone of [n], terminals included. *)
 val size : t -> node -> int
 

@@ -1,6 +1,13 @@
-(* GC deltas are computed from Gc.quick_stat — a handful of loads, no heap
-   walk — so sampling is unconditional; only publication into the registry
-   and the timeline checks the enabled flag. *)
+(* GC deltas are computed from Gc.minor_words, Gc.counters and
+   Gc.quick_stat — a handful of loads, no heap walk — so sampling is
+   unconditional; only publication into the registry and the timeline
+   checks the enabled flag.
+
+   Word counts are the calling domain's at the time of the call. In OCaml
+   5, quick_stat's word counts move only at a minor collection, so a stage
+   between two of them read 0 words; and 5.1's Gc.counters reports one
+   eighth of the minor words allocated since the last one, hence
+   Gc.minor_words for those. *)
 
 type gc_delta = {
   minor_collections : int;
@@ -13,19 +20,28 @@ type gc_delta = {
   top_heap_words : int;
 }
 
-type sample = Gc.stat
+type sample = {
+  stat : Gc.stat;
+  minor_words : float;
+  promoted_words : float;
+  major_words : float;
+}
 
-let sample () = Gc.quick_stat ()
+let sample () =
+  let stat = Gc.quick_stat () in
+  let _, promoted_words, major_words = Gc.counters () in
+  { stat; minor_words = Gc.minor_words (); promoted_words; major_words }
 
-let delta_since (s0 : sample) =
-  let s1 = Gc.quick_stat () in
+let delta_since w0 =
+  let w1 = sample () in
+  let s0 = w0.stat and s1 = w1.stat in
   {
     minor_collections = s1.minor_collections - s0.minor_collections;
     major_collections = s1.major_collections - s0.major_collections;
     compactions = s1.compactions - s0.compactions;
-    minor_words = s1.minor_words -. s0.minor_words;
-    promoted_words = s1.promoted_words -. s0.promoted_words;
-    major_words = s1.major_words -. s0.major_words;
+    minor_words = w1.minor_words -. w0.minor_words;
+    promoted_words = w1.promoted_words -. w0.promoted_words;
+    major_words = w1.major_words -. w0.major_words;
     (* Deltas like every other field: a stage's heap growth, not the
        process-global absolute (which made every per-stage reading
        identical and meaningless in reports). [heap_words] can be

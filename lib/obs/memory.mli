@@ -4,10 +4,11 @@
     ROBDD peaks decide which rows die with "—". This module adds the two
     measurements {!Obs} lacked:
 
-    - {e OCaml-GC deltas per stage} — [Gc.quick_stat] sampled around a
-      stage gives minor/major collection counts and allocation volumes, so
-      a report can say "robdd-build promoted 40 MB" instead of only "took
-      3.1 s". Sampling is a few loads; it is done unconditionally (the
+    - {e OCaml-GC deltas per stage} — [Gc.minor_words], [Gc.counters]
+      and [Gc.quick_stat] sampled around a stage give minor/major
+      collection counts and allocation volumes, so a report can say
+      "robdd-build promoted 40 MB" instead of only "took 3.1 s".
+      Sampling is a few loads; it is done unconditionally (the
       pipeline reports carry the deltas whether or not {!Obs} is enabled),
       while {e publication} into the registry/timeline respects the flag.
     - {e DD-table occupancy} — gauges and histograms describing how full
@@ -15,7 +16,8 @@
       ([table.occupancy.*] probes), published from the engines'
       [publish_obs] checkpoints.
 
-    Counters are domain-local where OCaml 5 makes them so (minor words);
+    The word counts are the calling domain's, read at the time of the
+    call ([Gc.quick_stat]'s may lag until the next minor collection), so
     under a parallel batch a stage's delta describes the domain that ran
     it, which is exactly the per-worker reading the timeline wants. *)
 
@@ -37,7 +39,7 @@ type gc_delta = {
           pushed the heap past its previous maximum *)
 }
 
-(** An opaque [Gc.quick_stat] sample. *)
+(** An opaque sample of the GC counters. *)
 type sample
 
 (** [sample ()] reads the GC counters (cheap — no heap walk). *)

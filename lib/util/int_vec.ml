@@ -28,5 +28,10 @@ let push v x =
   v.len <- i + 1;
   i
 
+let pop v =
+  if v.len = 0 then invalid_arg "Int_vec.pop: empty vector";
+  v.len <- v.len - 1;
+  v.data.(v.len)
+
 let unsafe_get v i = Array.unsafe_get v.data i
 let unsafe_set v i x = Array.unsafe_set v.data i x

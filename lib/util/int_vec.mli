@@ -1,8 +1,8 @@
 (** Growable [int] arrays.
 
-    The decision-diagram managers store node fields (variable, children,
-    reference counts, hash links) in parallel integer vectors; this module is
-    their backing store. Amortized O(1) push, O(1) random access. *)
+    The decision-diagram walks keep their explicit stacks here, so a walk
+    as deep as the diagram uses no OCaml stack. Amortized O(1) push, O(1)
+    pop and random access. *)
 
 type t
 
@@ -20,6 +20,10 @@ val set : t -> int -> int -> unit
 
 (** [push v x] appends [x] and returns its index. *)
 val push : t -> int -> int
+
+(** [pop v] removes and returns the last element; raises
+    [Invalid_argument] when [v] is empty. *)
+val pop : t -> int
 
 (** [unsafe_get v i] skips bounds checking (hot paths only). *)
 val unsafe_get : t -> int -> int

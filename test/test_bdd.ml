@@ -452,19 +452,22 @@ let test_compile_constant_output () =
   let root, _ = Compile.of_circuit m circuit ~var_of_input:Fun.id in
   Alcotest.(check int) "contradiction compiles to zero" M.zero root
 
+let circuit_of_rexpr num_inputs e =
+  let b = C.builder ~num_inputs () in
+  let rec build = function
+    | RVar i -> C.input b i
+    | RNot x -> C.not_ b (build x)
+    | RAnd (x, y) -> C.and_ b [ build x; build y ]
+    | ROr (x, y) -> C.or_ b [ build x; build y ]
+    | RXor (x, y) -> C.xor_ b [ build x; build y ]
+  in
+  C.finish b ~name:"prop" (build e)
+
 let prop_compile_matches_interpreter =
   QCheck.Test.make ~name:"compiled circuit equals interpreter" ~count:200
     (arb_rexpr nvars_prop)
     (fun e ->
-      let b = C.builder ~num_inputs:nvars_prop () in
-      let rec build = function
-        | RVar i -> C.input b i
-        | RNot x -> C.not_ b (build x)
-        | RAnd (x, y) -> C.and_ b [ build x; build y ]
-        | ROr (x, y) -> C.or_ b [ build x; build y ]
-        | RXor (x, y) -> C.xor_ b [ build x; build y ]
-      in
-      let circuit = C.finish b ~name:"prop" (build e) in
+      let circuit = circuit_of_rexpr nvars_prop e in
       let m = M.create ~num_vars:nvars_prop () in
       let root, _ = Compile.of_circuit m circuit ~var_of_input:Fun.id in
       List.for_all
@@ -472,6 +475,155 @@ let prop_compile_matches_interpreter =
           let env v = (mask lsr v) land 1 = 1 in
           rexpr_eval env e = M.eval m root env)
         (List.init (1 lsl nvars_prop) Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* Walks against the hash-table reference                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The hash-table walks that the slot-indexed ones replaced, rebuilt on
+   the public accessors ([M.low]/[M.high] of a regular handle are the
+   stored edges). The engine's walks must match them exactly: the same
+   visit sequence, the same counts, the same probability bits. *)
+module Ref_walk = struct
+  let iter_reachable m n f =
+    let seen = Hashtbl.create 64 in
+    let stack = ref [] in
+    let visit h =
+      let r = h land -2 in
+      if not (Hashtbl.mem seen r) then begin
+        Hashtbl.add seen r ();
+        if r = 0 then f r else stack := (r, ref 0) :: !stack
+      end
+    in
+    visit n;
+    let rec drain () =
+      match !stack with
+      | [] -> ()
+      | (x, j) :: rest ->
+          (match !j with
+          | 0 ->
+              j := 1;
+              visit (M.low m x)
+          | 1 ->
+              j := 2;
+              visit (M.high m x)
+          | _ ->
+              stack := rest;
+              f x);
+          drain ()
+    in
+    drain ()
+
+  let size m n =
+    let c = ref 0 in
+    iter_reachable m n (fun _ -> incr c);
+    !c
+
+  let size_multi m roots =
+    let seen = Hashtbl.create 64 in
+    let stack = ref [] in
+    let visit h =
+      let r = h land -2 in
+      if not (Hashtbl.mem seen r) then begin
+        Hashtbl.add seen r ();
+        if r <> 0 then stack := r :: !stack
+      end
+    in
+    let rec drain () =
+      match !stack with
+      | [] -> ()
+      | x :: rest ->
+          stack := rest;
+          visit (M.low m x);
+          visit (M.high m x);
+          drain ()
+    in
+    List.iter (fun n -> visit n; drain ()) roots;
+    Hashtbl.length seen
+
+  (* Slots bucketed by level, valued deepest level first. *)
+  let probability m n ~p =
+    if n = M.zero then 0.0
+    else if n = M.one then 1.0
+    else begin
+      let buckets = Array.make (M.num_vars m) [] in
+      let seen = Hashtbl.create 64 in
+      let root_slot = n lsr 1 in
+      Hashtbl.add seen root_slot ();
+      let stack = ref [ root_slot ] in
+      let rec drain () =
+        match !stack with
+        | [] -> ()
+        | x :: rest ->
+            stack := rest;
+            let lv = M.level m (x lsl 1) in
+            buckets.(lv) <- x :: buckets.(lv);
+            let push c =
+              let s = c lsr 1 in
+              if s > 0 && not (Hashtbl.mem seen s) then begin
+                Hashtbl.add seen s ();
+                stack := s :: !stack
+              end
+            in
+            push (M.low m (x lsl 1));
+            push (M.high m (x lsl 1));
+            drain ()
+      in
+      drain ();
+      let value = Hashtbl.create 64 in
+      let handle_value h =
+        if h = M.one then 1.0
+        else if h = M.zero then 0.0
+        else
+          let v = Hashtbl.find value (h lsr 1) in
+          if h land 1 = 1 then 1.0 -. v else v
+      in
+      for lv = M.num_vars m - 1 downto 0 do
+        List.iter
+          (fun x ->
+            let pv = p (M.var_at_level m lv) in
+            Hashtbl.replace value x
+              ((pv *. handle_value (M.high m (x lsl 1)))
+              +. ((1.0 -. pv) *. handle_value (M.low m (x lsl 1)))))
+          buckets.(lv)
+      done;
+      handle_value n
+    end
+end
+
+let prop_walks_match_reference =
+  QCheck.Test.make ~name:"walks match the hash-table reference" ~count:200
+    QCheck.(triple (arb_rexpr nvars_ite) (arb_rexpr nvars_ite) (arb_rexpr nvars_ite))
+    (fun (e1, e2, e3) ->
+      let m = M.create ~num_vars:nvars_ite () in
+      let compile e =
+        fst
+          (Compile.of_circuit m (circuit_of_rexpr nvars_ite e)
+             ~var_of_input:Fun.id)
+      in
+      let f = compile e1 in
+      (* [e2]'s nodes are collected before [e3] is compiled, so [e3] takes
+         slots from the free list *)
+      let junk = compile e2 in
+      M.deref m junk;
+      M.collect m;
+      let g = compile e3 in
+      let visits walk n =
+        let l = ref [] in
+        walk m n (fun x -> l := x :: !l);
+        !l
+      in
+      let p v = 0.03 +. (0.117 *. float_of_int v) in
+      let bits x = Int64.bits_of_float x in
+      List.for_all
+        (fun n ->
+          visits M.iter_reachable n = visits Ref_walk.iter_reachable n
+          && M.size m n = Ref_walk.size m n
+          && bits (M.probability m n ~p) = bits (Ref_walk.probability m n ~p))
+        [ f; g; M.not_ m g; M.one; M.zero ]
+      && M.size_multi m [ f; g ] = Ref_walk.size_multi m [ f; g ]
+      && M.size_multi m [ g; M.not_ m f; M.zero ]
+         = Ref_walk.size_multi m [ g; M.not_ m f; M.zero ])
 
 (* ------------------------------------------------------------------ *)
 (* Minimal cut sets                                                    *)
@@ -863,6 +1015,7 @@ let () =
           Alcotest.test_case "constant output" `Quick test_compile_constant_output;
         ] );
       qsuite "compile-props" [ prop_compile_matches_interpreter ];
+      qsuite "walk-props" [ prop_walks_match_reference ];
       ( "cutsets",
         [
           Alcotest.test_case "basic" `Quick test_cutsets_basic;

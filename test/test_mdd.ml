@@ -476,6 +476,226 @@ let prop_sweep_matches_per_scenario_probability =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Walks against the hash-table reference                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The hash-table walks that the node-indexed ones replaced, rebuilt on
+   the public accessors. The manager's walks must match them exactly:
+   the same visit sequence, the same counts, the same float bits (the
+   bucket order fixes the summation order of reach and sensitivities). *)
+module Ref_walk = struct
+  let cone_by_level t n =
+    let buckets = Array.make (Mdd.num_mvars t) [] in
+    if not (Mdd.is_terminal n) then begin
+      let seen = Hashtbl.create 256 in
+      Hashtbl.add seen n ();
+      let stack = ref [ n ] in
+      let rec drain () =
+        match !stack with
+        | [] -> ()
+        | x :: rest ->
+            stack := rest;
+            let lv = Mdd.level t x in
+            buckets.(lv) <- x :: buckets.(lv);
+            Array.iter
+              (fun c ->
+                if (not (Mdd.is_terminal c)) && not (Hashtbl.mem seen c) then begin
+                  Hashtbl.add seen c ();
+                  stack := c :: !stack
+                end)
+              (Mdd.children t x);
+            drain ()
+      in
+      drain ()
+    end;
+    buckets
+
+  let probability t n ~p =
+    if n = Mdd.zero then 0.0
+    else if n = Mdd.one then 1.0
+    else begin
+      let buckets = cone_by_level t n in
+      let value = Hashtbl.create 256 in
+      let node_value x =
+        if x = Mdd.zero then 0.0
+        else if x = Mdd.one then 1.0
+        else Hashtbl.find value x
+      in
+      for lv = Mdd.num_mvars t - 1 downto 0 do
+        List.iter
+          (fun x ->
+            let kids = Mdd.children t x in
+            let acc = ref 0.0 in
+            for j = 0 to Array.length kids - 1 do
+              let pj = p lv j in
+              if pj <> 0.0 then acc := !acc +. (pj *. node_value kids.(j))
+            done;
+            Hashtbl.replace value x !acc)
+          buckets.(lv)
+      done;
+      Hashtbl.find value n
+    end
+
+  let probability_sweep t n ~nk ~p =
+    if n = Mdd.zero then Array.make nk 0.0
+    else if n = Mdd.one then Array.make nk 1.0
+    else begin
+      let buckets = cone_by_level t n in
+      let value = Hashtbl.create 256 in
+      for lv = Mdd.num_mvars t - 1 downto 0 do
+        List.iter
+          (fun x ->
+            let kids = Mdd.children t x in
+            let acc = Array.make nk 0.0 in
+            for j = 0 to Array.length kids - 1 do
+              let c = kids.(j) in
+              if c <> Mdd.zero then begin
+                let pj = p lv j in
+                if c = Mdd.one then
+                  for k = 0 to nk - 1 do
+                    acc.(k) <- acc.(k) +. pj.(k)
+                  done
+                else begin
+                  let cv : float array = Hashtbl.find value c in
+                  for k = 0 to nk - 1 do
+                    acc.(k) <- acc.(k) +. (pj.(k) *. cv.(k))
+                  done
+                end
+              end
+            done;
+            Hashtbl.replace value x acc)
+          buckets.(lv)
+      done;
+      Hashtbl.find value n
+    end
+
+  let probability_with_sensitivities t n ~p =
+    let nvars = Mdd.num_mvars t in
+    let buckets = cone_by_level t n in
+    let value = Hashtbl.create 256 in
+    let node_value x =
+      if x = Mdd.zero then 0.0
+      else if x = Mdd.one then 1.0
+      else Hashtbl.find value x
+    in
+    for lv = nvars - 1 downto 0 do
+      List.iter
+        (fun x ->
+          let kids = Mdd.children t x in
+          let acc = ref 0.0 in
+          for j = 0 to Array.length kids - 1 do
+            acc := !acc +. (p lv j *. node_value kids.(j))
+          done;
+          Hashtbl.replace value x !acc)
+        buckets.(lv)
+    done;
+    let total = node_value n in
+    let reach = Hashtbl.create 256 in
+    if not (Mdd.is_terminal n) then Hashtbl.replace reach n 1.0;
+    let sens =
+      Array.init nvars (fun v -> Array.make (Mdd.spec t v).Mdd.domain 0.0)
+    in
+    for lv = 0 to nvars - 1 do
+      List.iter
+        (fun x ->
+          let r = Option.value ~default:0.0 (Hashtbl.find_opt reach x) in
+          if r <> 0.0 then begin
+            let kids = Mdd.children t x in
+            for j = 0 to Array.length kids - 1 do
+              sens.(lv).(j) <- sens.(lv).(j) +. (r *. node_value kids.(j));
+              if not (Mdd.is_terminal kids.(j)) then begin
+                let cur =
+                  Option.value ~default:0.0 (Hashtbl.find_opt reach kids.(j))
+                in
+                Hashtbl.replace reach kids.(j) (cur +. (r *. p lv j))
+              end
+            done
+          end)
+        buckets.(lv)
+    done;
+    (total, sens)
+
+  let iter_reachable t n f =
+    let seen = Hashtbl.create 256 in
+    let stack = ref [] in
+    let visit n =
+      if not (Hashtbl.mem seen n) then begin
+        Hashtbl.add seen n ();
+        if Mdd.is_terminal n then f n else stack := (n, ref 0) :: !stack
+      end
+    in
+    visit n;
+    let rec drain () =
+      match !stack with
+      | [] -> ()
+      | (x, j) :: rest ->
+          let kids = Mdd.children t x in
+          if !j < Array.length kids then begin
+            let c = kids.(!j) in
+            incr j;
+            visit c
+          end
+          else begin
+            stack := rest;
+            f x
+          end;
+          drain ()
+    in
+    drain ()
+
+  let size t n =
+    let c = ref 0 in
+    iter_reachable t n (fun _ -> incr c);
+    !c
+
+  let support t n =
+    let nvars = Mdd.num_mvars t in
+    let present = Array.make (nvars + 1) false in
+    iter_reachable t n (fun x -> present.(Mdd.level t x) <- true);
+    let acc = ref [] in
+    for v = nvars - 1 downto 0 do
+      if present.(v) then acc := v :: !acc
+    done;
+    !acc
+end
+
+let prop_walks_match_reference =
+  QCheck.Test.make ~name:"walks match the hash-table reference" ~count:200
+    QCheck.(pair arb_mexpr arb_mexpr)
+    (fun (e1, e2) ->
+      let t = Mdd.create specs_for_props in
+      let f = mexpr_mdd t e1 in
+      let g = mexpr_mdd t e2 in
+      (* the ROMDD of [e1] again, through the layer conversion *)
+      let bdd = B.create ~num_vars:5 () in
+      let h = Conversion.run bdd (mexpr_bdd bdd e1) t the_layout in
+      (* irregular, unnormalized edge weights, so that any change in
+         summation order shows in the low bits *)
+      let p v j = 1.0 /. float_of_int (3 + v + (2 * j)) in
+      let pv v j = Array.init sweep_nk (fun k -> p v j *. (1.0 +. (0.1 *. float_of_int k))) in
+      let bits x = Int64.bits_of_float x in
+      let same_floats a b = Array.map bits a = Array.map bits b in
+      let visits walk n =
+        let l = ref [] in
+        walk t n (fun x -> l := x :: !l);
+        !l
+      in
+      List.for_all
+        (fun n ->
+          let total, sens = Mdd.probability_with_sensitivities t n ~p in
+          let rtotal, rsens = Ref_walk.probability_with_sensitivities t n ~p in
+          visits Mdd.iter_reachable n = visits Ref_walk.iter_reachable n
+          && Mdd.size t n = Ref_walk.size t n
+          && Mdd.support t n = Ref_walk.support t n
+          && bits (Mdd.probability t n ~p) = bits (Ref_walk.probability t n ~p)
+          && same_floats
+               (Mdd.probability_sweep t n ~nk:sweep_nk ~p:pv)
+               (Ref_walk.probability_sweep t n ~nk:sweep_nk ~p:pv)
+          && bits total = bits rtotal
+          && Array.for_all2 same_floats sens rsens)
+        [ f; g; h; Mdd.not_ t g; Mdd.zero; Mdd.one ])
+
 let test_sweep_terminals_and_validation () =
   let t = Mdd.create specs_for_props in
   let p _ _ = [| 0.5; 0.5 |] in
@@ -665,6 +885,7 @@ let () =
             test_sweep_terminals_and_validation;
         ] );
       qsuite "sweep-props" [ prop_sweep_matches_per_scenario_probability ];
+      qsuite "walk-props" [ prop_walks_match_reference ];
       ( "deep-diagrams",
         [
           Alcotest.test_case "200k-deep MDD chain" `Quick test_deep_mdd_chain;

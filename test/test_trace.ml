@@ -283,6 +283,20 @@ let test_gc_delta_sees_allocation () =
   Alcotest.(check bool) "allocation visible in the delta" true
     (d.Memory.minor_words +. d.Memory.major_words > 0.0)
 
+(* Right after a minor collection, a small allocation triggers none: the
+   word counts must still see it, read at the time of the call rather than
+   as of the last minor collection. *)
+let test_gc_delta_words_between_collections () =
+  Gc.minor ();
+  let s = Memory.sample () in
+  let cells = Sys.opaque_identity (List.init 1000 Fun.id) in
+  let d = Memory.delta_since s in
+  ignore (Sys.opaque_identity cells);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor_words %.0f >= 2000" d.Memory.minor_words)
+    true
+    (d.Memory.minor_words >= 2000.0)
+
 (* ------------------------------------------------------------------ *)
 (* Disabled mode and clear                                             *)
 (* ------------------------------------------------------------------ *)
@@ -332,6 +346,8 @@ let () =
           Alcotest.test_case "populated while enabled" `Quick (on test_stage_gc_enabled);
           Alcotest.test_case "delta JSON shape" `Quick (off test_delta_json_shape);
           Alcotest.test_case "delta sees allocation" `Quick (off test_gc_delta_sees_allocation);
+          Alcotest.test_case "words between minor collections" `Quick
+            (off test_gc_delta_words_between_collections);
         ] );
       ( "lifecycle",
         [

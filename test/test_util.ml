@@ -276,13 +276,19 @@ let test_int_vec_push_get () =
   Alcotest.(check int) "length" 100 (Int_vec.length v);
   Alcotest.(check int) "get 7" 49 (Int_vec.get v 7);
   Int_vec.set v 7 123;
-  Alcotest.(check int) "set" 123 (Int_vec.get v 7)
+  Alcotest.(check int) "set" 123 (Int_vec.get v 7);
+  Alcotest.(check int) "pop returns the last" (99 * 99) (Int_vec.pop v);
+  Alcotest.(check int) "pop shrinks" 99 (Int_vec.length v);
+  Alcotest.(check int) "push after pop reuses the index" 99 (Int_vec.push v 5)
 
 let test_int_vec_bounds () =
   let v = Int_vec.create () in
   ignore (Int_vec.push v 1);
   Alcotest.check_raises "get oob" (Invalid_argument "Int_vec: index out of bounds")
-    (fun () -> ignore (Int_vec.get v 1))
+    (fun () -> ignore (Int_vec.get v 1));
+  ignore (Int_vec.pop v);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Int_vec.pop: empty vector")
+    (fun () -> ignore (Int_vec.pop v))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
