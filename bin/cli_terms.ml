@@ -1,30 +1,48 @@
 (* Shared Cmdliner term groups for the socyield CLI.
 
    Every subcommand that evaluates something composes its interface from
-   these four groups instead of redeclaring flags, so `eval`, `sweep`,
+   these groups instead of redeclaring flags, so `eval`, `sweep`,
    `tune`, `query` and `campaign` cannot drift apart on spelling, defaults
    or validation:
 
    - [Model]    what to evaluate: fault tree / benchmark axes and the
-                defect-model parameters, plus the (circuit, model)
-                resolver;
+                defect-model parameters, as a [Protocol.query];
    - [Budget]   how hard to try: epsilon, node/cpu budgets, batch
                 domains (0 resolved to the recommended count) and wall
                 budget;
    - [Ordering] variable-ordering schemes, dynamic reordering,
                 intra-problem domains, and the tuned-registry override;
    - [Out]      metrics/trace emission, output-file plumbing and the
-                --progress printer. *)
+                --progress printer.
 
-module C = Socy_logic.Circuit
+   [eval_query_term] and [grid_term] combine them into the query `eval`
+   and `query` share and the grid `sweep` and `campaign run` share. No
+   range is checked here. A query resolves through [Protocol.resolve],
+   engine settings through [Pipeline.Config.make] and grids through
+   [Campaign.validate], exactly as the daemon does; their errors become
+   the CLI's usage error. *)
+
 module S = Socy_benchmarks.Suite
 module Scheme = Socy_order.Scheme
 module H = Socy_order.Heuristics
-module D = Socy_defects.Distribution
-module Dmodel = Socy_defects.Model
 module Json = Socy_obs.Json
 module Trace = Socy_obs.Trace
+module Proto = Socy_serve.Protocol
+module Campaign = Socy_campaign.Campaign
 open Cmdliner
+
+(* A usage error: one line on standard error, exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("socyield: " ^ msg);
+      exit 2)
+    fmt
+
+(* [checked f] runs a library constructor on user input; the
+   [Invalid_argument] it raises for an out-of-range value is a usage
+   error. *)
+let checked f = try f () with Invalid_argument msg -> usage_error "%s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Model parameters                                                    *)
@@ -70,32 +88,44 @@ module Model = struct
     in
     Arg.(value & opt float 0.1 & info [ "p-lethal" ] ~docv:"FLOAT" ~doc)
 
-  (* Resolve the (fault tree, model) pair from the arguments. *)
-  let resolve ~fault_tree ~benchmark ~lambda ~alpha ~p_lethal =
-    match (fault_tree, benchmark) with
-    | Some _, Some _ -> Error "--fault-tree and --benchmark are mutually exclusive"
-    | None, None -> Error "one of --fault-tree or --benchmark is required"
-    | Some expr, None -> (
-        match Socy_logic.Parse.fault_tree ~name:"cli" expr with
-        | exception Socy_logic.Parse.Syntax_error msg ->
-            Error (Printf.sprintf "parse error: %s" msg)
-        | circuit ->
-            let c = circuit.C.num_inputs in
-            if c = 0 then Error "fault tree references no component"
-            else
-              let affect = Array.make c (p_lethal /. float_of_int c) in
-              Ok
-                ( circuit,
-                  Dmodel.create (D.negative_binomial ~mean:lambda ~alpha) affect ))
-    | None, Some name -> (
-        match S.by_name name with
-        | exception Not_found -> Error (Printf.sprintf "unknown benchmark %S" name)
-        | instance ->
-            Ok
-              ( instance.S.circuit,
-                Dmodel.create
-                  (D.negative_binomial ~mean:lambda ~alpha)
-                  instance.S.affect ))
+  (* -f / -b and the defect model as a protocol query, with the
+     protocol's defaults in the engine fields. [source_term] and
+     [query_term] yield thunks, so a missing or doubled source is reported
+     only by a command that needs one. *)
+  let query_of source lambda alpha p_lethal () =
+    {
+      Proto.source = source ();
+      lambda;
+      alpha;
+      p_lethal;
+      epsilon = S.epsilon;
+      mv_order = Scheme.Heur H.Weight;
+      bit_order = Scheme.Ml;
+      node_limit = None;
+      cpu_limit = None;
+      reorder = false;
+      par_domains = None;
+    }
+
+  let source_term =
+    let pick fault_tree benchmark () =
+      match (fault_tree, benchmark) with
+      | Some _, Some _ ->
+          usage_error "--fault-tree and --benchmark are mutually exclusive"
+      | None, None -> usage_error "one of --fault-tree or --benchmark is required"
+      | Some expr, None -> Proto.Fault_tree expr
+      | None, Some name -> Proto.Benchmark name
+    in
+    Term.(const pick $ fault_tree_arg $ benchmark_arg)
+
+  let query_term =
+    Term.(const query_of $ source_term $ lambda_arg $ alpha_arg $ p_lethal_arg)
+
+  let source_name (q : Proto.query) =
+    match q.Proto.source with Proto.Benchmark s | Proto.Fault_tree s -> s
+
+  let resolve q =
+    match Proto.resolve q with Ok r -> r | Error msg -> usage_error "%s" msg
 end
 
 (* ------------------------------------------------------------------ *)
@@ -199,15 +229,10 @@ module Ordering = struct
     in
     Arg.(value & opt int 1 & info [ "par-domains" ] ~docv:"N" ~doc)
 
-  (* Shared --par-domains validation: out-of-range dies as a usage error;
-     the reorder clash downgrades to sequential with a warning, matching
-     the pipeline's own reorder-wins rule. *)
-  let check_par_domains ~reorder par_domains =
-    if par_domains < 1 then begin
-      Printf.eprintf "socyield: --par-domains must be at least 1 (got %d)\n"
-        par_domains;
-      exit 2
-    end;
+  (* The range of --par-domains is Config.make's to check; the clash with
+     --reorder downgrades to sequential with a warning, matching the
+     pipeline's own reorder-wins rule. *)
+  let warn_par_fallback ~reorder par_domains =
     if reorder && par_domains > 1 then begin
       Socy_obs.Log.warn "cli.par_fallback"
         ~fields:[ ("par_domains", Json.Int par_domains) ]
@@ -235,32 +260,71 @@ module Ordering = struct
 
   (* --tuned resolution, shared by eval and query: the registry entry for
      the benchmark family replaces the static flags. *)
-  let resolve_tuned ~tuned ~registry ~benchmark ~mv ~bits ~reorder =
+  let resolve_tuned ~tuned ~registry ~source ~mv ~bits ~reorder =
     if not tuned then (mv, bits, reorder)
     else
-      match benchmark with
-      | None ->
-          prerr_endline
+      match source with
+      | Proto.Fault_tree _ ->
+          usage_error
             "--tuned needs --benchmark (the registry is keyed by benchmark \
-             family)";
-          exit 2
-      | Some family -> (
+             family)"
+      | Proto.Benchmark family -> (
           let entries =
-            match Socy_order.Registry.load registry with
-            | entries -> entries
-            | exception Failure msg ->
-                prerr_endline msg;
-                exit 2
+            try Socy_order.Registry.load registry
+            with Failure msg -> usage_error "%s" msg
           in
           match Socy_order.Registry.find entries ~family with
           | None ->
-              Printf.eprintf
-                "no tuned ordering for %S in %s — run 'socyield tune -b %s' \
-                 first\n"
-                family registry family;
-              exit 2
+              usage_error
+                "no tuned ordering for %S in %s — run 'socyield tune -b %s' first"
+                family registry family
           | Some e -> Socy_order.Registry.(e.mv, e.bit, e.reorder))
 end
+
+(* ------------------------------------------------------------------ *)
+(* The evaluation query and the campaign grid                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The 11 flags `eval` and `query` share, as the query both send through
+   [Protocol.resolve]; a thunk, like [Model.query_term], so `query` can
+   skip it (and --tuned) for its control methods. *)
+let eval_query_term =
+  let make query epsilon mv bits reorder tuned registry () =
+    let q = query () in
+    let mv_order, bit_order, reorder =
+      Ordering.resolve_tuned ~tuned ~registry ~source:q.Proto.source ~mv ~bits
+        ~reorder
+    in
+    { q with Proto.epsilon; mv_order; bit_order; reorder }
+  in
+  Term.(
+    const make $ Model.query_term $ Budget.epsilon_arg $ Ordering.mv_order_arg
+    $ Ordering.bit_order_arg $ Ordering.reorder_arg $ Ordering.tuned_arg
+    $ Ordering.registry_arg)
+
+(* The nine grid fields `sweep` and `campaign run` share; the command
+   supplies the name and the CPU budget. *)
+let grid_term =
+  let make benchmarks lambdas epsilons mv_orders bit_order alpha node_limit
+      reorder par_domains ~name ~cpu_limit =
+    {
+      Campaign.name;
+      benchmarks;
+      lambdas;
+      epsilons;
+      mv_orders;
+      bit_order;
+      alpha;
+      node_limit;
+      cpu_limit;
+      reorder;
+      par_domains;
+    }
+  in
+  Term.(
+    const make $ Model.benchmarks_arg $ Model.lambdas_arg $ Budget.epsilons_arg
+    $ Ordering.mv_orders_arg $ Ordering.bit_order_arg $ Model.alpha_arg
+    $ Budget.node_limit_arg $ Ordering.reorder_arg $ Ordering.par_domains_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics / trace output                                              *)

@@ -45,7 +45,7 @@ open Cli_terms.Out
 (* Run reports (--metrics)                                             *)
 (* ------------------------------------------------------------------ *)
 
-let report_json ~source ~epsilon ~mv ~bits ~reorder (r : P.report) =
+let report_json (q : Proto.query) (r : P.report) =
   let ite_calls = r.P.ite_cache_hits + r.P.ite_cache_misses in
   let hit_rate =
     if ite_calls = 0 then 0.0
@@ -54,14 +54,14 @@ let report_json ~source ~epsilon ~mv ~bits ~reorder (r : P.report) =
   Json.Obj
     [
       ("schema", Json.String "socyield-report/1");
-      ("source", Json.String source);
+      ("source", Json.String (source_name q));
       ( "config",
         Json.Obj
           [
-            ("epsilon", Json.Float epsilon);
-            ("mv_order", Json.String (Scheme.mv_order_name mv));
-            ("bit_order", Json.String (Scheme.bit_order_name bits));
-            ("reorder", Json.Bool reorder);
+            ("epsilon", Json.Float q.Proto.epsilon);
+            ("mv_order", Json.String (Scheme.mv_order_name q.Proto.mv_order));
+            ("bit_order", Json.String (Scheme.bit_order_name q.Proto.bit_order));
+            ("reorder", Json.Bool q.Proto.reorder);
           ] );
       (* The deterministic fields come from the serve protocol's canonical
          list, so a daemon reply's [result.report] and this document agree
@@ -97,109 +97,87 @@ let report_json ~source ~epsilon ~mv ~bits ~reorder (r : P.report) =
 (* ------------------------------------------------------------------ *)
 
 let eval_cmd =
-  let run fault_tree benchmark lambda alpha p_lethal epsilon node_limit mv bits
-      reorder par_domains tuned registry metrics metrics_out trace_out =
-    let mv, bits, reorder =
-      resolve_tuned ~tuned ~registry ~benchmark ~mv ~bits ~reorder
+  let run query node_limit par_domains metrics metrics_out trace_out =
+    let q = query () in
+    let { Proto.circuit; model; _ } = resolve q in
+    let config =
+      Cli_terms.checked (fun () ->
+          P.Config.make ~epsilon:q.Proto.epsilon ~node_limit
+            ~mv_order:q.Proto.mv_order ~bit_order:q.Proto.bit_order
+            ~reorder:q.Proto.reorder ~par_domains ())
     in
-    check_par_domains ~reorder par_domains;
-    match resolve ~fault_tree ~benchmark ~lambda ~alpha ~p_lethal with
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
-    | Ok (circuit, model) -> (
-        if metrics <> None || trace_out <> None then Obs.set_enabled true;
-        let config =
-          P.Config.make ~epsilon ~node_limit ~mv_order:mv ~bit_order:bits
-            ~reorder ~par_domains ()
-        in
-        let source =
-          match (benchmark, fault_tree) with
-          | Some b, _ -> b
-          | None, Some expr -> expr
-          | None, None -> assert false
-        in
-        match P.run ~config circuit model with
-        | Error f ->
-            (match metrics with
-            | Some `Json ->
-                with_metrics_channel metrics_out (fun oc ->
-                    Json.to_channel oc
-                      (Json.Obj
-                         ([
-                            ("schema", Json.String "socyield-report/1");
-                            ("source", Json.String source);
-                            ("error", Json.String (P.failure_to_string f));
-                            ("stage", Json.String (P.failure_stage f));
-                          ]
-                         @
-                         match f with
-                         | P.Node_budget { peak; _ } ->
-                             [ ("kind", Json.String "node-budget");
-                               ("peak_at_failure", Json.Int peak) ]
-                         | P.Cpu_budget { elapsed; _ } ->
-                             [ ("kind", Json.String "cpu-budget");
-                               ("elapsed_s", Json.Float elapsed) ]
-                         | P.Batch_cancelled ->
-                             [ ("kind", Json.String "batch-cancelled") ])))
-            | Some `Pretty | None -> ());
-            (* A failed run's timeline is exactly what the budget post-mortem
-               needs, so the trace is written on this path too. *)
-            write_trace trace_out;
-            Printf.eprintf "FAILED — %s\n" (P.failure_to_string f);
-            exit 1
-        | Ok r ->
-            (* In JSON-to-stdout mode the document must be the only output. *)
-            let json_on_stdout = metrics = Some `Json && metrics_out = None in
-            if not json_on_stdout then begin
-              Printf.printf "yield           in [%.6f, %.6f]  (error bound %.2g)\n"
-                r.P.yield_lower r.P.yield_upper epsilon;
-              Printf.printf "P(not usable)   %.6f\n" r.P.p_unusable;
-              Printf.printf "truncation M    %d lethal defects analyzed\n" r.P.m;
-              Printf.printf "P_lethal        %.4f\n" r.P.p_lethal;
-              Printf.printf "binary vars     %d (%d multiple-valued variables)\n"
-                r.P.num_binary_vars r.P.num_groups;
-              Printf.printf "G gates         %d\n" r.P.gate_count;
-              Printf.printf "coded ROBDD     %s nodes (peak %s)\n"
-                (Text_table.group_thousands r.P.robdd_size)
-                (Text_table.group_thousands r.P.robdd_peak);
-              if reorder then
-                Printf.printf "reordering      %d sift run(s), %s swap(s)\n"
-                  r.P.reorder_runs
-                  (Text_table.group_thousands r.P.reorder_swaps);
-              Printf.printf "ROMDD           %s nodes\n"
-                (Text_table.group_thousands r.P.romdd_size);
-              Printf.printf "CPU time        %.2f s\n" r.P.cpu_seconds
-            end;
-            (match metrics with
-            | None -> ()
-            | Some `Json ->
-                with_metrics_channel metrics_out (fun oc ->
-                    Json.to_channel oc
-                      (report_json ~source ~epsilon ~mv ~bits ~reorder r))
-            | Some `Pretty ->
-                with_metrics_channel metrics_out (fun oc ->
-                    Printf.fprintf oc "\nstage times:\n";
-                    List.iter
-                      (fun (k, s) -> Printf.fprintf oc "  %-14s %9.4f s\n" k s)
-                      r.P.stage_times;
-                    Printf.fprintf oc "stage GC (minor/major collections, MB promoted):\n";
-                    List.iter
-                      (fun (k, (d : Socy_obs.Memory.gc_delta)) ->
-                        Printf.fprintf oc "  %-14s %5d / %-3d  %8.2f MB\n" k
-                          d.Socy_obs.Memory.minor_collections
-                          d.Socy_obs.Memory.major_collections
-                          (d.Socy_obs.Memory.promoted_words *. 8.0 /. 1048576.0))
-                      r.P.stage_gc;
-                    (Sink.pretty oc).Sink.emit ~label:source (Obs.snapshot ())));
-            write_trace trace_out)
+    warn_par_fallback ~reorder:q.Proto.reorder par_domains;
+    if metrics <> None || trace_out <> None then Obs.set_enabled true;
+    let source = source_name q in
+    match P.run ~config circuit model with
+    | Error f ->
+        (match metrics with
+        | Some `Json ->
+            let _, msg, details = Proto.failure_error f in
+            with_metrics_channel metrics_out (fun oc ->
+                Json.to_channel oc
+                  (Json.Obj
+                     ([
+                        ("schema", Json.String "socyield-report/1");
+                        ("source", Json.String source);
+                        ("error", Json.String msg);
+                      ]
+                     @ details)))
+        | Some `Pretty | None -> ());
+        (* A failed run's timeline is exactly what the budget post-mortem
+           needs, so the trace is written on this path too. *)
+        write_trace trace_out;
+        Printf.eprintf "FAILED — %s\n" (P.failure_to_string f);
+        exit 1
+    | Ok r ->
+        (* In JSON-to-stdout mode the document must be the only output. *)
+        let json_on_stdout = metrics = Some `Json && metrics_out = None in
+        if not json_on_stdout then begin
+          Printf.printf "yield           in [%.6f, %.6f]  (error bound %.2g)\n"
+            r.P.yield_lower r.P.yield_upper q.Proto.epsilon;
+          Printf.printf "P(not usable)   %.6f\n" r.P.p_unusable;
+          Printf.printf "truncation M    %d lethal defects analyzed\n" r.P.m;
+          Printf.printf "P_lethal        %.4f\n" r.P.p_lethal;
+          Printf.printf "binary vars     %d (%d multiple-valued variables)\n"
+            r.P.num_binary_vars r.P.num_groups;
+          Printf.printf "G gates         %d\n" r.P.gate_count;
+          Printf.printf "coded ROBDD     %s nodes (peak %s)\n"
+            (Text_table.group_thousands r.P.robdd_size)
+            (Text_table.group_thousands r.P.robdd_peak);
+          if q.Proto.reorder then
+            Printf.printf "reordering      %d sift run(s), %s swap(s)\n"
+              r.P.reorder_runs
+              (Text_table.group_thousands r.P.reorder_swaps);
+          Printf.printf "ROMDD           %s nodes\n"
+            (Text_table.group_thousands r.P.romdd_size);
+          Printf.printf "CPU time        %.2f s\n" r.P.cpu_seconds
+        end;
+        (match metrics with
+        | None -> ()
+        | Some `Json ->
+            with_metrics_channel metrics_out (fun oc ->
+                Json.to_channel oc (report_json q r))
+        | Some `Pretty ->
+            with_metrics_channel metrics_out (fun oc ->
+                Printf.fprintf oc "\nstage times:\n";
+                List.iter
+                  (fun (k, s) -> Printf.fprintf oc "  %-14s %9.4f s\n" k s)
+                  r.P.stage_times;
+                Printf.fprintf oc "stage GC (minor/major collections, MB promoted):\n";
+                List.iter
+                  (fun (k, (d : Socy_obs.Memory.gc_delta)) ->
+                    Printf.fprintf oc "  %-14s %5d / %-3d  %8.2f MB\n" k
+                      d.Socy_obs.Memory.minor_collections
+                      d.Socy_obs.Memory.major_collections
+                      (d.Socy_obs.Memory.promoted_words *. 8.0 /. 1048576.0))
+                  r.P.stage_gc;
+                (Sink.pretty oc).Sink.emit ~label:source (Obs.snapshot ())));
+        write_trace trace_out
   in
   let term =
     Term.(
-      const run $ fault_tree_arg $ benchmark_arg $ lambda_arg $ alpha_arg
-      $ p_lethal_arg $ epsilon_arg $ node_limit_arg $ mv_order_arg $ bit_order_arg
-      $ reorder_arg $ par_domains_arg $ tuned_arg $ registry_arg $ metrics_arg
-      $ metrics_out_arg $ trace_arg)
+      const run $ Cli_terms.eval_query_term $ node_limit_arg $ par_domains_arg
+      $ metrics_arg $ metrics_out_arg $ trace_arg)
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate the yield of a fault-tolerant system-on-chip")
@@ -211,12 +189,12 @@ let eval_cmd =
 
 (* Every grid goes through Campaign.run, whose only failure is grid
    validation: a usage error. *)
-let run_grid ?wall_budget ?progress ~domains grid =
-  match Campaign.run ~domains ?wall_budget ?progress grid with
-  | Ok c -> c
-  | Error msg ->
-      Printf.eprintf "socyield: %s\n" msg;
-      exit 2
+let run_grid ?wall_budget ?progress ~domains (grid : Campaign.grid) =
+  match Campaign.validate grid with
+  | Error msg -> Cli_terms.usage_error "%s" msg
+  | Ok () ->
+      warn_par_fallback ~reorder:grid.Campaign.reorder grid.Campaign.par_domains;
+      Result.get_ok (Campaign.run ~domains ?wall_budget ?progress grid)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
@@ -246,26 +224,12 @@ let sweep_cmd =
     let doc = "Write the sweep output to $(docv) instead of standard output." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
-  let run benchmarks lambdas epsilons mvs bits alpha node_limit reorder
-      par_domains domains wall_budget check_seq output out metrics metrics_out
+  let run grid domains wall_budget check_seq output out metrics metrics_out
       trace_out progress =
     if metrics <> None || trace_out <> None then Obs.set_enabled true;
-    check_par_domains ~reorder par_domains;
     let c =
       run_grid ~domains ?wall_budget ?progress
-        {
-          Campaign.name = "sweep";
-          benchmarks;
-          lambdas;
-          epsilons;
-          mv_orders = mvs;
-          bit_order = bits;
-          alpha;
-          node_limit;
-          cpu_limit = None;
-          reorder;
-          par_domains;
-        }
+        (grid ~name:"sweep" ~cpu_limit:None)
     in
     let seq = if check_seq then Some (Campaign.sequential_rerun c) else None in
     let seq_summary oc ((s : Campaign.t), (d : Campaign.drift)) =
@@ -346,11 +310,9 @@ let sweep_cmd =
   in
   let term =
     Term.(
-      const run $ benchmarks_arg $ lambdas_arg $ epsilons_arg $ mv_orders_arg
-      $ bit_order_arg $ alpha_arg $ node_limit_arg $ reorder_arg
-      $ par_domains_arg $ domains_arg $ wall_budget_arg $ check_seq_arg
-      $ output_arg $ out_arg $ metrics_arg $ metrics_out_arg $ trace_arg
-      $ progress_arg)
+      const run $ Cli_terms.grid_term $ domains_arg $ wall_budget_arg
+      $ check_seq_arg $ output_arg $ out_arg $ metrics_arg $ metrics_out_arg
+      $ trace_arg $ progress_arg)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -376,11 +338,7 @@ let tune_cmd =
   let module Registry = Socy_order.Registry in
   let run benchmarks lambda alpha epsilon node_limit domains registry =
     let existing =
-      match Registry.load registry with
-      | entries -> entries
-      | exception Failure msg ->
-          prerr_endline msg;
-          exit 2
+      try Registry.load registry with Failure msg -> Cli_terms.usage_error "%s" msg
     in
     let grid =
       {
@@ -592,27 +550,20 @@ let mc_cmd =
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
   in
-  let run fault_tree benchmark lambda alpha p_lethal trials seed =
-    match resolve ~fault_tree ~benchmark ~lambda ~alpha ~p_lethal with
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
-    | Ok (circuit, model) ->
-        let lethal = Model.to_lethal model in
-        let r =
-          Socy_core.Montecarlo.run ~seed:(Int64.of_int seed) ~trials circuit lethal
-        in
-        Printf.printf "yield estimate  %.6f\n" r.Socy_core.Montecarlo.estimate;
-        Printf.printf "95%% CI          [%.6f, %.6f]\n" r.Socy_core.Montecarlo.ci_low
-          r.Socy_core.Montecarlo.ci_high;
-        Printf.printf "trials          %d (%d functioning)\n"
-          r.Socy_core.Montecarlo.trials r.Socy_core.Montecarlo.functioning
+  let run query trials seed =
+    let { Proto.circuit; model; _ } = resolve (query ()) in
+    let r =
+      Cli_terms.checked (fun () ->
+          Socy_core.Montecarlo.run ~seed:(Int64.of_int seed) ~trials circuit
+            (Model.to_lethal model))
+    in
+    Printf.printf "yield estimate  %.6f\n" r.Socy_core.Montecarlo.estimate;
+    Printf.printf "95%% CI          [%.6f, %.6f]\n" r.Socy_core.Montecarlo.ci_low
+      r.Socy_core.Montecarlo.ci_high;
+    Printf.printf "trials          %d (%d functioning)\n"
+      r.Socy_core.Montecarlo.trials r.Socy_core.Montecarlo.functioning
   in
-  let term =
-    Term.(
-      const run $ fault_tree_arg $ benchmark_arg $ lambda_arg $ alpha_arg
-      $ p_lethal_arg $ trials_arg $ seed_arg)
-  in
+  let term = Term.(const run $ query_term $ trials_arg $ seed_arg) in
   Cmd.v (Cmd.info "mc" ~doc:"Monte Carlo yield estimate (simulation baseline)") term
 
 (* ------------------------------------------------------------------ *)
@@ -620,42 +571,36 @@ let mc_cmd =
 (* ------------------------------------------------------------------ *)
 
 let orders_cmd =
-  let run fault_tree benchmark lambda alpha p_lethal epsilon node_limit =
-    match resolve ~fault_tree ~benchmark ~lambda ~alpha ~p_lethal with
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
-    | Ok (circuit, model) ->
-        let lethal = Model.to_lethal model in
-        let t =
-          Text_table.create
-            ~aligns:[ Left; Right; Right; Right ]
-            [ "mv ordering"; "ROMDD"; "coded ROBDD"; "ROBDD peak" ]
+  let run query epsilon node_limit =
+    let { Proto.circuit; model; _ } = resolve (query ()) in
+    let config =
+      Cli_terms.checked (fun () ->
+          P.Config.make ~epsilon ~node_limit ~bit_order:Scheme.Ml ())
+    in
+    let lethal = Model.to_lethal model in
+    let t =
+      Text_table.create
+        ~aligns:[ Left; Right; Right; Right ]
+        [ "mv ordering"; "ROMDD"; "coded ROBDD"; "ROBDD peak" ]
+    in
+    List.iter
+      (fun mv ->
+        let config = P.Config.with_mv_order mv config in
+        let cells =
+          match P.run_lethal ~config circuit lethal with
+          | Ok r ->
+              [
+                Text_table.group_thousands r.P.romdd_size;
+                Text_table.group_thousands r.P.robdd_size;
+                Text_table.group_thousands r.P.robdd_peak;
+              ]
+          | Error _ -> [ "-"; "-"; "-" ]
         in
-        List.iter
-          (fun mv ->
-            let config =
-              P.Config.make ~epsilon ~node_limit ~mv_order:mv ~bit_order:Scheme.Ml ()
-            in
-            let cells =
-              match P.run_lethal ~config circuit lethal with
-              | Ok r ->
-                  [
-                    Text_table.group_thousands r.P.romdd_size;
-                    Text_table.group_thousands r.P.robdd_size;
-                    Text_table.group_thousands r.P.robdd_peak;
-                  ]
-              | Error _ -> [ "-"; "-"; "-" ]
-            in
-            Text_table.add_row t (Scheme.mv_order_name mv :: cells))
-          Scheme.table2_mv_orders;
-        print_string (Text_table.render t)
+        Text_table.add_row t (Scheme.mv_order_name mv :: cells))
+      Scheme.table2_mv_orders;
+    print_string (Text_table.render t)
   in
-  let term =
-    Term.(
-      const run $ fault_tree_arg $ benchmark_arg $ lambda_arg $ alpha_arg
-      $ p_lethal_arg $ epsilon_arg $ node_limit_arg)
-  in
+  let term = Term.(const run $ query_term $ epsilon_arg $ node_limit_arg) in
   Cmd.v
     (Cmd.info "orders" ~doc:"Compare variable orderings on one instance (cf. Table 2)")
     term
@@ -694,35 +639,26 @@ let dot_cmd =
     let doc = "What to export: 'fault-tree', 'g-circuit' or 'romdd'." in
     Arg.(value & pos 0 (enum [ ("fault-tree", `Ft); ("g-circuit", `G); ("romdd", `Romdd) ]) `Ft & info [] ~docv:"WHAT" ~doc)
   in
-  let run what fault_tree benchmark lambda alpha p_lethal epsilon =
-    match resolve ~fault_tree ~benchmark ~lambda ~alpha ~p_lethal with
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
-    | Ok (circuit, model) -> (
-        match what with
-        | `Ft -> print_string (C.to_dot circuit)
-        | `G ->
-            let lethal = Model.to_lethal model in
-            let m = Model.truncation lethal ~epsilon in
-            let problem = Socy_encode.Problem.build circuit ~m in
-            print_string (C.to_dot problem.Socy_encode.Problem.circuit)
-        | `Romdd -> (
-            let lethal = Model.to_lethal model in
-            let config = P.Config.make ~epsilon () in
-            match P.Artifacts.build ~config circuit lethal with
-            | Error f ->
-                prerr_endline ("failed — " ^ P.failure_to_string f);
-                exit 1
-            | Ok a ->
-                print_string
-                  (Mdd.to_dot a.P.Artifacts.mdd a.P.Artifacts.mdd_root)))
+  let run what query epsilon =
+    let { Proto.circuit; model; _ } = resolve (query ()) in
+    let config = Cli_terms.checked (fun () -> P.Config.make ~epsilon ()) in
+    match what with
+    | `Ft -> print_string (C.to_dot circuit)
+    | `G ->
+        let m =
+          Model.truncation (Model.to_lethal model) ~epsilon:config.P.epsilon
+        in
+        let problem = Socy_encode.Problem.build circuit ~m in
+        print_string (C.to_dot problem.Socy_encode.Problem.circuit)
+    | `Romdd -> (
+        match P.Artifacts.build ~config circuit (Model.to_lethal model) with
+        | Error f ->
+            prerr_endline ("failed — " ^ P.failure_to_string f);
+            exit 1
+        | Ok a ->
+            print_string (Mdd.to_dot a.P.Artifacts.mdd a.P.Artifacts.mdd_root))
   in
-  let term =
-    Term.(
-      const run $ what_arg $ fault_tree_arg $ benchmark_arg $ lambda_arg
-      $ alpha_arg $ p_lethal_arg $ epsilon_arg)
-  in
+  let term = Term.(const run $ what_arg $ query_term $ epsilon_arg) in
   Cmd.v (Cmd.info "dot" ~doc:"Export Graphviz renderings of the artifacts") term
 
 (* ------------------------------------------------------------------ *)
@@ -732,6 +668,36 @@ let dot_cmd =
 let socket_arg =
   let doc = "Unix-domain socket path of the daemon." in
   Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+
+(* The client side of `query` and `top`: connect to the daemon and return
+   the round trip (one request line out, one reply line in) and the
+   closer. Every failure is an exit-2 error naming the command. *)
+let daemon_client ~cmd socket =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "socyield %s: %s\n" cmd msg;
+        exit 2)
+      fmt
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd (Unix.ADDR_UNIX socket)
+   with Unix.Unix_error (e, _, _) ->
+     fail "cannot connect to %s: %s" socket (Unix.error_message e));
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  let roundtrip req =
+    output_string oc (Json.to_string (Proto.request_to_json req));
+    output_char oc '\n';
+    flush oc;
+    match input_line ic with
+    | exception End_of_file -> fail "daemon closed the connection"
+    | line -> (
+        match Json.of_string line with
+        | reply -> reply
+        | exception Json.Parse_error msg -> fail "malformed reply: %s" msg)
+  in
+  (roundtrip, fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
 
 let serve_cmd =
   let domains_arg =
@@ -971,68 +937,16 @@ let query_cmd =
     in
     Arg.(value & opt (some int) None & info [ "par-domains" ] ~docv:"N" ~doc)
   in
-  let run socket meth fault_tree benchmark lambda alpha p_lethal epsilon mv bits
-      node_limit cpu_limit reorder par_domains tuned registry twice =
-    let mv, bits, reorder =
-      if tuned && not (Proto.is_evaluation meth) then (mv, bits, reorder)
-      else resolve_tuned ~tuned ~registry ~benchmark ~mv ~bits ~reorder
-    in
+  let run socket meth query node_limit cpu_limit par_domains twice =
+    (* A control method carries no query: its source flags and --tuned
+       are ignored. *)
     let query =
-      if not (Proto.is_evaluation meth) then None
-      else
-        let source =
-          match (fault_tree, benchmark) with
-          | Some _, Some _ ->
-              prerr_endline "--fault-tree and --benchmark are mutually exclusive";
-              exit 2
-          | None, None ->
-              Printf.eprintf
-                "method %s needs one of --fault-tree or --benchmark\n"
-                (Proto.meth_name meth);
-              exit 2
-          | Some expr, None -> Proto.Fault_tree expr
-          | None, Some b -> Proto.Benchmark b
-        in
-        Some
-          {
-            Proto.source;
-            lambda;
-            alpha;
-            p_lethal;
-            epsilon;
-            mv_order = mv;
-            bit_order = bits;
-            node_limit;
-            cpu_limit;
-            reorder;
-            par_domains;
-          }
+      if Proto.is_evaluation meth then
+        Some { (query ()) with Proto.node_limit; cpu_limit; par_domains }
+      else None
     in
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | () -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "socyield query: cannot connect to %s: %s\n" socket
-          (Unix.error_message e);
-        exit 2);
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    let roundtrip id =
-      let req = Proto.request_to_json { Proto.id = Json.Int id; meth; query } in
-      output_string oc (Json.to_string req);
-      output_char oc '\n';
-      flush oc;
-      match input_line ic with
-      | exception End_of_file ->
-          Printf.eprintf "socyield query: daemon closed the connection\n";
-          exit 2
-      | line -> (
-          match Json.of_string line with
-          | reply -> reply
-          | exception Json.Parse_error msg ->
-              Printf.eprintf "socyield query: malformed reply: %s\n" msg;
-              exit 2)
-    in
+    let roundtrip, close = daemon_client ~cmd:"query" socket in
+    let roundtrip id = roundtrip { Proto.id = Json.Int id; meth; query } in
     let status reply =
       match Json.member "status" reply with
       | Some (Json.String s) -> s
@@ -1075,15 +989,13 @@ let query_cmd =
         failed := true
       end
     end;
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    close ();
     if !failed then exit 1
   in
   let term =
     Term.(
-      const run $ socket_arg $ meth_arg $ fault_tree_arg $ benchmark_arg
-      $ lambda_arg $ alpha_arg $ p_lethal_arg $ epsilon_arg $ mv_order_arg
-      $ bit_order_arg $ node_limit_opt_arg $ cpu_limit_opt_arg $ reorder_arg
-      $ par_domains_opt_arg $ tuned_arg $ registry_arg $ twice_arg)
+      const run $ socket_arg $ meth_arg $ Cli_terms.eval_query_term
+      $ node_limit_opt_arg $ cpu_limit_opt_arg $ par_domains_opt_arg $ twice_arg)
   in
   Cmd.v
     (Cmd.info "query"
@@ -1116,40 +1028,18 @@ let top_cmd =
       Printf.eprintf "socyield top: --interval must be positive\n";
       exit 2
     end;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | () -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "socyield top: cannot connect to %s: %s\n" socket
-          (Unix.error_message e);
-        exit 2);
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
+    let roundtrip, close = daemon_client ~cmd:"top" socket in
     let next_id = ref 0 in
     let fetch_stats () =
       incr next_id;
-      let req =
-        Proto.request_to_json
-          { Proto.id = Json.Int !next_id; meth = Proto.Stats; query = None }
+      let reply =
+        roundtrip { Proto.id = Json.Int !next_id; meth = Proto.Stats; query = None }
       in
-      output_string oc (Json.to_string req);
-      output_char oc '\n';
-      flush oc;
-      match input_line ic with
-      | exception End_of_file ->
-          Printf.eprintf "socyield top: daemon closed the connection\n";
+      match Json.member "result" reply with
+      | Some stats -> stats
+      | None ->
+          Printf.eprintf "socyield top: error reply: %s\n" (Json.to_string reply);
           exit 2
-      | line -> (
-          match Json.of_string line with
-          | exception Json.Parse_error msg ->
-              Printf.eprintf "socyield top: malformed reply: %s\n" msg;
-              exit 2
-          | reply -> (
-              match Json.member "result" reply with
-              | Some stats -> stats
-              | None ->
-                  Printf.eprintf "socyield top: error reply: %s\n" line;
-                  exit 2))
     in
     let members = function Some (Json.Obj kvs) -> kvs | _ -> [] in
     let num = function
@@ -1273,7 +1163,7 @@ let top_cmd =
       end
     in
     loop ();
-    try Unix.close fd with Unix.Unix_error _ -> ()
+    close ()
   in
   let term = Term.(const run $ socket_arg $ once_arg $ interval_arg) in
   Cmd.v
@@ -1292,29 +1182,23 @@ let cutsets_cmd =
   let limit_arg =
     Arg.(value & opt int 50 & info [ "limit" ] ~docv:"N" ~doc:"Print at most N cut sets.")
   in
-  let run fault_tree benchmark limit =
-    match resolve ~fault_tree ~benchmark ~lambda:10.0 ~alpha:S.alpha ~p_lethal:0.1 with
-    | Error msg ->
-        prerr_endline msg;
-        exit 2
-    | Ok (circuit, _model) ->
-        let names =
-          match benchmark with
-          | Some name -> (S.by_name name).S.component_names
-          | None ->
-              Array.init circuit.C.num_inputs (fun i -> Printf.sprintf "x%d" i)
-        in
-        let sets = Socy_bdd.Cutsets.of_circuit ~limit circuit in
-        Printf.printf "%d minimal cut set(s)%s:\n" (List.length sets)
-          (if List.length sets = limit then Printf.sprintf " (limited to %d)" limit
-           else "");
-        List.iter
-          (fun set ->
-            Printf.printf "  { %s }\n"
-              (String.concat ", " (List.map (fun i -> names.(i)) set)))
-          sets
+  let run query limit =
+    let { Proto.circuit; names; _ } = resolve (query ()) in
+    let sets = Socy_bdd.Cutsets.of_circuit ~limit circuit in
+    Printf.printf "%d minimal cut set(s)%s:\n" (List.length sets)
+      (if List.length sets = limit then Printf.sprintf " (limited to %d)" limit
+       else "");
+    List.iter
+      (fun set ->
+        Printf.printf "  { %s }\n"
+          (String.concat ", " (List.map (fun i -> names.(i)) set)))
+      sets
   in
-  let term = Term.(const run $ fault_tree_arg $ benchmark_arg $ limit_arg) in
+  (* Cut sets depend on the circuit alone; the model is the default one. *)
+  let query =
+    Term.(const query_of $ source_term $ const 10.0 $ const S.alpha $ const 0.1)
+  in
+  let term = Term.(const run $ query $ limit_arg) in
   Cmd.v
     (Cmd.info "cutsets"
        ~doc:"Minimal cut sets of a coherent fault tree (why yield is lost)")
@@ -1358,27 +1242,12 @@ let campaign_run_cmd =
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let run name store benchmarks lambdas epsilons mvs bits alpha node_limit
-      cpu_limit reorder par_domains domains wall_budget save_metrics save_trace
+  let run name store grid cpu_limit domains wall_budget save_metrics save_trace
       progress =
-    check_par_domains ~reorder par_domains;
     if save_metrics || save_trace then Obs.set_enabled true;
-    let grid =
-      {
-        Campaign.name;
-        benchmarks;
-        lambdas;
-        epsilons;
-        mv_orders = mvs;
-        bit_order = bits;
-        alpha;
-        node_limit;
-        cpu_limit;
-        reorder;
-        par_domains;
-      }
+    let c =
+      run_grid ~domains ?wall_budget ?progress (grid ~name ~cpu_limit)
     in
-    let c = run_grid ~domains ?wall_budget ?progress grid in
     let metrics =
       if save_metrics then Some (Sink.snapshot_to_json (Obs.snapshot ()))
       else None
@@ -1410,9 +1279,7 @@ let campaign_run_cmd =
   in
   let term =
     Term.(
-      const run $ name_arg $ store_arg $ benchmarks_arg $ lambdas_arg
-      $ epsilons_arg $ mv_orders_arg $ bit_order_arg $ alpha_arg
-      $ node_limit_arg $ cpu_limit_arg $ reorder_arg $ par_domains_arg
+      const run $ name_arg $ store_arg $ Cli_terms.grid_term $ cpu_limit_arg
       $ domains_arg $ wall_budget_arg $ save_metrics_arg $ save_trace_arg
       $ progress_arg)
   in

@@ -93,16 +93,15 @@ let points grid =
         grid.lambdas)
     grid.benchmarks
 
+(* The pipeline configuration shared by the points at [epsilon]; only the
+   mv ordering varies below it, and no range rule depends on that. *)
+let config grid ~epsilon =
+  P.Config.make ~epsilon ~node_limit:grid.node_limit ?cpu_limit:grid.cpu_limit
+    ~bit_order:grid.bit_order ~reorder:grid.reorder
+    ~par_domains:grid.par_domains ()
+
 let validate grid =
-  (* Everything the defect model or the pipeline would reject is caught
-     here, so [run] fails only with a typed [Error]. *)
   let require ok msg = if ok then Ok () else Error msg in
-  let each_float ok what values =
-    match List.find_opt (fun v -> not (ok v)) values with
-    | None -> Ok ()
-    | Some v -> Error (Printf.sprintf "%s (got %g)" what v)
-  in
-  let positive x = Float.is_finite x && x > 0.0 in
   let* () = require (grid.name <> "") "campaign name must not be empty" in
   let* () =
     require
@@ -124,18 +123,17 @@ let validate grid =
     | Some b -> Error (Printf.sprintf "unknown benchmark %S" b)
     | None -> Ok ()
   in
-  let* () = each_float positive "lambda must be positive and finite" grid.lambdas in
-  let* () =
-    each_float (fun e -> e > 0.0 && e < 1.0) "epsilon must lie in (0, 1)"
-      grid.epsilons
-  in
-  let* () = each_float positive "alpha must be positive and finite" [ grid.alpha ] in
-  let* () =
-    require (grid.node_limit >= 1)
-      (Printf.sprintf "node limit must be at least 1 (got %d)" grid.node_limit)
-  in
-  each_float (fun s -> s > 0.0) "cpu limit must be positive"
-    (Option.to_list grid.cpu_limit)
+  (* The numeric rules are the constructors' own: build what [job] builds
+     for each lambda and each epsilon, so [run] fails only with a typed
+     [Error]. *)
+  match
+    List.iter
+      (fun lambda -> ignore (D.negative_binomial ~mean:lambda ~alpha:grid.alpha))
+      grid.lambdas;
+    List.iter (fun epsilon -> ignore (config grid ~epsilon)) grid.epsilons
+  with
+  | () -> Ok ()
+  | exception Invalid_argument msg -> Error msg
 
 let failure_of_pipeline = function
   | P.Node_budget { peak; _ } -> Node_budget_hit peak
@@ -149,11 +147,7 @@ let job grid p =
       (D.negative_binomial ~mean:p.lambda ~alpha:grid.alpha)
       instance.S.affect
   in
-  let config =
-    P.Config.make ~epsilon:p.epsilon ~node_limit:grid.node_limit
-      ?cpu_limit:grid.cpu_limit ~mv_order:p.mv ~bit_order:grid.bit_order
-      ~reorder:grid.reorder ~par_domains:grid.par_domains ()
-  in
+  let config = P.Config.with_mv_order p.mv (config grid ~epsilon:p.epsilon) in
   Socy_batch.job ~config ~label:(point_label p) instance.S.circuit
     (Model.to_lethal model)
 

@@ -77,9 +77,10 @@ val points : grid -> point list
 
 val validate : grid -> (unit, string) result
 (** Reject empty axes, unknown benchmark names, names unusable as
-    directory prefixes, and values the defect model or the pipeline
-    cannot take: a non-finite or non-positive λ or α, an ε outside
-    (0, 1), a node limit below 1 and a non-positive CPU limit. *)
+    directory prefixes, and every value that
+    {!Socy_defects.Distribution.negative_binomial} (per λ, with α) or
+    {!Socy_core.Pipeline.Config.make} (per ε, with the node and CPU
+    limits and [par_domains]) rejects, with that constructor's message. *)
 
 val run :
   ?domains:int ->

@@ -33,7 +33,9 @@ let component_cdf lethal =
   cdf
 
 let run ?(seed = 42L) ?(trials = 100_000) fault_tree lethal =
-  if trials <= 0 then invalid_arg "Montecarlo.run: trials must be positive";
+  if trials <= 0 then
+    invalid_arg
+      (Printf.sprintf "Montecarlo.run: trials must be positive (got %d)" trials);
   let rng = Prng.create seed in
   let k_cdf = count_cdf lethal in
   let c_cdf = component_cdf lethal in

@@ -47,44 +47,56 @@ module Config = struct
 
   let default = default_config
 
+  (* Every range rule, applied by [make] and by the setters of the values
+     it covers; [fn] names the caller in the message. *)
+  let check fn c =
+    let invalid fmt =
+      Printf.ksprintf (fun m -> invalid_arg ("Config." ^ fn ^ ": " ^ m)) fmt
+    in
+    if not (c.epsilon > 0.0 && c.epsilon < 1.0) then
+      invalid "epsilon must lie in (0, 1) (got %g)" c.epsilon;
+    if c.node_limit < 1 then
+      invalid "node_limit must be >= 1 (got %d)" c.node_limit;
+    (match c.cpu_limit with
+    | Some s when not (Float.is_finite s && s > 0.0) ->
+        invalid "cpu_limit must be positive and finite (got %g)" s
+    | _ -> ());
+    if c.par_domains < 1 then
+      invalid "par_domains must be >= 1 (got %d)" c.par_domains;
+    if c.cache_bits < 1 || c.cache_bits > 28 then
+      invalid "cache_bits must be in 1..28 (got %d)" c.cache_bits;
+    c
+
   let make ?(epsilon = default.epsilon) ?(mv_order = default.mv_order)
       ?(bit_order = default.bit_order) ?(node_limit = default.node_limit)
       ?(gc_threshold = default.gc_threshold) ?(cache_bits = default.cache_bits)
       ?cpu_limit ?(reorder = default.reorder)
       ?(par_domains = default.par_domains) ?par_runner () =
-    if par_domains < 1 then
-      invalid_arg "Config.make: par_domains must be >= 1";
-    if cache_bits < 1 || cache_bits > 28 then
-      invalid_arg "Config.make: cache_bits must be in 1..28";
-    {
-      epsilon;
-      mv_order;
-      bit_order;
-      node_limit;
-      gc_threshold;
-      cache_bits;
-      cpu_limit;
-      reorder;
-      par_domains;
-      par_runner;
-    }
+    check "make"
+      {
+        epsilon;
+        mv_order;
+        bit_order;
+        node_limit;
+        gc_threshold;
+        cache_bits;
+        cpu_limit;
+        reorder;
+        par_domains;
+        par_runner;
+      }
 
-  let with_epsilon epsilon c = { c with epsilon }
+  let with_epsilon epsilon c = check "with_epsilon" { c with epsilon }
   let with_mv_order mv_order c = { c with mv_order }
   let with_bit_order bit_order c = { c with bit_order }
-  let with_node_limit node_limit c = { c with node_limit }
+  let with_node_limit node_limit c = check "with_node_limit" { c with node_limit }
   let with_gc_threshold gc_threshold c = { c with gc_threshold }
-  let with_cache_bits cache_bits c =
-    if cache_bits < 1 || cache_bits > 28 then
-      invalid_arg "Config.with_cache_bits: cache_bits must be in 1..28";
-    { c with cache_bits }
-  let with_cpu_limit cpu_limit c = { c with cpu_limit }
+  let with_cache_bits cache_bits c = check "with_cache_bits" { c with cache_bits }
+  let with_cpu_limit cpu_limit c = check "with_cpu_limit" { c with cpu_limit }
   let with_reorder reorder c = { c with reorder }
 
   let with_par_domains par_domains c =
-    if par_domains < 1 then
-      invalid_arg "Config.with_par_domains: par_domains must be >= 1";
-    { c with par_domains }
+    check "with_par_domains" { c with par_domains }
 
   let with_par_runner par_runner c = { c with par_runner }
 end

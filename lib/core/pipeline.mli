@@ -99,19 +99,28 @@ module Config : sig
     ?par_runner:Socy_bdd.Par.runner ->
     unit ->
     t
-  (** Raises [Invalid_argument] if [par_domains < 1] or [cache_bits] is
-      outside 1–28. *)
+  (** Raises [Invalid_argument], naming the value, if [epsilon] is outside
+      (0, 1), [node_limit < 1], [cpu_limit] is not positive and finite,
+      [par_domains < 1] or [cache_bits] is outside 1–28. Every front end
+      builds its configuration here, so these are the only range checks
+      on these values. *)
 
   val with_epsilon : float -> t -> t
+  (** Raises [Invalid_argument] if the argument is outside (0, 1). *)
+
   val with_mv_order : Socy_order.Scheme.mv_order -> t -> t
   val with_bit_order : Socy_order.Scheme.bit_order -> t -> t
+
   val with_node_limit : int -> t -> t
+  (** Raises [Invalid_argument] if the argument is [< 1]. *)
+
   val with_gc_threshold : int -> t -> t
   val with_cache_bits : int -> t -> t
   (** Raises [Invalid_argument] if the argument is outside 1–28. *)
 
   val with_cpu_limit : float option -> t -> t
-  (** Takes the option so a budget can also be cleared. *)
+  (** Takes the option so a budget can also be cleared. Raises
+      [Invalid_argument] if the budget is not positive and finite. *)
 
   val with_reorder : bool -> t -> t
 

@@ -10,8 +10,14 @@ type kind =
 and t = { kind : kind; name : string }
 
 let negative_binomial ~mean ~alpha =
-  if mean <= 0.0 || alpha <= 0.0 then
-    invalid_arg "Distribution.negative_binomial: mean and alpha must be positive";
+  (* [x <= 0.0] alone would let NaN and +inf through. *)
+  let valid x = Float.is_finite x && x > 0.0 in
+  if not (valid mean && valid alpha) then
+    invalid_arg
+      (Printf.sprintf
+         "Distribution.negative_binomial: mean and alpha must be positive and \
+          finite (got mean=%g, alpha=%g)"
+         mean alpha);
   {
     kind = Neg_binomial { mean; alpha };
     name = Printf.sprintf "negbin(mean=%g, alpha=%g)" mean alpha;
@@ -174,6 +180,10 @@ let rec lethal d ~p_lethal =
 
 let truncation_point d ~epsilon =
   if epsilon <= 0.0 then invalid_arg "Distribution.truncation_point: epsilon must be positive";
+  if not (Float.is_finite epsilon) then
+    invalid_arg
+      (Printf.sprintf "Distribution.truncation_point: epsilon must be finite (got %g)"
+         epsilon);
   let rec loop m mass =
     let mass = mass +. pmf d m in
     if mass >= 1.0 -. epsilon then m

@@ -13,8 +13,8 @@ type t
 (** {1 Constructors} *)
 
 (** [negative_binomial ~mean ~alpha] — Eq. (2): pmf
-    Q_k = Γ(α+k)/(k!Γ(α)) · (λ/α)^k / (1+λ/α)^(α+k). Requires mean > 0,
-    alpha > 0. *)
+    Q_k = Γ(α+k)/(k!Γ(α)) · (λ/α)^k / (1+λ/α)^(α+k). Raises
+    [Invalid_argument] unless mean and alpha are positive and finite. *)
 val negative_binomial : mean:float -> alpha:float -> t
 
 (** [poisson ~mean] — the α → ∞ limit of the negative binomial. *)
@@ -81,7 +81,8 @@ val lethal_generic : t -> p_lethal:float -> tol:float -> t
 
 (** [truncation_point d ~epsilon] is M = min{m : Σ_{k≤m} pmf k ≥ 1 − ε},
     the number of (lethal) defects the method analyzes for an absolute
-    yield error ≤ ε. Raises [Failure] if not reached within 100000 terms. *)
+    yield error ≤ ε. Raises [Invalid_argument] unless ε is positive and
+    finite, and [Failure] if M is not reached within 100000 terms. *)
 val truncation_point : t -> epsilon:float -> int
 
 (** [sampler d ~max_k] is a cdf table usable with {!Socy_util.Prng.categorical}

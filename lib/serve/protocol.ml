@@ -393,8 +393,8 @@ let resolve q =
       | circuit ->
           let c = circuit.C.num_inputs in
           if c = 0 then Error "fault tree references no component"
-          else if not (Float.is_finite q.p_lethal) || q.p_lethal <= 0.0 then
-            Error "p_lethal must be positive"
+          else if not (q.p_lethal > 0.0 && q.p_lethal <= 1.0) then
+            Error (Printf.sprintf "p_lethal must lie in (0, 1] (got %g)" q.p_lethal)
           else
             let* model = model_of (Array.make c (q.p_lethal /. float_of_int c)) in
             let names = Array.init c (fun i -> Printf.sprintf "x%d" i) in

@@ -177,7 +177,11 @@ type resolved = {
 
 (** [resolve q] builds the circuit and model, or a message for an
     [`Invalid_request] reply (unknown benchmark, syntax error, no
-    components, invalid model parameters). *)
+    components, a fault tree's [p_lethal] outside (0, 1], or whatever
+    {!Socy_defects.Distribution.negative_binomial} and
+    {!Socy_defects.Model.create} reject). Every front end resolves its
+    input here: the daemon, [socyield eval] and the other one-shot
+    commands. *)
 val resolve : query -> (resolved, string) result
 
 (** [cache_key ~meth ~resolved q] is the cross-request cache key: an MD5

@@ -279,13 +279,7 @@ let stage_times_field times =
 
 (* Returns the cacheable outcome plus non-cached metadata (stage times,
    peak node counts) that only the slow-query log consumes. *)
-let compute meth (resolved : Proto.resolved) (q : Proto.query) ~node_limit
-    ~cpu_limit ~par_domains ~par_runner =
-  let pconfig =
-    P.Config.make ~epsilon:q.Proto.epsilon ~mv_order:q.Proto.mv_order
-      ~bit_order:q.Proto.bit_order ~node_limit ?cpu_limit
-      ~reorder:q.Proto.reorder ~par_domains ?par_runner ()
-  in
+let compute meth (resolved : Proto.resolved) pconfig =
   match meth with
   | Proto.Eval -> (
       match P.run ~config:pconfig resolved.Proto.circuit resolved.Proto.model with
@@ -357,162 +351,156 @@ let log_reject code msg details =
 
 let eval_reply t (req : Proto.request) ~t0 =
   let q = Option.get req.Proto.query in
-  match Proto.resolve q with
-  | Error msg ->
-      log_reject Proto.Invalid_request msg [];
-      Proto.error_response ~id:req.Proto.id Proto.Invalid_request msg
-  | Ok resolved -> (
-      let node_limit =
-        Option.value q.Proto.node_limit ~default:t.cfg.default_node_limit
-      in
-      let cpu_limit =
-        match q.Proto.cpu_limit with
-        | None -> t.cfg.default_cpu_limit
-        | Some _ as s -> s
-      in
-      let over_cpu_cap =
-        match (cpu_limit, t.cfg.max_cpu_limit) with
-        | Some c, Some cap -> c > cap
-        | _ -> false
-      in
-      if node_limit > t.cfg.max_node_limit then begin
-        let msg =
-          Printf.sprintf "node_limit %d exceeds the server cap %d" node_limit
-            t.cfg.max_node_limit
-        in
-        let details =
+  let reject ?(details = []) code msg =
+    log_reject code msg details;
+    Proto.error_response ~id:req.Proto.id ~details code msg
+  in
+  let node_limit =
+    Option.value q.Proto.node_limit ~default:t.cfg.default_node_limit
+  in
+  let cpu_limit =
+    match q.Proto.cpu_limit with
+    | None -> t.cfg.default_cpu_limit
+    | Some _ as s -> s
+  in
+  let over_cpu_cap =
+    match (cpu_limit, t.cfg.max_cpu_limit) with
+    | Some c, Some cap -> c > cap
+    | _ -> false
+  in
+  (* Effective team size: request override, else the server default;
+     reorder wins over parallelism (the sequential engine is the only one
+     that can sift), matching Pipeline's own rule, so the cache key
+     reflects the engine that actually runs. *)
+  let par_domains =
+    if q.Proto.reorder then 1
+    else Option.value q.Proto.par_domains ~default:t.cfg.default_par_domains
+  in
+  (* The config is built before the cache lookup: a value the pipeline
+     rejects (an epsilon outside (0, 1)) is the client's error, never a
+     cache entry or an executor failure. *)
+  let checked =
+    match Proto.resolve q with
+    | Error _ as e -> e
+    | Ok resolved -> (
+        match
+          P.Config.make ~epsilon:q.Proto.epsilon ~mv_order:q.Proto.mv_order
+            ~bit_order:q.Proto.bit_order ~node_limit ?cpu_limit
+            ~reorder:q.Proto.reorder ~par_domains ()
+        with
+        | pconfig -> Ok (resolved, pconfig)
+        | exception Invalid_argument msg -> Error msg)
+  in
+  match checked with
+  | Error msg -> reject Proto.Invalid_request msg
+  | Ok _ when node_limit > t.cfg.max_node_limit ->
+      reject Proto.Admission_rejected
+        ~details:
           [
             ("requested_node_limit", Json.Int node_limit);
             ("cap", Json.Int t.cfg.max_node_limit);
           ]
-        in
-        log_reject Proto.Admission_rejected msg details;
-        Proto.error_response ~id:req.Proto.id ~details Proto.Admission_rejected
-          msg
-      end
-      else if over_cpu_cap then begin
-        let msg =
-          Printf.sprintf "cpu_limit %g exceeds the server cap %g"
-            (Option.value cpu_limit ~default:0.0)
-            (Option.value t.cfg.max_cpu_limit ~default:0.0)
-        in
-        let details =
-          [
-            ( "requested_cpu_limit",
-              Json.Float (Option.value cpu_limit ~default:0.0) );
-            ("cap", Json.Float (Option.value t.cfg.max_cpu_limit ~default:0.0));
-          ]
-        in
-        log_reject Proto.Admission_rejected msg details;
-        Proto.error_response ~id:req.Proto.id ~details Proto.Admission_rejected
-          msg
-      end
-      else
-        (* Effective team size: request override, else the server default;
-           reorder wins over parallelism (the sequential engine is the
-           only one that can sift), matching Pipeline's own rule, so the
-           cache key reflects the engine that actually runs. *)
-        let par_domains =
-          if q.Proto.reorder then 1
-          else
-            Option.value q.Proto.par_domains
-              ~default:t.cfg.default_par_domains
-        in
-        let key =
-          Proto.cache_key ~meth:req.Proto.meth ~resolved ~node_limit ~cpu_limit
-            ~par_domains q
-        in
-        let finish ~cache ?(meta = []) outcome =
-          let elapsed_ms = (Obs.now () -. t0) *. 1000.0 in
-          Trace.instant "serve.request"
-            ~args:
+        (Printf.sprintf "node_limit %d exceeds the server cap %d" node_limit
+           t.cfg.max_node_limit)
+  | Ok _ when over_cpu_cap ->
+      let requested = Option.value cpu_limit ~default:0.0 in
+      let cap = Option.value t.cfg.max_cpu_limit ~default:0.0 in
+      reject Proto.Admission_rejected
+        ~details:
+          [ ("requested_cpu_limit", Json.Float requested); ("cap", Json.Float cap) ]
+        (Printf.sprintf "cpu_limit %g exceeds the server cap %g" requested cap)
+  | Ok (resolved, pconfig) -> (
+      let key =
+        Proto.cache_key ~meth:req.Proto.meth ~resolved ~node_limit ~cpu_limit
+          ~par_domains q
+      in
+      let finish ~cache ?(meta = []) outcome =
+        let elapsed_ms = (Obs.now () -. t0) *. 1000.0 in
+        Trace.instant "serve.request"
+          ~args:
+            [
+              ("method", Json.String (Proto.meth_name req.Proto.meth));
+              ("cache", Json.String cache);
+              ("ms", Json.Float elapsed_ms);
+            ];
+        if Log.enabled_for Log.Info then
+          Log.info "serve.request"
+            ~fields:
               [
                 ("method", Json.String (Proto.meth_name req.Proto.meth));
                 ("cache", Json.String cache);
                 ("ms", Json.Float elapsed_ms);
-              ];
-          if Log.enabled_for Log.Info then
-            Log.info "serve.request"
+              ]
+            (Printf.sprintf "%s (%s) in %.1f ms"
+               (Proto.meth_name req.Proto.meth)
+               cache elapsed_ms);
+        (* The slow-query log: everything an operator needs to explain
+           the latency without re-running — the cache-key digest (joins
+           repeat offenders), per-stage wall times, peak node counts and
+           the effective engine settings. *)
+        (match t.cfg.slow_ms with
+        | Some thresh when elapsed_ms >= thresh ->
+            Log.warn "serve.slow"
               ~fields:
-                [
-                  ("method", Json.String (Proto.meth_name req.Proto.meth));
-                  ("cache", Json.String cache);
-                  ("ms", Json.Float elapsed_ms);
-                ]
-              (Printf.sprintf "%s (%s) in %.1f ms"
+                ([
+                   ("method", Json.String (Proto.meth_name req.Proto.meth));
+                   ("cache", Json.String cache);
+                   ("ms", Json.Float elapsed_ms);
+                   ("threshold_ms", Json.Float thresh);
+                   ("key", Json.String key);
+                   ("node_limit", Json.Int node_limit);
+                   ("reorder", Json.Bool q.Proto.reorder);
+                   ("par_domains", Json.Int par_domains);
+                 ]
+                @ meta)
+              (Printf.sprintf "slow request: %s took %.1f ms (threshold %g)"
                  (Proto.meth_name req.Proto.meth)
-                 cache elapsed_ms);
-          (* The slow-query log: everything an operator needs to explain
-             the latency without re-running — the cache-key digest (joins
-             repeat offenders), per-stage wall times, peak node counts and
-             the effective engine settings. *)
-          (match t.cfg.slow_ms with
-          | Some thresh when elapsed_ms >= thresh ->
-              Log.warn "serve.slow"
-                ~fields:
-                  ([
-                     ("method", Json.String (Proto.meth_name req.Proto.meth));
-                     ("cache", Json.String cache);
-                     ("ms", Json.Float elapsed_ms);
-                     ("threshold_ms", Json.Float thresh);
-                     ("key", Json.String key);
-                     ("node_limit", Json.Int node_limit);
-                     ("reorder", Json.Bool q.Proto.reorder);
-                     ("par_domains", Json.Int par_domains);
-                   ]
-                  @ meta)
-                (Printf.sprintf "slow request: %s took %.1f ms (threshold %g)"
-                   (Proto.meth_name req.Proto.meth)
-                   elapsed_ms thresh)
-          | _ -> ());
-          reply_of_outcome ~cache ~elapsed_ms req.Proto.id outcome
-        in
-        match Cache.find t.cache key with
-        | Some outcome -> finish ~cache:"hit" outcome
-        | None ->
-            if Pool.Executor.in_flight t.executor >= t.cfg.max_inflight then begin
-              let msg =
-                Printf.sprintf
-                  "server is saturated (%d runs in flight, max %d) — retry later"
-                  (Pool.Executor.in_flight t.executor)
-                  t.cfg.max_inflight
-              in
-              let details = [ ("max_inflight", Json.Int t.cfg.max_inflight) ] in
-              log_reject Proto.Admission_rejected msg details;
-              Proto.error_response ~id:req.Proto.id ~details
-                Proto.Admission_rejected msg
-            end
-            else (
-              Obs.set inflight_gauge
-                (float_of_int (Pool.Executor.in_flight t.executor + 1));
-              (* Intra-problem parallelism reuses the same executor
-                 domains ([parallel_tasks] claim-drains with the running
-                 request participating, so saturation cannot deadlock) —
-                 no second domain team is ever spawned by the daemon. *)
-              let par_runner =
-                if par_domains > 1 then
-                  Some (Pool.Executor.parallel_tasks t.executor)
-                else None
-              in
-              match
-                Pool.Executor.run t.executor (fun () ->
-                    compute req.Proto.meth resolved q ~node_limit ~cpu_limit
-                      ~par_domains ~par_runner)
-              with
-              | outcome, meta ->
-                  Obs.set inflight_gauge
-                    (float_of_int (Pool.Executor.in_flight t.executor));
-                  (* Deterministic outcomes are cached; CPU-budget failures
-                     depend on machine load, so a retry may succeed. *)
-                  (match outcome with
-                  | Payload _ | Failed (P.Node_budget _) -> Cache.add t.cache key outcome
-                  | Failed (P.Cpu_budget _ | P.Batch_cancelled) -> ());
-                  finish ~cache:"miss" ~meta outcome
-              | exception e ->
-                  Obs.set inflight_gauge
-                    (float_of_int (Pool.Executor.in_flight t.executor));
-                  Proto.error_response ~id:req.Proto.id Proto.Internal
-                    (Printexc.to_string e)))
+                 elapsed_ms thresh)
+        | _ -> ());
+        reply_of_outcome ~cache ~elapsed_ms req.Proto.id outcome
+      in
+      match Cache.find t.cache key with
+      | Some outcome -> finish ~cache:"hit" outcome
+      | None ->
+          if Pool.Executor.in_flight t.executor >= t.cfg.max_inflight then
+            reject Proto.Admission_rejected
+              ~details:[ ("max_inflight", Json.Int t.cfg.max_inflight) ]
+              (Printf.sprintf
+                 "server is saturated (%d runs in flight, max %d) — retry later"
+                 (Pool.Executor.in_flight t.executor)
+                 t.cfg.max_inflight)
+          else (
+            Obs.set inflight_gauge
+              (float_of_int (Pool.Executor.in_flight t.executor + 1));
+            (* Intra-problem parallelism reuses the same executor
+               domains ([parallel_tasks] claim-drains with the running
+               request participating, so saturation cannot deadlock) —
+               no second domain team is ever spawned by the daemon. *)
+            let pconfig =
+              if par_domains > 1 then
+                P.Config.with_par_runner
+                  (Some (Pool.Executor.parallel_tasks t.executor))
+                  pconfig
+              else pconfig
+            in
+            match
+              Pool.Executor.run t.executor (fun () ->
+                  compute req.Proto.meth resolved pconfig)
+            with
+            | outcome, meta ->
+                Obs.set inflight_gauge
+                  (float_of_int (Pool.Executor.in_flight t.executor));
+                (* Deterministic outcomes are cached; CPU-budget failures
+                   depend on machine load, so a retry may succeed. *)
+                (match outcome with
+                | Payload _ | Failed (P.Node_budget _) -> Cache.add t.cache key outcome
+                | Failed (P.Cpu_budget _ | P.Batch_cancelled) -> ());
+                finish ~cache:"miss" ~meta outcome
+            | exception e ->
+                Obs.set inflight_gauge
+                  (float_of_int (Pool.Executor.in_flight t.executor));
+                Proto.error_response ~id:req.Proto.id Proto.Internal
+                  (Printexc.to_string e)))
 
 (* ------------------------------------------------------------------ *)
 (* Request dispatch                                                    *)

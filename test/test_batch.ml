@@ -250,15 +250,43 @@ let test_config_builder () =
     = c);
   Alcotest.(check bool) "cpu budget clearable" true
     ((c |> P.Config.with_cpu_limit None).P.cpu_limit = None);
+  (* Each out-of-range value is rejected by [make] and by its setter. *)
+  let rejected what make set =
+    List.iter
+      (fun (via, f) ->
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | (_ : P.config) -> Alcotest.failf "%s: %s accepted" via what)
+      [ ("make", make); ("with_*", fun () -> set P.Config.default) ]
+  in
   List.iter
     (fun bits ->
-      (match P.Config.make ~cache_bits:bits () with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "make: cache_bits = %d accepted" bits);
-      match P.Config.with_cache_bits bits P.Config.default with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "with_cache_bits: cache_bits = %d accepted" bits)
-    [ -1; 0; 29; 63 ]
+      rejected
+        (Printf.sprintf "cache_bits = %d" bits)
+        (fun () -> P.Config.make ~cache_bits:bits ())
+        (P.Config.with_cache_bits bits))
+    [ -1; 0; 29; 63 ];
+  List.iter
+    (fun e ->
+      rejected
+        (Printf.sprintf "epsilon = %g" e)
+        (fun () -> P.Config.make ~epsilon:e ())
+        (P.Config.with_epsilon e))
+    [ 0.0; 1.0; 2.0; -1e-3; nan ];
+  List.iter
+    (fun n ->
+      rejected
+        (Printf.sprintf "node_limit = %d" n)
+        (fun () -> P.Config.make ~node_limit:n ())
+        (P.Config.with_node_limit n))
+    [ 0; -5 ];
+  List.iter
+    (fun s ->
+      rejected
+        (Printf.sprintf "cpu_limit = Some %g" s)
+        (fun () -> P.Config.make ~cpu_limit:s ())
+        (P.Config.with_cpu_limit (Some s)))
+    [ 0.0; -1.0; nan; infinity ]
 
 let () =
   Alcotest.run "socy_batch"

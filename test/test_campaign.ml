@@ -421,6 +421,7 @@ let test_validate_rejects_values () =
   rejected "epsilon one" { g with Campaign.epsilons = [ 1e-3; 1.0 ] };
   rejected "nan epsilon" { g with Campaign.epsilons = [ nan ] };
   rejected "node limit 0" { g with Campaign.node_limit = 0 };
+  rejected "par_domains 0" { g with Campaign.par_domains = 0 };
   rejected "zero cpu limit" { g with Campaign.cpu_limit = Some 0.0 };
   rejected "negative cpu limit" { g with Campaign.cpu_limit = Some (-1.0) };
   rejected "unknown benchmark" { g with Campaign.benchmarks = [ "MS2"; "XX" ] };

@@ -11,6 +11,12 @@ let check_float ?(eps = 1e-9) msg expected actual =
 let total_mass d ~upto =
   Array.fold_left ( +. ) 0.0 (D.pmf_array d ~upto)
 
+(* Any [Invalid_argument]: the messages name the rejected value. *)
+let check_invalid msg f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: accepted" msg
+
 let numeric_mean d ~upto =
   let q = D.pmf_array d ~upto in
   let acc = ref 0.0 in
@@ -22,7 +28,16 @@ let test_negbin_pmf () =
   check_float ~eps:1e-12 "Q_0" (1.25 ** -4.0) (D.pmf d 0);
   check_float ~eps:1e-9 "mass" 1.0 (total_mass d ~upto:200);
   check_float ~eps:1e-9 "mean" 1.0 (numeric_mean d ~upto:200);
-  Alcotest.(check bool) "negative k" true (D.pmf d (-1) = 0.0)
+  Alcotest.(check bool) "negative k" true (D.pmf d (-1) = 0.0);
+  List.iter
+    (fun (mean, alpha) ->
+      check_invalid
+        (Printf.sprintf "mean=%g alpha=%g" mean alpha)
+        (fun () -> D.negative_binomial ~mean ~alpha))
+    [
+      (0.0, 4.0); (-1.0, 4.0); (1.0, 0.0); (nan, 4.0); (infinity, 4.0);
+      (1.0, nan); (1.0, infinity);
+    ]
 
 let test_negbin_variance_clustering () =
   let var d upto mean =
@@ -183,7 +198,13 @@ let test_truncation_definition () =
   Alcotest.(check int) "eps tiny" 3 (D.truncation_point d ~epsilon:1e-9);
   Alcotest.check_raises "bad epsilon"
     (Invalid_argument "Distribution.truncation_point: epsilon must be positive")
-    (fun () -> ignore (D.truncation_point d ~epsilon:0.0))
+    (fun () -> ignore (D.truncation_point d ~epsilon:0.0));
+  List.iter
+    (fun epsilon ->
+      check_invalid
+        (Printf.sprintf "epsilon=%g" epsilon)
+        (fun () -> D.truncation_point d ~epsilon))
+    [ nan; infinity ]
 
 let test_truncation_guarantee () =
   List.iter

@@ -390,13 +390,36 @@ let test_admission_rejection () =
           | Json.Int 0 -> ()
           | _ -> Alcotest.fail "rejected request must not populate the cache"))
 
+(* An epsilon outside (0, 1) is rejected by the pipeline config, which
+   the daemon builds before the cache lookup: it never reaches the
+   executor or the cache. *)
 let test_invalid_query () =
   with_server (fun path _server ->
       with_client path (fun c ->
-          let q = { base_query with Proto.source = Proto.Benchmark "NOPE" } in
-          let reply = roundtrip c (request Proto.Eval (Some q)) in
-          Alcotest.(check string) "code" "invalid-request"
-            (str_at [ "error"; "code" ] reply)))
+          let cache_size () =
+            match
+              member_exn [ "result"; "cache"; "size" ]
+                (roundtrip c (request Proto.Stats None))
+            with
+            | Json.Int n -> n
+            | _ -> Alcotest.fail "cache size not an int"
+          in
+          let before = cache_size () in
+          List.iter
+            (fun (what, q) ->
+              let reply = roundtrip c (request Proto.Eval (Some q)) in
+              Alcotest.(check string) (what ^ ": code") "invalid-request"
+                (str_at [ "error"; "code" ] reply))
+            [
+              ( "unknown benchmark",
+                { base_query with Proto.source = Proto.Benchmark "NOPE" } );
+              ("epsilon 0", { base_query with Proto.epsilon = 0.0 });
+              ("epsilon 1", { base_query with Proto.epsilon = 1.0 });
+              ("epsilon 2", { base_query with Proto.epsilon = 2.0 });
+            ];
+          Alcotest.(check int) "cache size unchanged" before (cache_size ());
+          Alcotest.(check string) "health still answers" "ok"
+            (str_at [ "status" ] (roundtrip c (request Proto.Health None)))))
 
 (* Four clients, two distinct queries, two worker domains: every client
    of one query sees the same bytes. *)
