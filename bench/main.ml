@@ -360,7 +360,7 @@ let table4 mode =
           let peak =
             match f with
             | P.Node_budget { peak; _ } -> Text_table.group_thousands peak
-            | P.Cpu_budget _ | P.Batch_cancelled -> "-"
+            | P.Cpu_budget _ -> "-"
           in
           Text_table.add_row t [ label; "-"; "-"; peak; "-"; "-"; "-" ]);
       pf "  ... %s done\n%!" label)

@@ -109,7 +109,7 @@ let eval_cmd =
     warn_par_fallback ~reorder:q.Proto.reorder par_domains;
     if metrics <> None || trace_out <> None then Obs.set_enabled true;
     let source = source_name q in
-    match P.run ~config circuit model with
+    match Cli_terms.checked (fun () -> P.run ~config circuit model) with
     | Error f ->
         (match metrics with
         | Some `Json ->
@@ -587,7 +587,7 @@ let orders_cmd =
       (fun mv ->
         let config = P.Config.with_mv_order mv config in
         let cells =
-          match P.run_lethal ~config circuit lethal with
+          match Cli_terms.checked (fun () -> P.run_lethal ~config circuit lethal) with
           | Ok r ->
               [
                 Text_table.group_thousands r.P.romdd_size;
@@ -646,12 +646,16 @@ let dot_cmd =
     | `Ft -> print_string (C.to_dot circuit)
     | `G ->
         let m =
-          Model.truncation (Model.to_lethal model) ~epsilon:config.P.epsilon
+          Cli_terms.checked (fun () ->
+              Model.truncation (Model.to_lethal model) ~epsilon:config.P.epsilon)
         in
         let problem = Socy_encode.Problem.build circuit ~m in
         print_string (C.to_dot problem.Socy_encode.Problem.circuit)
     | `Romdd -> (
-        match P.Artifacts.build ~config circuit (Model.to_lethal model) with
+        match
+          Cli_terms.checked (fun () ->
+              P.Artifacts.build ~config circuit (Model.to_lethal model))
+        with
         | Error f ->
             prerr_endline ("failed — " ^ P.failure_to_string f);
             exit 1
@@ -791,37 +795,20 @@ let serve_cmd =
   let run socket domains cache_capacity max_inflight node_limit max_node_limit
       cpu_limit max_cpu_limit par_domains force slow_ms log_level log_file
       log_max_bytes metrics_file metrics_interval trace_out =
-    (* Out-of-range flags die with a one-line usage error before any
-       socket exists — never as an uncaught Invalid_argument from deeper
-       layers with the listener already bound. *)
-    let usage_fail fmt =
-      Printf.ksprintf
-        (fun msg ->
-          Printf.eprintf "socyield serve: %s\n" msg;
-          exit 2)
-        fmt
+    (* Every out-of-range server setting is Server.config's to reject:
+       one usage error line, before the log file or the socket exists.
+       The --log-* flags configure Log, so they are checked here. *)
+    let cfg =
+      Cli_terms.checked (fun () ->
+          Server.config ?domains ~cache_capacity ?max_inflight
+            ~default_node_limit:node_limit ?max_node_limit
+            ?default_cpu_limit:cpu_limit ?max_cpu_limit
+            ~default_par_domains:par_domains ~unlink_existing:force ?slow_ms
+            ?metrics_file ~metrics_interval ~socket_path:socket ())
     in
-    let positive_int name = function
-      | Some n when n < 1 -> usage_fail "%s must be at least 1 (got %d)" name n
-      | _ -> ()
-    in
-    let positive_float name = function
-      | Some s when (not (Float.is_finite s)) || s <= 0.0 ->
-          usage_fail "%s must be a positive finite number (got %g)" name s
-      | _ -> ()
-    in
-    positive_int "--domains" domains;
-    positive_int "--cache-capacity" (Some cache_capacity);
-    positive_int "--max-inflight" max_inflight;
-    positive_int "--node-limit" (Some node_limit);
-    positive_int "--max-node-limit" max_node_limit;
-    positive_float "--cpu-limit" cpu_limit;
-    positive_float "--max-cpu-limit" max_cpu_limit;
-    positive_int "--par-domains" (Some par_domains);
-    positive_float "--slow-ms"
-      (match slow_ms with Some 0.0 -> None | s -> s);
-    positive_float "--metrics-interval" (Some metrics_interval);
-    positive_int "--log-max-bytes" (Some log_max_bytes);
+    if log_max_bytes < 1 then
+      Cli_terms.usage_error "--log-max-bytes must be at least 1 (got %d)"
+        log_max_bytes;
     (* The daemon always meters itself: the metrics endpoint, --metrics-file
        and `socyield top` are useless against an empty registry, and the
        accept/dispatch path is not the benchmarked pipeline hot loop. *)
@@ -833,21 +820,15 @@ let serve_cmd =
       | Some name -> (
           match Log.level_of_name name with
           | Some _ as l -> l
-          | None -> usage_fail "unknown --log-level %S" name)
+          | None -> Cli_terms.usage_error "unknown --log-level %S" name)
     in
     Log.set_level level;
     (match log_file with
     | None -> ()
     | Some path -> (
         try Log.open_file ~max_bytes:log_max_bytes path
-        with Sys_error msg -> usage_fail "cannot open --log-file: %s" msg));
-    let cfg =
-      Server.config ?domains ~cache_capacity ?max_inflight
-        ~default_node_limit:node_limit ?max_node_limit
-        ?default_cpu_limit:cpu_limit ?max_cpu_limit
-        ~default_par_domains:par_domains ~unlink_existing:force ?slow_ms
-        ?metrics_file ~metrics_interval ~socket_path:socket ()
-    in
+        with Sys_error msg ->
+          Cli_terms.usage_error "cannot open --log-file: %s" msg));
     match Server.create cfg with
     | exception Failure msg ->
         prerr_endline msg;

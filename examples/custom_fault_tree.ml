@@ -68,7 +68,11 @@ let () =
   Array.iteri (fun k y -> Printf.printf "  k = %d: %.4f\n" k y) per_k;
 
   (* Importance: hardening which component buys the most yield? *)
-  let gains = Socy_core.Importance.yield_gain ~names:component_names fault_tree model in
+  let gains =
+    match Socy_core.Importance.yield_gain ~names:component_names fault_tree model with
+    | Ok (_, entries) -> entries
+    | Error f -> failwith (P.failure_to_string f)
+  in
   print_endline "top yield gains from hardening one component:";
   List.iteri
     (fun i e ->

@@ -76,8 +76,12 @@ let () =
     Model.create (D.negative_binomial ~mean:10.0 ~alpha:S.alpha) instance.S.affect
   in
   let gains =
-    Socy_core.Importance.yield_gain ~names:instance.S.component_names
-      instance.S.circuit model
+    match
+      Socy_core.Importance.yield_gain ~names:instance.S.component_names
+        instance.S.circuit model
+    with
+    | Ok (_, entries) -> entries
+    | Error f -> failwith (P.failure_to_string f)
   in
   (* top five *)
   List.iteri

@@ -43,8 +43,12 @@ let () =
 
   (* 5. Which component should be hardened first? *)
   let gains =
-    Socy_core.Importance.yield_gain ~names:[| "core A"; "core B"; "memory" |]
-      fault_tree model
+    match
+      Socy_core.Importance.yield_gain ~names:[| "core A"; "core B"; "memory" |]
+        fault_tree model
+    with
+    | Ok (_, entries) -> entries
+    | Error f -> failwith (P.failure_to_string f)
   in
   print_endline "yield gain if a component were made defect-immune:";
   List.iter

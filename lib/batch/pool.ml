@@ -7,51 +7,21 @@ type 'a outcome = Done of 'a | Failed of exn | Cancelled
 
 let default_domains () = Domain.recommended_domain_count ()
 
-(* Chunked work queue: the submitting domain produces [lo, hi) index
-   ranges, workers consume them. The condition variable wakes workers that
-   outran the producer; [close] broadcasts so everyone drains and exits. *)
-type queue = {
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  chunks : (int * int) Queue.t;
-  mutable closed : bool;
-}
-
-let queue_create () =
-  {
-    mutex = Mutex.create ();
-    nonempty = Condition.create ();
-    chunks = Queue.create ();
-    closed = false;
-  }
-
-let enqueue q chunk =
-  Mutex.lock q.mutex;
-  Queue.push chunk q.chunks;
-  Condition.signal q.nonempty;
-  Mutex.unlock q.mutex
-
-let close q =
-  Mutex.lock q.mutex;
-  q.closed <- true;
-  Condition.broadcast q.nonempty;
-  Mutex.unlock q.mutex
-
-let pop q =
-  Mutex.lock q.mutex;
-  let rec take () =
-    match Queue.take_opt q.chunks with
-    | Some chunk -> Some chunk
-    | None ->
-        if q.closed then None
-        else begin
-          Condition.wait q.nonempty q.mutex;
-          take ()
-        end
+(* The claim loop both schedulers share: take the next index in [0, n)
+   from [next] with one fetch-and-add and run [work] on it, until the
+   counter is spent. Any number of domains may run it on one counter;
+   each index goes to exactly one of them. Returns how many indices this
+   caller ran. *)
+let claim_loop next n work =
+  let rec go did =
+    let i = Atomic.fetch_and_add next 1 in
+    if i >= n then did
+    else begin
+      work i;
+      go (did + 1)
+    end
   in
-  let r = take () in
-  Mutex.unlock q.mutex;
-  r
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Persistent executor                                                 *)
@@ -124,6 +94,26 @@ module Executor = struct
     Mutex.unlock t.mutex;
     n
 
+  (* Queue [task] for the workers. The task calls [settle] once its work
+     is done, before it wakes anyone, so a woken caller never counts its
+     own run as in flight. *)
+  let submit t ~caller task =
+    Mutex.lock t.mutex;
+    if t.closed then begin
+      Mutex.unlock t.mutex;
+      invalid_arg ("Executor." ^ caller ^ ": executor is shut down")
+    end;
+    t.live <- t.live + 1;
+    Queue.push task t.tasks;
+    Condition.signal t.nonempty;
+    Mutex.unlock t.mutex;
+    Obs.incr tasks_counter
+
+  let settle t =
+    Mutex.lock t.mutex;
+    t.live <- t.live - 1;
+    Mutex.unlock t.mutex
+
   let run t f =
     (* Each submission carries its own result cell; the worker fills it
        and signals, the caller sleeps on it. Exceptions travel in the
@@ -135,26 +125,13 @@ module Executor = struct
     let cell_mutex = Mutex.create () in
     let cell_done = Condition.create () in
     let result = ref None in
-    let task () =
-      let r = (try Ok (Ctx.with_restored ctx f) with e -> Error e) in
-      Mutex.lock t.mutex;
-      t.live <- t.live - 1;
-      Mutex.unlock t.mutex;
-      Mutex.lock cell_mutex;
-      result := Some r;
-      Condition.signal cell_done;
-      Mutex.unlock cell_mutex
-    in
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Executor.run: executor is shut down"
-    end;
-    t.live <- t.live + 1;
-    Queue.push task t.tasks;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.mutex;
-    Obs.incr tasks_counter;
+    submit t ~caller:"run" (fun () ->
+        let r = (try Ok (Ctx.with_restored ctx f) with e -> Error e) in
+        settle t;
+        Mutex.lock cell_mutex;
+        result := Some r;
+        Condition.signal cell_done;
+        Mutex.unlock cell_mutex);
     Mutex.lock cell_mutex;
     while Option.is_none !result do
       Condition.wait cell_done cell_mutex
@@ -165,34 +142,13 @@ module Executor = struct
     | Some (Error e) -> raise e
     | None -> assert false
 
-  let run_detached t f =
-    let ctx = Ctx.get () in
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Executor.run_detached: executor is shut down"
-    end;
-    t.live <- t.live + 1;
-    (* No caller waits on a detached thunk, so an exception has nowhere
-       to surface; swallow it rather than kill the worker domain. *)
-    Queue.push
-      (fun () ->
-        (try Ctx.with_restored ctx f with _ -> ());
-        Mutex.lock t.mutex;
-        t.live <- t.live - 1;
-        Mutex.unlock t.mutex)
-      t.tasks;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.mutex;
-    Obs.incr tasks_counter
-
   let parallel_tasks t tasks =
     let n = Array.length tasks in
     if n > 0 then begin
       (* Shared claim counter + caller participation: the caller drains
          the counter itself, so every task completes even when all worker
-         domains are busy with other submissions — the detached helper
-         drainers then find the counter spent and no-op. This is what lets
+         domains are busy with other submissions — the helper drainers
+         then find the counter spent and no-op. This is what lets
          [socyield serve] point {!Socy_bdd.Par.of_runner} at the batch
          executor without risking a saturation deadlock. *)
       let next = Atomic.make 0 in
@@ -206,23 +162,17 @@ module Executor = struct
       let ctx = Ctx.get () in
       let drain () =
         Ctx.with_restored ctx @@ fun () ->
-        let did = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else begin
-            (try tasks.(i) ()
-             with e ->
-               Mutex.lock cell_mutex;
-               if !failure = None then failure := Some e;
-               Mutex.unlock cell_mutex);
-            incr did
-          end
-        done;
-        if !did > 0 then begin
+        let did =
+          claim_loop next n (fun i ->
+              try tasks.(i) ()
+              with e ->
+                Mutex.lock cell_mutex;
+                if !failure = None then failure := Some e;
+                Mutex.unlock cell_mutex)
+        in
+        if did > 0 then begin
           Mutex.lock cell_mutex;
-          completed := !completed + !did;
+          completed := !completed + did;
           if !completed = n then Condition.broadcast cell_done;
           Mutex.unlock cell_mutex
         end
@@ -232,7 +182,9 @@ module Executor = struct
          caller: it drains everything itself either way. *)
       (try
          for _ = 1 to helpers do
-           run_detached t drain
+           submit t ~caller:"parallel_tasks" (fun () ->
+               drain ();
+               settle t)
          done
        with Invalid_argument _ -> ());
       drain ();
@@ -253,84 +205,63 @@ module Executor = struct
     if first then Array.iter Domain.join t.workers
 end
 
+(* ------------------------------------------------------------------ *)
+(* One-shot batches                                                    *)
+(* ------------------------------------------------------------------ *)
+
 let jobs_counter = Obs.counter "batch.jobs"
 let domains_gauge = Obs.gauge "batch.domains"
 let speedup_gauge = Obs.gauge "batch.speedup"
 
-let parallel_map ?domains ?wall_budget ?(chunk_size = 1) ?on_done f xs =
+let parallel_map ?domains ?wall_budget ?on_done f xs =
   let n = Array.length xs in
   if n = 0 then [||]
-  else begin
+  else
+    Trace.with_span "batch" @@ fun () ->
     let workers =
       let requested =
         match domains with Some d -> max 1 d | None -> default_domains ()
       in
       min requested n
     in
-    let chunk_size = max 1 chunk_size in
     let deadline =
       match wall_budget with
       | None -> infinity
       | Some s -> Obs.now () +. s
     in
     let t0 = Obs.now () in
-    (* Slot [i] belongs to exactly one worker (the one that claimed the
-       chunk containing [i]), so plain array writes race with nothing; the
-       final Domain.join publishes them to the submitter. *)
+    (* Slot [i] belongs to the one worker that claimed [i], so plain array
+       writes race with nothing; the final Domain.join publishes them to
+       the caller. *)
     let results = Array.make n Cancelled in
-    (* Per-worker seconds spent running jobs (queue waits excluded); the
-       speedup gauge is Σ busy / wall. Each worker owns its own slot. *)
+    (* Per-worker seconds spent running jobs; the speedup gauge is
+       Σ busy / wall. Each worker owns its own slot. *)
     let busy = Array.make workers 0.0 in
-    let run_one i =
-      (if Obs.now () > deadline then begin
-         results.(i) <- Cancelled;
-         Trace.instant "batch.cancelled" ~args:[ ("index", Json.Int i) ]
-       end
-       else
-         Trace.with_span "batch.job"
-           ~args:[ ("index", Json.Int i) ]
-           (fun () ->
-             match f xs.(i) with
-             | y -> results.(i) <- Done y
-             | exception e -> results.(i) <- Failed e));
-      match on_done with None -> () | Some g -> g i results.(i)
+    let next = Atomic.make 0 in
+    let run_one w i =
+      let s0 = Obs.now () in
+      if s0 > deadline then
+        Trace.instant "batch.cancelled" ~args:[ ("index", Json.Int i) ]
+      else
+        Trace.with_span "batch.job"
+          ~args:[ ("index", Json.Int i) ]
+          (fun () ->
+            match f xs.(i) with
+            | y -> results.(i) <- Done y
+            | exception e -> results.(i) <- Failed e);
+      Option.iter (fun g -> g i results.(i)) on_done;
+      busy.(w) <- busy.(w) +. (Obs.now () -. s0)
     in
-    let q = queue_create () in
+    (* [Trace.with_span] = timeline event pair on this worker's domain
+       row + the batch/batch.worker-k Obs aggregate. *)
     let worker w () =
-      (* [Trace.with_span] = timeline event pair on this worker's domain
-         row + the existing batch/batch.worker-k Obs aggregate. The
-         dequeue span makes idle gaps (waiting on the condition variable)
-         visible as time not spent inside batch.job. *)
       Trace.with_span
         (Printf.sprintf "batch.worker-%d" w)
-        (fun () ->
-          let rec loop () =
-            match Trace.with_span "batch.dequeue" (fun () -> pop q) with
-            | None -> ()
-            | Some (lo, hi) ->
-                let s0 = Obs.now () in
-                for i = lo to hi - 1 do
-                  run_one i
-                done;
-                busy.(w) <- busy.(w) +. (Obs.now () -. s0);
-                Trace.instant "batch.chunk-done"
-                  ~args:[ ("lo", Json.Int lo); ("hi", Json.Int hi) ];
-                loop ()
-          in
-          loop ())
+        (fun () -> ignore (claim_loop next n (run_one w)))
     in
     let spawned =
       Array.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1)))
     in
-    let rec feed lo =
-      if lo < n then begin
-        let hi = min n (lo + chunk_size) in
-        enqueue q (lo, hi);
-        feed hi
-      end
-    in
-    feed 0;
-    close q;
     worker 0 ();
     Array.iter Domain.join spawned;
     let wall = Obs.now () -. t0 in
@@ -339,4 +270,3 @@ let parallel_map ?domains ?wall_budget ?(chunk_size = 1) ?on_done f xs =
     if wall > 0.0 then
       Obs.set speedup_gauge (Array.fold_left ( +. ) 0.0 busy /. wall);
     results
-  end

@@ -6,8 +6,9 @@
     own {!Socy_bdd.Manager}, its own {!Socy_mdd.Mdd}). This module runs
     such job arrays across OCaml 5 domains:
 
-    - a {e chunked work queue} (mutex + condition): the submitting domain
-      enqueues index chunks while workers already consume them;
+    - a {e claim counter}: each worker takes the next job index with one
+      [Atomic.fetch_and_add], so no lock or queue sits between the jobs
+      and the domains;
     - {e deterministic result ordering}: slot [i] of the result array is
       job [i]'s outcome, regardless of which worker ran it or when it
       finished;
@@ -15,12 +16,12 @@
       and the rest of the batch continues;
     - an optional {e wall-clock budget}: jobs not started when it expires
       are marked [Cancelled] (running jobs are never interrupted);
-    - {!Socy_obs} aggregation: [batch.jobs*] counters, [batch.domains] and
-      [batch.speedup] gauges, one [batch.worker-k] span per worker — and,
-      through {!Socy_obs.Trace}, a per-domain timeline: worker lifetime
-      spans, [batch.dequeue] spans (idle gaps waiting for work),
-      per-[batch.job] spans carrying the job index, [batch.chunk-done] and
-      [batch.cancelled] instants.
+    - {!Socy_obs} aggregation: the [batch.jobs] counter, [batch.domains]
+      and [batch.speedup] gauges, a [batch] span around the whole batch
+      and one [batch.worker-k] span per worker — and, through
+      {!Socy_obs.Trace}, a per-domain timeline: worker lifetime spans,
+      per-[batch.job] spans carrying the job index and [batch.cancelled]
+      instants.
 
     The submitting domain participates as worker 0, so
     [parallel_map ~domains:1] spawns no domain at all and degenerates to a
@@ -38,10 +39,8 @@ val default_domains : unit -> int
 
 (** [parallel_map f xs] maps [f] over [xs] on [domains] workers
     (default {!default_domains}, clamped to the job count) and returns the
-    outcomes in submission order. [chunk_size] (default 1) is the number of
-    consecutive jobs a worker claims per queue round-trip — leave it at 1
-    for heavyweight jobs, raise it for many tiny ones. [wall_budget] is the
-    batch's wall-clock budget in seconds.
+    outcomes in submission order. [wall_budget] is the batch's wall-clock
+    budget in seconds, checked as each job starts.
 
     [on_done i outcome] is called right after job [i] settles (including
     [Cancelled] jobs), {e on the worker domain that ran it} — it must be
@@ -54,7 +53,6 @@ val default_domains : unit -> int
 val parallel_map :
   ?domains:int ->
   ?wall_budget:float ->
-  ?chunk_size:int ->
   ?on_done:(int -> 'b outcome -> unit) ->
   ('a -> 'b) ->
   'a array ->
@@ -64,11 +62,10 @@ val parallel_map :
 
     {!parallel_map} owns its workers for the duration of one batch: spawn,
     drain, join. A server cannot work that way — requests arrive one at a
-    time, from many client threads, over hours — so {!Executor} keeps the
-    same chunked-queue machinery alive across submissions: a fixed set of
-    worker domains consuming a thunk queue that any number of (sys)threads
-    feed concurrently. [socyield serve] schedules every pipeline run on one
-    of these. *)
+    time, from many client threads, over hours — so {!Executor} keeps a
+    fixed set of worker domains alive across submissions, consuming a
+    thunk queue that any number of (sys)threads feed concurrently.
+    [socyield serve] schedules every pipeline run on one of these. *)
 
 module Executor : sig
   (** A persistent pool of worker domains executing submitted thunks. *)
@@ -95,20 +92,15 @@ module Executor : sig
       (queued + running) — the admission-control and gauge feed. *)
   val in_flight : t -> int
 
-  (** [run_detached t f] enqueues [f] without waiting for it. Exceptions
-      [f] raises are swallowed (there is no caller to surface them in);
-      wrap [f] if its failures matter. Raises [Invalid_argument] after
-      {!shutdown}. *)
-  val run_detached : t -> (unit -> unit) -> unit
-
   (** [parallel_tasks t tasks] runs every task exactly once and returns
       when all are done, re-raising the first task exception afterwards.
-      Tasks are claimed from a shared counter by up to [domains t]
-      detached helper drainers {e and by the calling thread}, which
-      drains regardless — so completion is guaranteed even when the
-      executor is saturated by enclosing jobs (the helpers then no-op).
-      This is the {!Socy_bdd.Par.runner} hook [socyield serve] installs
-      to reuse its batch workers for intra-problem parallelism. *)
+      Tasks are claimed from a shared counter, with the claim loop
+      {!parallel_map} uses, by up to [domains t] helper drainers queued on
+      the executor {e and by the calling thread}, which drains regardless
+      — so completion is guaranteed even when the executor is saturated by
+      enclosing jobs (the helpers then no-op). This is the
+      {!Socy_bdd.Par.runner} hook [socyield serve] installs to reuse its
+      batch workers for intra-problem parallelism. *)
   val parallel_tasks : t -> (unit -> unit) array -> unit
 
   (** [shutdown t] closes the queue, lets the workers {e drain every

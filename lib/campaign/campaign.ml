@@ -7,6 +7,7 @@ module S = Socy_benchmarks.Suite
 module D = Socy_defects.Distribution
 module Model = Socy_defects.Model
 module Text_table = Socy_util.Text_table
+module Pool = Socy_batch.Pool
 
 let schema = "socyield-campaign/1"
 
@@ -100,6 +101,13 @@ let config grid ~epsilon =
     ~bit_order:grid.bit_order ~reorder:grid.reorder
     ~par_domains:grid.par_domains ()
 
+(* The lethal-defect model of [instance] at mean defect count [lambda]. *)
+let lethal grid (instance : S.instance) ~lambda =
+  Model.to_lethal
+    (Model.create
+       (D.negative_binomial ~mean:lambda ~alpha:grid.alpha)
+       instance.S.affect)
+
 let validate grid =
   let require ok msg = if ok then Ok () else Error msg in
   let* () = require (grid.name <> "") "campaign name must not be empty" in
@@ -124,32 +132,37 @@ let validate grid =
     | None -> Ok ()
   in
   (* The numeric rules are the constructors' own: build what [job] builds
-     for each lambda and each epsilon, so [run] fails only with a typed
-     [Error]. *)
+     for each benchmark × lambda × epsilon, truncation point included, so
+     [run] fails only with a typed [Error]. *)
   match
     List.iter
-      (fun lambda -> ignore (D.negative_binomial ~mean:lambda ~alpha:grid.alpha))
-      grid.lambdas;
-    List.iter (fun epsilon -> ignore (config grid ~epsilon)) grid.epsilons
+      (fun b ->
+        let instance = S.by_name b in
+        List.iter
+          (fun lambda ->
+            let lethal = lethal grid instance ~lambda in
+            List.iter
+              (fun epsilon ->
+                ignore (config grid ~epsilon);
+                ignore (Model.truncation lethal ~epsilon))
+              grid.epsilons)
+          grid.lambdas)
+      grid.benchmarks
   with
   | () -> Ok ()
   | exception Invalid_argument msg -> Error msg
 
-let failure_of_pipeline = function
-  | P.Node_budget { peak; _ } -> Node_budget_hit peak
-  | P.Cpu_budget { elapsed; _ } -> Cpu_budget_hit elapsed
-  | P.Batch_cancelled -> Cancelled
+(* Per-point outcome counters: a budget blow-up is a normally-returned
+   [Error] at the pool level, so the ok/failed split is made here. *)
+let ok_counter = Obs.counter "batch.jobs_ok"
+let failed_counter = Obs.counter "batch.jobs_failed"
+let cancelled_counter = Obs.counter "batch.jobs_cancelled"
 
 let job grid p =
   let instance = S.by_name p.source in
-  let model =
-    Model.create
-      (D.negative_binomial ~mean:p.lambda ~alpha:grid.alpha)
-      instance.S.affect
-  in
-  let config = P.Config.with_mv_order p.mv (config grid ~epsilon:p.epsilon) in
-  Socy_batch.job ~config ~label:(point_label p) instance.S.circuit
-    (Model.to_lethal model)
+  ( instance.S.circuit,
+    lethal grid instance ~lambda:p.lambda,
+    P.Config.with_mv_order p.mv (config grid ~epsilon:p.epsilon) )
 
 let success_of_report (r : P.report) =
   {
@@ -162,29 +175,52 @@ let success_of_report (r : P.report) =
     cpu_s = r.P.cpu_seconds;
   }
 
+let row_of_outcome point = function
+  | Pool.Done (Ok r) ->
+      Obs.incr ok_counter;
+      { point; result = Ok (success_of_report r) }
+  | Pool.Done (Error f) ->
+      Obs.incr failed_counter;
+      let failure =
+        match f with
+        | P.Node_budget { peak; _ } -> Node_budget_hit peak
+        | P.Cpu_budget { elapsed; _ } -> Cpu_budget_hit elapsed
+      in
+      { point; result = Error failure }
+  | Pool.Cancelled ->
+      Obs.incr cancelled_counter;
+      { point; result = Error Cancelled }
+  (* Budget blow-ups are already Results; anything else escaping a
+     pipeline run is a bug worth a real backtrace. *)
+  | Pool.Failed e -> raise e
+
 let run ?domains ?wall_budget ?progress ?(now = Unix.gettimeofday ()) grid =
   let* () = validate grid in
-  let points = points grid in
-  let jobs = List.map (job grid) points in
+  let points = Array.of_list (points grid) in
+  let jobs = Array.map (job grid) points in
   let domains =
-    match domains with
-    | Some d -> d
-    | None -> Socy_batch.Pool.default_domains ()
+    match domains with Some d -> d | None -> Pool.default_domains ()
+  in
+  (* Progress is driven from the pool's [on_done] hook: a lock-free
+     completion count bumped on the worker domain. *)
+  let on_done =
+    Option.map
+      (fun report ->
+        let total = Array.length points in
+        let completed = Atomic.make 0 in
+        fun i _outcome ->
+          let completed = 1 + Atomic.fetch_and_add completed 1 in
+          report ~completed ~total ~label:(point_label points.(i)))
+      progress
   in
   let t0 = Unix.gettimeofday () in
-  let results = Socy_batch.run_batch ~domains ?wall_budget ?progress jobs in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let rows =
-    List.map2
-      (fun point result ->
-        {
-          point;
-          result =
-            Result.map_error failure_of_pipeline
-              (Result.map success_of_report result);
-        })
-      points results
+  let outcomes =
+    Pool.parallel_map ~domains ?wall_budget ?on_done
+      (fun (circuit, lethal, config) -> P.run_lethal ~config circuit lethal)
+      jobs
   in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let rows = Array.to_list (Array.map2 row_of_outcome points outcomes) in
   Obs.incr runs_counter;
   Obs.set wall_gauge wall_s;
   Ok { grid; created_s = now; domains; wall_s; rows }

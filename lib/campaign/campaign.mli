@@ -3,7 +3,7 @@
     A campaign is ROADMAP item 5's answer to "run the same grid every
     week and tell me what moved": a {!grid} names a cartesian product of
     benchmarks × λ × ε × orderings evaluated through
-    {!Socy_batch.run_batch}, {!run} executes it (budget
+    {!Socy_batch.Pool.parallel_map}, {!run} executes it (budget
     failures land as typed rows, not exceptions), {!save}/{!load} round
     it through the {!Store} as a versioned [socyield-campaign/1]
     document, {!diff} compares any two runs through the shared
@@ -14,8 +14,9 @@
     [campaign run] and the bench's Table 2/3 and yield-curve sections all
     evaluate their grids through it.
 
-    Probes: [campaign.runs] (counter), [campaign.wall_s] (gauge); per-point
-    outcomes are the batch's [batch.jobs_*] counters. *)
+    Probes: [campaign.runs] (counter), [campaign.wall_s] (gauge), and the
+    per-point outcome counters [batch.jobs_ok], [batch.jobs_failed] and
+    [batch.jobs_cancelled]. *)
 
 val schema : string
 (** ["socyield-campaign/1"] *)
@@ -80,7 +81,9 @@ val validate : grid -> (unit, string) result
     directory prefixes, and every value that
     {!Socy_defects.Distribution.negative_binomial} (per λ, with α) or
     {!Socy_core.Pipeline.Config.make} (per ε, with the node and CPU
-    limits and [par_domains]) rejects, with that constructor's message. *)
+    limits and [par_domains]) or
+    {!Socy_defects.Distribution.truncation_point} (per benchmark × λ × ε)
+    rejects, with that function's message. *)
 
 val run :
   ?domains:int ->
@@ -89,11 +92,14 @@ val run :
   ?now:float ->
   grid ->
   (t, string) result
-(** Evaluate the grid. [domains] defaults to
-    {!Socy_batch.Pool.default_domains}; [progress] is forwarded to
-    {!Socy_batch.run_batch} (called on worker domains as each point
-    settles). Only grid validation fails; per-point budget exhaustion
-    becomes a failed {!row}. *)
+(** Evaluate the grid: one {!Socy_core.Pipeline.run_lethal} per point,
+    handed to {!Socy_batch.Pool.parallel_map} on [domains] workers
+    (default {!Socy_batch.Pool.default_domains}). [wall_budget] is the
+    batch's wall-clock budget; points not started when it expires become
+    [Cancelled] rows. [progress] is called on the worker domain as each
+    point settles, with that point's {!point_label}. Only grid validation
+    fails; per-point budget exhaustion becomes a failed {!row}, and any
+    other exception a point raises is re-raised after the batch. *)
 
 (** {1 Sequential equivalence} *)
 

@@ -4,12 +4,7 @@ module Problem = Socy_encode.Problem
 module Scheme = Socy_order.Scheme
 module Model = Socy_defects.Model
 
-(* Build G = I_{M+1}(w) ∨ F(x_1 … x_C) with x_i = ∨_l I_{>=l}(w)·I_i(v_l),
-   entirely with multiple-valued APPLY. *)
-let build mdd problem (scheme : Scheme.t) =
-  let m = problem.Problem.m in
-  let pos_of_group g = scheme.Scheme.group_position.(g) in
-  let w_pos = pos_of_group 0 in
+let defect_literals mdd ~m ~components ~w_pos ~v_pos =
   let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
   let w_overflow = Mdd.literal mdd w_pos ~values:[ m + 1 ] in
   let w_at_least = Array.make (m + 1) Mdd.zero in
@@ -22,14 +17,15 @@ let build mdd problem (scheme : Scheme.t) =
       else
         let hit =
           Mdd.apply_and mdd w_at_least.(l)
-            (Mdd.literal mdd (pos_of_group l) ~values:[ i ])
+            (Mdd.literal mdd (v_pos l) ~values:[ i ])
         in
         fold (Mdd.apply_or mdd acc hit) (l + 1)
     in
     fold Mdd.zero 1
   in
-  let failed = Array.init problem.Problem.num_components component_failed in
-  (* Evaluate the fault tree bottom-up with APPLY. *)
+  (w_overflow, Array.init components component_failed)
+
+let apply_fault_tree mdd fault_tree failed =
   let memo = Hashtbl.create 256 in
   let rec go (n : C.node) =
     match Hashtbl.find_opt memo n.C.id with
@@ -60,8 +56,18 @@ let build mdd problem (scheme : Scheme.t) =
         Hashtbl.add memo n.C.id v;
         v
   in
-  let f_value = go problem.Problem.fault_tree.C.output in
-  Mdd.apply_or mdd w_overflow f_value
+  go fault_tree.C.output
+
+(* Build G = I_{M+1}(w) ∨ F(x_1 … x_C) with x_i = ∨_l I_{>=l}(w)·I_i(v_l),
+   entirely with multiple-valued APPLY. *)
+let build mdd problem (scheme : Scheme.t) =
+  let pos g = scheme.Scheme.group_position.(g) in
+  let w_overflow, failed =
+    defect_literals mdd ~m:problem.Problem.m
+      ~components:problem.Problem.num_components ~w_pos:(pos 0) ~v_pos:pos
+  in
+  Mdd.apply_or mdd w_overflow
+    (apply_fault_tree mdd problem.Problem.fault_tree failed)
 
 let build_into (artifacts : Pipeline.Artifacts.t) =
   build artifacts.Pipeline.Artifacts.mdd artifacts.Pipeline.Artifacts.problem

@@ -10,6 +10,23 @@
     - the ablation benchmark comparing its cost against the coded-ROBDD
       route (DESIGN.md §7). *)
 
+(** [defect_literals mdd ~m ~components ~w_pos ~v_pos] is
+    [(I_{M+1}(w), x)] where [x.(i) = ∨_{l=1..M} I_{≥l}(w)·I_i(v_l)] is
+    "component [i] is hit by a lethal defect", for [i < components], with
+    [w] at MDD position [w_pos] and [v_l] at [v_pos l]. *)
+val defect_literals :
+  Socy_mdd.Mdd.t ->
+  m:int ->
+  components:int ->
+  w_pos:int ->
+  v_pos:(int -> int) ->
+  Socy_mdd.Mdd.node * Socy_mdd.Mdd.node array
+
+(** [apply_fault_tree mdd fault_tree failed] evaluates the fault tree
+    bottom-up with multiple-valued APPLY, input [i] being [failed.(i)]. *)
+val apply_fault_tree :
+  Socy_mdd.Mdd.t -> Socy_logic.Circuit.t -> Socy_mdd.Mdd.node array -> Socy_mdd.Mdd.node
+
 (** [build_into artifacts] rebuilds G by MDD APPLY inside the artifact's
     own manager and ordering, returning the root (equal to
     [artifacts.mdd_root] iff the two routes agree). *)

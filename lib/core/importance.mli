@@ -18,8 +18,9 @@ type entry = {
   gain : float;  (** hardened − base (can be negative only by rounding) *)
 }
 
-(** [yield_gain ?config ?names fault_tree model] computes the gain for
-    every component, sorted by decreasing gain. Runs the full pipeline
+(** [yield_gain ?config ?names fault_tree model] runs the base evaluation
+    and returns its report with the gain of every component, sorted by
+    decreasing gain, or the base run's failure. Runs the full pipeline
     C+1 times — intended for design-space exploration on moderate
     instances. Skips (omits) components whose hardened run exceeds the
     node budget. *)
@@ -28,4 +29,4 @@ val yield_gain :
   ?names:string array ->
   Socy_logic.Circuit.t ->
   Socy_defects.Model.t ->
-  entry list
+  (Pipeline.report * entry list, Pipeline.failure) result

@@ -129,11 +129,9 @@ type report = {
 type failure =
   | Node_budget of { stage : string; peak : int }
   | Cpu_budget of { stage : string; elapsed : float }
-  | Batch_cancelled
 
 let failure_stage = function
   | Node_budget { stage; _ } | Cpu_budget { stage; _ } -> stage
-  | Batch_cancelled -> "batch"
 
 let failure_to_string = function
   | Node_budget { stage; peak } ->
@@ -141,7 +139,6 @@ let failure_to_string = function
         (Socy_util.Text_table.group_thousands peak)
   | Cpu_budget { stage; elapsed } ->
       Printf.sprintf "%s: cpu budget exhausted after %.1f s" stage elapsed
-  | Batch_cancelled -> "batch: wall-clock budget exhausted before the job ran"
 
 (* The conversion layout induced by a problem and an ordering scheme:
    BDD level -> group position, positions -> contiguous level blocks, and

@@ -169,8 +169,8 @@ type report = {
           observability is enabled, like [stage_times]. *)
 }
 
-(** Why a run produced no report. One type shared by {!run}, {!run_lethal}
-    and [Socy_batch.run_batch], so consumers match on the
+(** Why a run produced no report. One type shared by {!run},
+    {!run_lethal} and {!Artifacts.build}, so consumers match on the
     constructor instead of sniffing a stage string:
 
     - [Node_budget]: a node creation would have pushed the live-node count
@@ -179,15 +179,12 @@ type report = {
     - [Cpu_budget]: the [config.cpu_limit] CPU-seconds budget ran out;
       [elapsed] is the CPU time the stage had consumed when it was cut off
       (under a parallel batch this is process CPU, so sibling jobs on other
-      domains consume the budget too).
-    - [Batch_cancelled]: the job never ran — its batch's wall-clock budget
-      expired first (only produced by [run_batch]). *)
+      domains consume the budget too). *)
 type failure =
   | Node_budget of { stage : string; peak : int }
   | Cpu_budget of { stage : string; elapsed : float }
-  | Batch_cancelled
 
-(** The pipeline phase that failed (["batch"] for [Batch_cancelled]). *)
+(** The pipeline phase that failed. *)
 val failure_stage : failure -> string
 
 (** One-line rendering for CLIs and logs, e.g.

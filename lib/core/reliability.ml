@@ -10,39 +10,6 @@ type result = {
   romdd_nodes : int;
 }
 
-(* Evaluate the fault tree bottom-up with APPLY over per-component failed
-   functions. *)
-let apply_fault_tree mdd fault_tree failed =
-  let memo = Hashtbl.create 256 in
-  let rec go (n : C.node) =
-    match Hashtbl.find_opt memo n.C.id with
-    | Some v -> v
-    | None ->
-        let v =
-          match n.C.desc with
-          | C.Input i -> failed.(i)
-          | C.Const false -> Mdd.zero
-          | C.Const true -> Mdd.one
-          | C.Gate (kind, args) -> (
-              let vals = Array.map go args in
-              let fold op =
-                Array.fold_left (fun acc x -> op mdd acc x) vals.(0)
-                  (Array.sub vals 1 (Array.length vals - 1))
-              in
-              match kind with
-              | C.And -> fold Mdd.apply_and
-              | C.Or -> fold Mdd.apply_or
-              | C.Xor -> fold Mdd.apply_xor
-              | C.Not -> Mdd.not_ mdd vals.(0)
-              | C.Nand -> Mdd.not_ mdd (fold Mdd.apply_and)
-              | C.Nor -> Mdd.not_ mdd (fold Mdd.apply_or)
-              | C.Xnor -> Mdd.not_ mdd (fold Mdd.apply_xor))
-        in
-        Hashtbl.add memo n.C.id v;
-        v
-  in
-  go fault_tree.C.output
-
 let evaluate ?(epsilon = 1e-3) fault_tree lethal ~p_field =
   let c = fault_tree.C.num_inputs in
   if Array.length p_field <> c then
@@ -64,29 +31,14 @@ let evaluate ?(epsilon = 1e-3) fault_tree lethal ~p_field =
         else { Mdd.name = Printf.sprintf "f%d" (pos - 1 - m); domain = 2 })
   in
   let mdd = Mdd.create specs in
-  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
-  let w_overflow = Mdd.literal mdd 0 ~values:[ m + 1 ] in
-  let w_at_least = Array.make (m + 1) Mdd.zero in
-  for l = 1 to m do
-    w_at_least.(l) <- Mdd.literal mdd 0 ~values:(range l (m + 1))
-  done;
-  let defect_failed i =
-    let rec fold acc l =
-      if l > m then acc
-      else
-        let hit =
-          Mdd.apply_and mdd w_at_least.(l) (Mdd.literal mdd l ~values:[ i ])
-        in
-        fold (Mdd.apply_or mdd acc hit) (l + 1)
-    in
-    fold Mdd.zero 1
+  let w_overflow, defect =
+    Direct.defect_literals mdd ~m ~components:c ~w_pos:0 ~v_pos:Fun.id
   in
-  let defect = Array.init c defect_failed in
   let field = Array.init c (fun i -> Mdd.literal mdd (1 + m + i) ~values:[ 1 ]) in
   let failed_at_t = Array.init c (fun i -> Mdd.apply_or mdd defect.(i) field.(i)) in
-  let g0 = Mdd.apply_or mdd w_overflow (apply_fault_tree mdd fault_tree defect) in
+  let g0 = Mdd.apply_or mdd w_overflow (Direct.apply_fault_tree mdd fault_tree defect) in
   let gt =
-    Mdd.apply_or mdd w_overflow (apply_fault_tree mdd fault_tree failed_at_t)
+    Mdd.apply_or mdd w_overflow (Direct.apply_fault_tree mdd fault_tree failed_at_t)
   in
   (* dead at 0 or dead at t (for coherent trees g0 implies gt, but the
      union is what "functioning at 0 and t" needs in general) *)

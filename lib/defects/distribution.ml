@@ -188,7 +188,11 @@ let truncation_point d ~epsilon =
     let mass = mass +. pmf d m in
     if mass >= 1.0 -. epsilon then m
     else if m >= 100_000 then
-      failwith "Distribution.truncation_point: not reached within 100000 terms"
+      invalid_arg
+        (Printf.sprintf
+           "Distribution.truncation_point: M for %s at epsilon %g is not \
+            reached within 100000 terms"
+           d.name epsilon)
     else loop (m + 1) mass
   in
   loop 0 0.0

@@ -82,7 +82,8 @@ val lethal_generic : t -> p_lethal:float -> tol:float -> t
 (** [truncation_point d ~epsilon] is M = min{m : Σ_{k≤m} pmf k ≥ 1 − ε},
     the number of (lethal) defects the method analyzes for an absolute
     yield error ≤ ε. Raises [Invalid_argument] unless ε is positive and
-    finite, and [Failure] if M is not reached within 100000 terms. *)
+    finite, or if M is not reached within 100000 terms (a mean defect
+    count far beyond any chip's: the analysis could not run anyway). *)
 val truncation_point : t -> epsilon:float -> int
 
 (** [sampler d ~max_k] is a cdf table usable with {!Socy_util.Prng.categorical}

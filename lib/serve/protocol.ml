@@ -338,8 +338,6 @@ let failure_error f =
           ("stage", Json.String stage);
           ("elapsed_s", Json.Float elapsed);
         ] )
-  | P.Batch_cancelled ->
-      (Internal, msg, [ ("kind", Json.String "batch-cancelled") ])
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)

@@ -36,32 +36,41 @@ let config ?domains ?(cache_capacity = 128) ?max_inflight
     ?max_cpu_limit ?(default_par_domains = 1) ?(backlog = 64)
     ?(unlink_existing = false) ?slow_ms ?metrics_file
     ?(metrics_interval = 10.0) ~socket_path () =
+  let reject name rule value =
+    invalid_arg (Printf.sprintf "Server.config: %s %s (got %s)" name rule value)
+  in
+  let at_least_1 name n =
+    if n < 1 then reject name "must be at least 1" (string_of_int n)
+  in
+  let positive name s =
+    if (not (Float.is_finite s)) || s <= 0.0 then
+      reject name "must be a positive finite number" (Printf.sprintf "%g" s)
+  in
+  Option.iter (at_least_1 "domains") domains;
+  at_least_1 "cache_capacity" cache_capacity;
+  Option.iter (at_least_1 "max_inflight") max_inflight;
+  at_least_1 "default_node_limit" default_node_limit;
+  Option.iter (at_least_1 "max_node_limit") max_node_limit;
+  Option.iter (positive "default_cpu_limit") default_cpu_limit;
+  Option.iter (positive "max_cpu_limit") max_cpu_limit;
+  at_least_1 "default_par_domains" default_par_domains;
+  Option.iter
+    (fun s ->
+      if (not (Float.is_finite s)) || s < 0.0 then
+        reject "slow_ms" "must be a non-negative finite number"
+          (Printf.sprintf "%g" s))
+    slow_ms;
+  positive "metrics_interval" metrics_interval;
   let domains =
     match domains with
-    | Some d when d >= 1 -> d
-    | Some _ -> invalid_arg "Server.config: domains < 1"
+    | Some d -> d
     | None -> max 1 (Pool.default_domains () - 1)
   in
-  if default_par_domains < 1 then
-    invalid_arg "Server.config: default_par_domains < 1";
-  (match slow_ms with
-  | Some s when not (Float.is_finite s) || s < 0.0 ->
-      invalid_arg "Server.config: slow_ms must be a non-negative number"
-  | _ -> ());
-  if not (Float.is_finite metrics_interval) || metrics_interval <= 0.0 then
-    invalid_arg "Server.config: metrics_interval must be positive";
-  let max_inflight =
-    match max_inflight with Some m -> max 1 m | None -> 4 * domains
-  in
+  let max_inflight = Option.value max_inflight ~default:(4 * domains) in
   (* The cap is authoritative: a cap below the stock default also lowers
      the default, so a request that omits its budget is always
      admissible. *)
-  let max_node_limit =
-    match max_node_limit with
-    | Some m when m >= 1 -> m
-    | Some _ -> invalid_arg "Server.config: max_node_limit < 1"
-    | None -> default_node_limit
-  in
+  let max_node_limit = Option.value max_node_limit ~default:default_node_limit in
   let default_node_limit = min default_node_limit max_node_limit in
   let default_cpu_limit =
     match (default_cpu_limit, max_cpu_limit) with
@@ -307,16 +316,13 @@ let compute meth (resolved : Proto.resolved) pconfig =
                  ]),
             [ stage_times_field a.P.Artifacts.stage_seconds ] ))
   | Proto.Importance -> (
-      (* The base run first, so a budget blow-up is reported typed instead
-         of as Importance's Invalid_argument. *)
-      match P.run ~config:pconfig resolved.Proto.circuit resolved.Proto.model with
+      match
+        Socy_core.Importance.yield_gain ~config:pconfig
+          ~names:resolved.Proto.names resolved.Proto.circuit
+          resolved.Proto.model
+      with
       | Error f -> (Failed f, [])
-      | Ok r ->
-          let entries =
-            Socy_core.Importance.yield_gain ~config:pconfig
-              ~names:resolved.Proto.names resolved.Proto.circuit
-              resolved.Proto.model
-          in
+      | Ok (r, entries) ->
           ( Payload
               (Json.Obj
                  [
@@ -494,13 +500,19 @@ let eval_reply t (req : Proto.request) ~t0 =
                    depend on machine load, so a retry may succeed. *)
                 (match outcome with
                 | Payload _ | Failed (P.Node_budget _) -> Cache.add t.cache key outcome
-                | Failed (P.Cpu_budget _ | P.Batch_cancelled) -> ());
+                | Failed (P.Cpu_budget _) -> ());
                 finish ~cache:"miss" ~meta outcome
-            | exception e ->
+            | exception e -> (
                 Obs.set inflight_gauge
                   (float_of_int (Pool.Executor.in_flight t.executor));
-                Proto.error_response ~id:req.Proto.id Proto.Internal
-                  (Printexc.to_string e)))
+                match e with
+                (* A value only the run itself can rule out, such as a λ
+                   whose truncation point is out of reach: the client's
+                   error, and never cached. *)
+                | Invalid_argument msg -> reject Proto.Invalid_request msg
+                | e ->
+                    Proto.error_response ~id:req.Proto.id Proto.Internal
+                      (Printexc.to_string e))))
 
 (* ------------------------------------------------------------------ *)
 (* Request dispatch                                                    *)

@@ -111,7 +111,15 @@ type config = {
     may only lower it), no CPU budget, backlog 64. The caps are
     authoritative: a [max_node_limit]/[max_cpu_limit] below the
     corresponding default also lowers that default, so a request that
-    omits its budget is always admissible. *)
+    omits its budget is always admissible.
+
+    Every setting is range-checked here, so a bad one fails before any
+    socket exists: [Invalid_argument], naming the setting and its value,
+    when [domains], [cache_capacity], [max_inflight],
+    [default_node_limit], [max_node_limit] or [default_par_domains] is
+    below 1, when [default_cpu_limit], [max_cpu_limit] or
+    [metrics_interval] is not a positive finite number, or when [slow_ms]
+    is negative or not finite. *)
 val config :
   ?domains:int ->
   ?cache_capacity:int ->

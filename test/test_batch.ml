@@ -1,12 +1,12 @@
 (* Tests for the multicore batch engine: the generic domain pool
-   (ordering, failure isolation, cancellation, chunking) and the pipeline
-   batch entry point — in particular the determinism contract that
-   [run_batch ~domains:1] (a plain sequential loop) and a genuinely
-   parallel run produce bit-identical report lists. *)
+   (ordering, failure isolation, cancellation) and pipeline batches on it
+   — in particular the determinism contract that [parallel_map
+   ~domains:1] (a plain sequential loop) and a genuinely parallel run
+   produce bit-identical report lists. *)
 
 module P = Socy_core.Pipeline
-module B = Socy_batch
 module Pool = Socy_batch.Pool
+module Campaign = Socy_campaign.Campaign
 module S = Socy_benchmarks.Suite
 module Parse = Socy_logic.Parse
 module D = Socy_defects.Distribution
@@ -21,7 +21,7 @@ module Obs = Socy_obs.Obs
 
 let test_pool_ordering () =
   let xs = Array.init 100 Fun.id in
-  let out = Pool.parallel_map ~domains:4 ~chunk_size:3 (fun i -> i * i) xs in
+  let out = Pool.parallel_map ~domains:4 (fun i -> i * i) xs in
   Alcotest.(check int) "length" 100 (Array.length out);
   Array.iteri
     (fun i o ->
@@ -78,6 +78,32 @@ let test_pool_empty_and_single () =
 (* Pipeline batches                                                    *)
 (* ------------------------------------------------------------------ *)
 
+type job = {
+  label : string;
+  circuit : Socy_logic.Circuit.t;
+  lethal : Model.lethal;
+  config : P.config;
+}
+
+let job ~config ~label circuit lethal = { label; circuit; lethal; config }
+
+(* A batch of pipeline jobs: one [run_lethal] per job on the pool, outcomes
+   in submission order. *)
+let pipeline_batch ?wall_budget ~domains jobs =
+  Array.to_list
+    (Pool.parallel_map ~domains ?wall_budget
+       (fun j -> P.run_lethal ~config:j.config j.circuit j.lethal)
+       (Array.of_list jobs))
+
+(* The same batch when every job is expected to run. *)
+let results ~domains jobs =
+  List.map2
+    (fun j -> function
+      | Pool.Done r -> r
+      | Pool.Failed e -> Alcotest.failf "%s raised %s" j.label (Printexc.to_string e)
+      | Pool.Cancelled -> Alcotest.failf "%s cancelled" j.label)
+    jobs (pipeline_batch ~domains jobs)
+
 (* A mixed MS/ESEN job list exercising several orderings and epsilons,
    plus one job whose tiny node budget blows up mid-batch. *)
 let mixed_jobs () =
@@ -94,11 +120,11 @@ let mixed_jobs () =
       p_lethal = 0.1;
     }
   in
-  let bench r config label = B.job ~config ~label r.S.instance.S.circuit (S.lethal r) in
+  let bench r config label = job ~config ~label r.S.instance.S.circuit (S.lethal r) in
   [
     bench ms2_1 (P.Config.make ()) "ms2-default";
     bench ms2_1 (P.Config.make ~epsilon:1e-6 ~mv_order:Scheme.Vw ()) "ms2-vw";
-    B.job ~config:(P.Config.make ~epsilon:0.11 ~mv_order:Scheme.Vw ()) ~label:"fig2"
+    job ~config:(P.Config.make ~epsilon:0.11 ~mv_order:Scheme.Vw ()) ~label:"fig2"
       fig2 fig2_lethal;
     (* deliberately exhausts a tiny node budget mid-batch *)
     bench ms4 (P.Config.make ~node_limit:5_000 ()) "ms4-blowup";
@@ -132,17 +158,17 @@ let check_same_result label (a : (P.report, P.failure) result)
       | P.Node_budget a', P.Node_budget b' ->
           Alcotest.(check string) (label ^ ": stage") a'.stage b'.stage;
           Alcotest.(check int) (label ^ ": peak") a'.peak b'.peak
-      | P.Cpu_budget _, P.Cpu_budget _ | P.Batch_cancelled, P.Batch_cancelled -> ()
+      | P.Cpu_budget _, P.Cpu_budget _ -> ()
       | _ -> Alcotest.fail (label ^ ": different failure constructors"))
   | _ -> Alcotest.fail (label ^ ": Ok vs Error mismatch")
 
 let test_batch_matches_sequential () =
   let jobs = mixed_jobs () in
-  let seq = B.run_batch ~domains:1 jobs in
-  let par = B.run_batch ~domains:4 jobs in
+  let seq = results ~domains:1 jobs in
+  let par = results ~domains:4 jobs in
   Alcotest.(check int) "same length" (List.length seq) (List.length par);
   List.iter2
-    (fun job (s, p) -> check_same_result job.B.label s p)
+    (fun job (s, p) -> check_same_result job.label s p)
     jobs
     (List.map2 (fun s p -> (s, p)) seq par)
 
@@ -163,10 +189,10 @@ let prop_batch_deterministic =
         arr.(j) <- t
       done;
       let shuffled = Array.to_list arr in
-      let seq = B.run_batch ~domains:1 shuffled in
-      let par = B.run_batch ~domains shuffled in
+      let seq = results ~domains:1 shuffled in
+      let par = results ~domains shuffled in
       List.iter2
-        (fun job (s, p) -> check_same_result job.B.label s p)
+        (fun job (s, p) -> check_same_result job.label s p)
         shuffled
         (List.map2 (fun s p -> (s, p)) seq par);
       true)
@@ -174,10 +200,9 @@ let prop_batch_deterministic =
 let test_batch_node_budget_isolated () =
   (* The blow-up job lands as Error Node_budget; its siblings all succeed. *)
   let jobs = mixed_jobs () in
-  let results = B.run_batch ~domains:4 jobs in
   List.iter2
     (fun job result ->
-      match (job.B.label, result) with
+      match (job.label, result) with
       | "ms4-blowup", Error (P.Node_budget { stage; peak }) ->
           Alcotest.(check string) "stage" "coded-robdd" stage;
           Alcotest.(check bool) "peak at least the budget" true (peak >= 5_000)
@@ -185,26 +210,43 @@ let test_batch_node_budget_isolated () =
       | label, Ok _ -> ignore label
       | label, Error f ->
           Alcotest.failf "%s unexpectedly failed: %s" label (P.failure_to_string f))
-    jobs results
+    jobs (results ~domains:4 jobs)
 
 let test_batch_wall_budget () =
   let jobs = mixed_jobs () in
-  let results = B.run_batch ~domains:2 ~wall_budget:(-1.0) jobs in
   List.iter
     (function
-      | Error P.Batch_cancelled -> ()
-      | _ -> Alcotest.fail "expected every job Batch_cancelled")
-    results
+      | Pool.Cancelled -> ()
+      | _ -> Alcotest.fail "expected every job Cancelled")
+    (pipeline_batch ~domains:2 ~wall_budget:(-1.0) jobs)
 
+(* The outcome counters are the campaign's: a grid of four points, one of
+   which (ESEN4x2 at epsilon 1e-3) exhausts its 50k node budget. *)
 let test_batch_obs_aggregation () =
   Obs.set_enabled true;
   Obs.reset ();
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled false)
     (fun () ->
-      let jobs = mixed_jobs () in
-      let n = List.length jobs in
-      ignore (B.run_batch ~domains:3 jobs);
+      let grid =
+        {
+          Campaign.name = "obs";
+          benchmarks = [ "MS2"; "ESEN4x2" ];
+          lambdas = [ 10.0 ];
+          epsilons = [ 1e-3; 1e-2 ];
+          mv_orders = [ Scheme.Heur H.Weight ];
+          bit_order = Scheme.Ml;
+          alpha = S.alpha;
+          node_limit = 50_000;
+          cpu_limit = None;
+          reorder = false;
+          par_domains = 1;
+        }
+      in
+      let n = List.length (Campaign.points grid) in
+      (match Campaign.run ~domains:3 grid with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "campaign run failed: %s" msg);
       let snap = Obs.snapshot () in
       Alcotest.(check int) "batch.jobs counts submissions" n
         (List.assoc "batch.jobs" snap.Obs.counters);

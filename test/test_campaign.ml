@@ -415,6 +415,7 @@ let test_validate_rejects_values () =
   rejected "zero lambda" { g with Campaign.lambdas = [ 0.0 ] };
   rejected "infinite lambda" { g with Campaign.lambdas = [ infinity ] };
   rejected "nan lambda" { g with Campaign.lambdas = [ nan ] };
+  rejected "unreachable truncation point" { g with Campaign.lambdas = [ 10.0; 1e9 ] };
   rejected "zero alpha" { g with Campaign.alpha = 0.0 };
   rejected "nan alpha" { g with Campaign.alpha = nan };
   rejected "zero epsilon" { g with Campaign.epsilons = [ 0.0 ] };

@@ -402,7 +402,11 @@ let test_importance_series () =
   let model =
     Model.create (D.negative_binomial ~mean:6.0 ~alpha:4.0) [| 0.05; 0.02; 0.01 |]
   in
-  let entries = Socy_core.Importance.yield_gain ~names:[| "a"; "b"; "c" |] ft model in
+  let base, entries =
+    match Socy_core.Importance.yield_gain ~names:[| "a"; "b"; "c" |] ft model with
+    | Ok r -> r
+    | Error f -> Alcotest.failf "base run failed: %s" (P.failure_to_string f)
+  in
   Alcotest.(check int) "one entry per component" 3 (List.length entries);
   (match entries with
   | first :: _ ->
@@ -413,7 +417,10 @@ let test_importance_series () =
       Alcotest.(check bool) "gain positive" true (e.Socy_core.Importance.gain > 0.0);
       check_float ~eps:1e-9 "hardened = base + gain"
         e.Socy_core.Importance.hardened_yield
-        (e.Socy_core.Importance.base_yield +. e.Socy_core.Importance.gain))
+        (e.Socy_core.Importance.base_yield +. e.Socy_core.Importance.gain);
+      Alcotest.(check int64) "base_yield is the base report's yield"
+        (Int64.bits_of_float base.P.yield_lower)
+        (Int64.bits_of_float e.Socy_core.Importance.base_yield))
     entries
 
 let test_importance_irrelevant_component () =
@@ -430,7 +437,7 @@ let test_importance_irrelevant_component () =
      gain is only zero up to the error bound — hence the tight epsilon. *)
   let config = P.Config.make ~epsilon:1e-9 () in
   match Socy_core.Importance.yield_gain ~config ft model with
-  | [ first; second ] ->
+  | Ok (_, [ first; second ]) ->
       Alcotest.(check int) "critical component first" 0
         first.Socy_core.Importance.component;
       Alcotest.(check bool) "critical gain dominates" true

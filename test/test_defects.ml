@@ -206,6 +206,24 @@ let test_truncation_definition () =
         (fun () -> D.truncation_point d ~epsilon))
     [ nan; infinity ]
 
+(* A mean far beyond any chip's puts M out of reach of the 100000-term
+   scan: an Invalid_argument naming the distribution and epsilon, so the
+   CLI reports a usage error and the daemon an invalid request. *)
+let test_truncation_unreachable () =
+  let d = D.negative_binomial ~mean:1e9 ~alpha:4.0 in
+  match D.truncation_point d ~epsilon:1e-3 with
+  | m -> Alcotest.failf "M = %d returned" m
+  | exception Invalid_argument msg ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec at i =
+          i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool) ("names the distribution: " ^ msg) true (mentions (D.name d));
+      Alcotest.(check bool) ("names epsilon: " ^ msg) true (mentions "0.001")
+
 let test_truncation_guarantee () =
   List.iter
     (fun eps ->
@@ -318,6 +336,7 @@ let () =
           Alcotest.test_case "paper M values" `Quick test_truncation_points_match_paper;
           Alcotest.test_case "definition" `Quick test_truncation_definition;
           Alcotest.test_case "guarantee" `Quick test_truncation_guarantee;
+          Alcotest.test_case "unreachable M" `Quick test_truncation_unreachable;
           Alcotest.test_case "sampler" `Quick test_sampler_table;
         ] );
       ( "model",

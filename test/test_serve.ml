@@ -392,7 +392,9 @@ let test_admission_rejection () =
 
 (* An epsilon outside (0, 1) is rejected by the pipeline config, which
    the daemon builds before the cache lookup: it never reaches the
-   executor or the cache. *)
+   executor or the cache. A lambda whose truncation point is out of reach
+   can only be ruled out by the run itself: it is answered the same way
+   and not cached either. *)
 let test_invalid_query () =
   with_server (fun path _server ->
       with_client path (fun c ->
@@ -416,10 +418,121 @@ let test_invalid_query () =
               ("epsilon 0", { base_query with Proto.epsilon = 0.0 });
               ("epsilon 1", { base_query with Proto.epsilon = 1.0 });
               ("epsilon 2", { base_query with Proto.epsilon = 2.0 });
+              ("lambda 1e9", { base_query with Proto.lambda = 1e9 });
             ];
           Alcotest.(check int) "cache size unchanged" before (cache_size ());
           Alcotest.(check string) "health still answers" "ok"
             (str_at [ "status" ] (roundtrip c (request Proto.Health None)))))
+
+(* Every daemon setting is range-checked by [Server.config], so a bad
+   one fails there, naming itself, and no socket is ever bound. *)
+let test_config_rejects () =
+  let path = Filename.temp_file "socy_serve" ".sock" in
+  Sys.remove path;
+  let socket_path = path in
+  List.iter
+    (fun (setting, make) ->
+      (match Server.create (make ()) with
+      | exception Invalid_argument msg ->
+          let n = String.length setting in
+          let rec names i =
+            i + n <= String.length msg
+            && (String.sub msg i n = setting || names (i + 1))
+          in
+          Alcotest.(check bool) (setting ^ " named in: " ^ msg) true (names 0)
+      | server ->
+          Server.stop server;
+          Alcotest.failf "%s: out-of-range value accepted" setting);
+      Alcotest.(check bool) (setting ^ ": no socket left") false
+        (Sys.file_exists path))
+    [
+      ("domains", fun () -> Server.config ~domains:0 ~socket_path ());
+      ("cache_capacity", fun () -> Server.config ~cache_capacity:0 ~socket_path ());
+      ("max_inflight", fun () -> Server.config ~max_inflight:0 ~socket_path ());
+      ( "default_node_limit",
+        fun () -> Server.config ~default_node_limit:0 ~socket_path () );
+      ("max_node_limit", fun () -> Server.config ~max_node_limit:0 ~socket_path ());
+      ( "default_cpu_limit",
+        fun () -> Server.config ~default_cpu_limit:0.0 ~socket_path () );
+      ( "default_cpu_limit",
+        fun () -> Server.config ~default_cpu_limit:nan ~socket_path () );
+      ( "max_cpu_limit",
+        fun () -> Server.config ~max_cpu_limit:(-1.0) ~socket_path () );
+      ( "max_cpu_limit",
+        fun () -> Server.config ~max_cpu_limit:infinity ~socket_path () );
+      ( "default_par_domains",
+        fun () -> Server.config ~default_par_domains:0 ~socket_path () );
+      ("slow_ms", fun () -> Server.config ~slow_ms:(-1.0) ~socket_path ());
+      ( "metrics_interval",
+        fun () -> Server.config ~metrics_interval:0.0 ~socket_path () );
+    ]
+
+(* The importance method runs the base evaluation once: C + 1 pipeline
+   runs, one probability sweep each, for C components. Its reply carries
+   the entries of an in-process [yield_gain], bit for bit. *)
+let test_importance () =
+  let module Obs = Socy_obs.Obs in
+  let module I = Socy_core.Importance in
+  let resolved =
+    match Proto.resolve base_query with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "resolve: %s" msg
+  in
+  let components = Model.num_components resolved.Proto.model in
+  let sweeps = Obs.counter "mdd.sweep.runs" in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      with_server (fun path _server ->
+          with_client path (fun c ->
+              let before = Obs.counter_value sweeps in
+              let reply = roundtrip c (request Proto.Importance (Some base_query)) in
+              Alcotest.(check int) "C + 1 probability sweeps" (components + 1)
+                (Obs.counter_value sweeps - before);
+              let config =
+                P.Config.make ~epsilon:base_query.Proto.epsilon
+                  ~mv_order:base_query.Proto.mv_order
+                  ~bit_order:base_query.Proto.bit_order
+                  ~node_limit:
+                    (Server.config ~socket_path:path ()).Server.default_node_limit
+                  ()
+              in
+              let entries =
+                match
+                  I.yield_gain ~config ~names:resolved.Proto.names
+                    resolved.Proto.circuit resolved.Proto.model
+                with
+                | Ok (_, entries) -> entries
+                | Error f -> Alcotest.failf "in-process: %s" (P.failure_to_string f)
+              in
+              let served =
+                match member_exn [ "result"; "components" ] reply with
+                | Json.List l -> l
+                | _ -> Alcotest.fail "components not a list"
+              in
+              Alcotest.(check int) "one entry per component" (List.length entries)
+                (List.length served);
+              List.iter2
+                (fun (e : I.entry) j ->
+                  let float k =
+                    match member_exn [ k ] j with
+                    | Json.Float f -> Int64.bits_of_float f
+                    | _ -> Alcotest.failf "%s not a float" k
+                  in
+                  Alcotest.(check string) "name" e.I.name (str_at [ "name" ] j);
+                  Alcotest.(check bool) "component" true
+                    (member_exn [ "component" ] j = Json.Int e.I.component);
+                  List.iter
+                    (fun (k, v) ->
+                      Alcotest.(check int64) (e.I.name ^ ": " ^ k)
+                        (Int64.bits_of_float v) (float k))
+                    [
+                      ("base_yield", e.I.base_yield);
+                      ("hardened_yield", e.I.hardened_yield);
+                      ("gain", e.I.gain);
+                    ])
+                entries served)))
 
 (* Four clients, two distinct queries, two worker domains: every client
    of one query sees the same bytes. *)
@@ -623,6 +736,9 @@ let () =
             test_budget_rejection_shape;
           Alcotest.test_case "admission rejection" `Quick test_admission_rejection;
           Alcotest.test_case "invalid query" `Quick test_invalid_query;
+          Alcotest.test_case "config rejects bad settings" `Quick
+            test_config_rejects;
+          Alcotest.test_case "importance" `Quick test_importance;
           Alcotest.test_case "concurrent clients deterministic" `Quick
             test_concurrent_clients_deterministic;
           Alcotest.test_case "graceful shutdown drains" `Quick

@@ -7,6 +7,7 @@
 
 module P = Socy_core.Pipeline
 module Pool = Socy_batch.Pool
+module Campaign = Socy_campaign.Campaign
 module S = Socy_benchmarks.Suite
 module Obs = Socy_obs.Obs
 module Trace = Socy_obs.Trace
@@ -130,7 +131,7 @@ let check_document doc =
 let test_pool_two_domain_trace () =
   let xs = Array.init 16 Fun.id in
   let out =
-    Pool.parallel_map ~domains:2 ~chunk_size:1
+    Pool.parallel_map ~domains:2
       (fun i ->
         spin_for 0.004;
         i)
@@ -166,7 +167,7 @@ let test_pool_two_domain_trace () =
 let test_on_done_sees_every_job () =
   let seen = Atomic.make 0 in
   let out =
-    Pool.parallel_map ~domains:2 ~chunk_size:1
+    Pool.parallel_map ~domains:2
       ~on_done:(fun i -> function
         | Pool.Done j -> if i = j then Atomic.incr seen
         | _ -> ())
@@ -185,25 +186,42 @@ let bench_rows labels =
   List.map (fun l -> List.find (fun r -> S.row_label r = l) rows) labels
 
 let test_sweep_trace () =
-  let jobs =
-    List.map
-      (fun r -> Socy_batch.job ~label:(S.row_label r) r.S.instance.S.circuit (S.lethal r))
-      (bench_rows [ "MS2, l'=1"; "MS4, l'=1" ])
+  let grid =
+    {
+      Campaign.name = "trace";
+      benchmarks = [ "MS2"; "MS4" ];
+      lambdas = [ 10.0 ];
+      epsilons = [ S.epsilon ];
+      mv_orders = [ P.default_config.P.mv_order ];
+      bit_order = P.default_config.P.bit_order;
+      alpha = S.alpha;
+      node_limit = P.default_config.P.node_limit;
+      cpu_limit = None;
+      reorder = false;
+      par_domains = 1;
+    }
   in
   let progressed = Atomic.make 0 in
-  let results =
-    Socy_batch.run_batch ~domains:2
-      ~progress:(fun ~completed:_ ~total ~label:_ ->
-        Alcotest.(check int) "progress total" 2 total;
-        Atomic.incr progressed)
-      jobs
+  let c =
+    match
+      Campaign.run ~domains:2
+        ~progress:(fun ~completed:_ ~total ~label:_ ->
+          Alcotest.(check int) "progress total" 2 total;
+          Atomic.incr progressed)
+        grid
+    with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "campaign run failed: %s" msg
   in
-  List.iter2
-    (fun job result ->
-      match result with
+  List.iter
+    (fun (row : Campaign.row) ->
+      match row.Campaign.result with
       | Ok _ -> ()
-      | Error f -> Alcotest.failf "%s failed: %s" job.Socy_batch.label (P.failure_to_string f))
-    jobs results;
+      | Error _ as r ->
+          Alcotest.failf "%s failed: %s"
+            (Campaign.point_label row.Campaign.point)
+            (Campaign.status_name r))
+    c.Campaign.rows;
   Alcotest.(check int) "progress fired per job" 2 (Atomic.get progressed);
   let events = check_document (Trace.to_json ()) in
   Alcotest.(check bool) "two rows" true (List.length (distinct_tids events) >= 2);
