@@ -196,6 +196,28 @@ let run_grid ?wall_budget ?progress ~domains (grid : Campaign.grid) =
       warn_par_fallback ~reorder:grid.Campaign.reorder grid.Campaign.par_domains;
       Result.get_ok (Campaign.run ~domains ?wall_budget ?progress grid)
 
+(* The CPU cell of a grid row: its own seconds, or "=" and what sets the
+   point whose build it reused apart from its own, e.g. "= wvr". *)
+let cpu_cell rows (p : Campaign.point) (s : Campaign.success) =
+  match s.Campaign.shared_with with
+  | None -> Printf.sprintf "%.2f" s.Campaign.cpu_s
+  | Some label -> (
+      match
+        List.find_opt
+          (fun (r : Campaign.row) -> Campaign.point_label r.Campaign.point = label)
+          rows
+      with
+      | Some { Campaign.point = q; _ } when q <> p ->
+          let differs show get =
+            if get q <> get p then [ show (get q) ] else []
+          in
+          String.concat " "
+            ("="
+             :: differs (Printf.sprintf "l=%g") (fun x -> x.Campaign.lambda)
+            @ differs (Printf.sprintf "e=%g") (fun x -> x.Campaign.epsilon)
+            @ differs Scheme.mv_order_name (fun x -> x.Campaign.mv))
+      | _ -> "= " ^ label)
+
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -263,7 +285,7 @@ let sweep_cmd =
                         Printf.sprintf "[%.6f, %.6f]" s.Campaign.yield_lower
                           s.Campaign.yield_upper;
                         Text_table.group_thousands s.Campaign.romdd_size;
-                        Printf.sprintf "%.2f" s.Campaign.cpu_s;
+                        cpu_cell c.Campaign.rows p s;
                       ]
                   | Error _ -> [ "-"; "-"; "-"; "-" ]
                 in
@@ -424,7 +446,7 @@ let tune_cmd =
               [
                 Text_table.group_thousands s.Campaign.robdd_peak;
                 Text_table.group_thousands s.Campaign.robdd_size;
-                Printf.sprintf "%.2f" s.Campaign.cpu_s;
+                cpu_cell (if reorder then sifted else static).Campaign.rows p s;
                 (if won then "ok *winner*" else "ok");
               ]
           | Error _ -> [ "-"; "-"; "-"; Campaign.status_name result ]

@@ -54,6 +54,7 @@ type success = {
   robdd_size : int;
   romdd_size : int;
   cpu_s : float;
+  shared_with : string option;
 }
 
 type row = { point : point; result : (success, failure_kind) result }
@@ -164,7 +165,42 @@ let job grid p =
     lethal grid instance ~lambda:p.lambda,
     P.Config.with_mv_order p.mv (config grid ~epsilon:p.epsilon) )
 
-let success_of_report (r : P.report) =
+(* The points that build the same diagram, as lists of point indices in
+   grid order, listed by their first members. The benchmark fixes the
+   circuit and the victim distribution and the grid every setting outside
+   the build key, so the two decide. Unshared, each point is its own
+   group. *)
+let groups ~share points jobs =
+  if not share then Array.init (Array.length points) (fun i -> [ i ])
+  else begin
+    let by_key = Hashtbl.create 16 and firsts = ref [] in
+    Array.iteri
+      (fun i (circuit, lethal, config) ->
+        let key = (points.(i).source, P.build_key config circuit lethal) in
+        match Hashtbl.find_opt by_key key with
+        | Some members -> members := i :: !members
+        | None ->
+            let members = ref [ i ] in
+            Hashtbl.add by_key key members;
+            firsts := members :: !firsts)
+      jobs;
+    Array.of_list (List.rev_map (fun members -> List.rev !members) !firsts)
+  end
+
+(* One build for the group: its first member's configuration builds, and
+   every member is priced from the one sweep. *)
+let run_group jobs members =
+  let lethal i =
+    let _, l, _ = jobs.(i) in
+    l
+  in
+  match members with
+  | [] -> invalid_arg "Campaign.run_group: empty group"
+  | first :: rest ->
+      let circuit, _, config = jobs.(first) in
+      P.run_family ~config circuit (lethal first) (List.map lethal rest)
+
+let success_of_report ?shared_with (r : P.report) =
   {
     m = r.P.m;
     yield_lower = r.P.yield_lower;
@@ -173,57 +209,81 @@ let success_of_report (r : P.report) =
     robdd_size = r.P.robdd_size;
     romdd_size = r.P.romdd_size;
     cpu_s = r.P.cpu_seconds;
+    shared_with;
   }
 
-let row_of_outcome point = function
-  | Pool.Done (Ok r) ->
-      Obs.incr ok_counter;
-      { point; result = Ok (success_of_report r) }
+(* The rows of one group, members in grid order. A failed or cancelled
+   build fails every member the same way. *)
+let member_results points members = function
+  | Pool.Done (Ok (first, rest)) ->
+      let shared_with = point_label points.(List.hd members) in
+      Ok (success_of_report first)
+      :: List.map (fun r -> Ok (success_of_report ~shared_with r)) rest
   | Pool.Done (Error f) ->
-      Obs.incr failed_counter;
       let failure =
         match f with
         | P.Node_budget { peak; _ } -> Node_budget_hit peak
         | P.Cpu_budget { elapsed; _ } -> Cpu_budget_hit elapsed
       in
-      { point; result = Error failure }
-  | Pool.Cancelled ->
-      Obs.incr cancelled_counter;
-      { point; result = Error Cancelled }
+      List.map (fun _ -> Error failure) members
+  | Pool.Cancelled -> List.map (fun _ -> Error Cancelled) members
   (* Budget blow-ups are already Results; anything else escaping a
      pipeline run is a bug worth a real backtrace. *)
   | Pool.Failed e -> raise e
 
-let run ?domains ?wall_budget ?progress ?(now = Unix.gettimeofday ()) grid =
+let count_result = function
+  | Ok _ -> Obs.incr ok_counter
+  | Error Cancelled -> Obs.incr cancelled_counter
+  | Error (Node_budget_hit _ | Cpu_budget_hit _) -> Obs.incr failed_counter
+
+let run_grid ~share ?domains ?wall_budget ?progress
+    ?(now = Unix.gettimeofday ()) grid =
   let* () = validate grid in
   let points = Array.of_list (points grid) in
   let jobs = Array.map (job grid) points in
+  let groups = groups ~share points jobs in
   let domains =
     match domains with Some d -> d | None -> Pool.default_domains ()
   in
   (* Progress is driven from the pool's [on_done] hook: a lock-free
-     completion count bumped on the worker domain. *)
+     completion count bumped on the worker domain, once per point. *)
   let on_done =
     Option.map
       (fun report ->
         let total = Array.length points in
         let completed = Atomic.make 0 in
-        fun i _outcome ->
-          let completed = 1 + Atomic.fetch_and_add completed 1 in
-          report ~completed ~total ~label:(point_label points.(i)))
+        fun g _outcome ->
+          List.iter
+            (fun i ->
+              let completed = 1 + Atomic.fetch_and_add completed 1 in
+              report ~completed ~total ~label:(point_label points.(i)))
+            groups.(g))
       progress
   in
   let t0 = Unix.gettimeofday () in
   let outcomes =
-    Pool.parallel_map ~domains ?wall_budget ?on_done
-      (fun (circuit, lethal, config) -> P.run_lethal ~config circuit lethal)
-      jobs
+    Pool.parallel_map ~domains ?wall_budget ?on_done (run_group jobs) groups
   in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let rows = Array.to_list (Array.map2 row_of_outcome points outcomes) in
+  let results = Array.make (Array.length points) (Error Cancelled) in
+  Array.iteri
+    (fun g members ->
+      List.iter2
+        (fun i result ->
+          count_result result;
+          results.(i) <- result)
+        members
+        (member_results points members outcomes.(g)))
+    groups;
+  let rows =
+    Array.to_list
+      (Array.map2 (fun point result -> { point; result }) points results)
+  in
   Obs.incr runs_counter;
   Obs.set wall_gauge wall_s;
   Ok { grid; created_s = now; domains; wall_s; rows }
+
+let run = run_grid ~share:true
 
 type drift = {
   row_drifts : float option list;
@@ -232,7 +292,7 @@ type drift = {
 }
 
 let sequential_rerun t =
-  match run ~domains:1 t.grid with
+  match run_grid ~share:false ~domains:1 t.grid with
   | Error msg -> invalid_arg ("Campaign.sequential_rerun: " ^ msg)
   | Ok seq ->
       let pairs = List.combine t.rows seq.rows in
@@ -296,6 +356,9 @@ let row_fields row =
         ("romdd_size", Json.Int s.romdd_size);
         ("cpu_s", Json.Float s.cpu_s);
       ]
+      @ Option.fold ~none:[]
+          ~some:(fun label -> [ ("shared_with", Json.String label) ])
+          s.shared_with
   | Error (Node_budget_hit peak) -> [ ("peak_at_failure", Json.Int peak) ]
   | Error (Cpu_budget_hit elapsed) -> [ ("elapsed_s", Json.Float elapsed) ]
   | Error Cancelled -> []
@@ -445,6 +508,13 @@ let row_of_json i json =
         let* robdd_size = int "robdd_size" in
         let* romdd_size = int "romdd_size" in
         let* cpu_s = num "cpu_s" in
+        let* shared_with =
+          match Json.member "shared_with" json with
+          | None -> Ok None
+          | Some v ->
+              let* label = as_string (what ^ ".shared_with") v in
+              Ok (Some label)
+        in
         Ok
           (Ok
              {
@@ -455,6 +525,7 @@ let row_of_json i json =
                robdd_size;
                romdd_size;
                cpu_s;
+               shared_with;
              })
     | "node-budget" ->
         let* peak = field what "peak_at_failure" json in

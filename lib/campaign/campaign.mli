@@ -55,6 +55,12 @@ type success = {
   robdd_size : int;
   romdd_size : int;
   cpu_s : float;
+      (** the build's CPU seconds, or only the recombination's on a row
+          that reused another point's build *)
+  shared_with : string option;
+      (** [Some label]: this row reused the build of the point whose
+          {!point_label} is [label] (see {!run}); [None]: it was built
+          itself *)
 }
 
 type row = { point : point; result : (success, failure_kind) result }
@@ -92,14 +98,26 @@ val run :
   ?now:float ->
   grid ->
   (t, string) result
-(** Evaluate the grid: one {!Socy_core.Pipeline.run_lethal} per point,
+(** Evaluate the grid, building each distinct diagram once. Points of one
+    benchmark whose {!Socy_core.Pipeline.build_key} is equal (the same M
+    and resolved variable order, whatever their λ, ε or mv order) form a
+    group, and each group is one {!Socy_core.Pipeline.run_family} job
     handed to {!Socy_batch.Pool.parallel_map} on [domains] workers
-    (default {!Socy_batch.Pool.default_domains}). [wall_budget] is the
-    batch's wall-clock budget; points not started when it expires become
-    [Cancelled] rows. [progress] is called on the worker domain as each
-    point settles, with that point's {!point_label}. Only grid validation
-    fails; per-point budget exhaustion becomes a failed {!row}, and any
-    other exception a point raises is re-raised after the batch. *)
+    (default {!Socy_batch.Pool.default_domains}), the groups in the grid
+    order of their first members. The first member builds; every other
+    member gets its own yields from the same sweep, bit for bit what its
+    own build would give, the build's M, peaks and sizes, its own
+    recombination's CPU time and [shared_with] set to the first member's
+    label.
+
+    [wall_budget] is the batch's wall-clock budget, checked as each group
+    starts; the members of a group not started when it expires become
+    [Cancelled] rows, and a group's budget failure becomes every member's
+    row. [progress] is called on the worker domain once per point as its
+    group settles, members in grid order, with that point's
+    {!point_label} and [total] the number of points. Only grid validation
+    fails; any other exception a point raises is re-raised after the
+    batch. Nothing is kept between calls. *)
 
 (** {1 Sequential equivalence} *)
 
@@ -111,9 +129,10 @@ type drift = {
 }
 
 val sequential_rerun : t -> t * drift
-(** Rerun [t]'s grid on one domain (a plain sequential loop) and compare
-    it with [t] row by row. A parallel run must match its rerun bit for
-    bit: [max_drift = 0.] and no status mismatch. Raises
+(** Rerun [t]'s grid on one domain (a plain sequential loop), every point
+    on its own build, and compare it with [t] row by row: the unshared
+    reference for {!run}. A parallel, shared run must match its rerun bit
+    for bit: [max_drift = 0.] and no status mismatch. Raises
     [Invalid_argument] when [t.grid] fails {!validate}, which a [t] from
     {!run} never does. *)
 

@@ -86,7 +86,7 @@ let evaluate ?(epsilon = 1e-3) fault_tree lethal ~mv ~bits =
         })
       scheme.Scheme.groups_in_order
   in
-  let mdd = Mdd.create specs in
+  let mdd = Mdd.create ~cache_bits:Pipeline.default_config.Pipeline.cache_bits specs in
   let root = build mdd problem scheme in
   let w = Model.w_pmf lethal ~m in
   let p pos value =

@@ -34,7 +34,9 @@ val build_into : Pipeline.Artifacts.t -> Socy_mdd.Mdd.node
 
 (** [evaluate ?epsilon fault_tree lethal ~mv ~bits] runs the whole method
     on the direct route only (no BDD), returning (yield_lower, M,
-    romdd_size). Meant for small instances and benchmarks. *)
+    romdd_size). Its APPLY cache has the pipeline's default cap,
+    [2^Pipeline.default_config.cache_bits] lines. Meant for small
+    instances and benchmarks. *)
 val evaluate :
   ?epsilon:float ->
   Socy_logic.Circuit.t ->

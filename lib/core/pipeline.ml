@@ -130,6 +130,38 @@ type failure =
   | Node_budget of { stage : string; peak : int }
   | Cpu_budget of { stage : string; elapsed : float }
 
+(* M and the resolved variable order: the rest of [Scheme.t] is derived
+   from these two arrays or is a name. *)
+type build_key = {
+  truncation : int;
+  groups_in_order : int array;
+  input_of_level : int array;
+}
+
+let build_key config fault_tree lethal =
+  let m = Model.truncation lethal ~epsilon:config.epsilon in
+  let scheme =
+    Scheme.make (Problem.build fault_tree ~m) ~mv:config.mv_order
+      ~bits:config.bit_order
+  in
+  {
+    truncation = m;
+    groups_in_order = scheme.Scheme.groups_in_order;
+    input_of_level = scheme.Scheme.input_of_level;
+  }
+
+(* Theorem 1: P(G = 1) = Σ_k Q'_k · P(G = 1 | W = k) over the sweep's
+   slots k = 0 … M + 1, the last being W's aggregated tail, whose mass is
+   also the band's width. Every report's yields come from here. *)
+let recombine lethal ~m sweep =
+  let w = Model.w_pmf lethal ~m in
+  let p_unusable = ref 0.0 in
+  for k = 0 to m + 1 do
+    p_unusable := !p_unusable +. (w.(k) *. sweep.(k))
+  done;
+  let yield_lower = 1.0 -. !p_unusable in
+  (!p_unusable, yield_lower, yield_lower +. w.(m + 1))
+
 let failure_stage = function
   | Node_budget { stage; _ } | Cpu_budget { stage; _ } -> stage
 
@@ -339,7 +371,11 @@ module Artifacts = struct
               (Printf.sprintf "cpu budget exhausted after %.1f s" elapsed);
             Error (Cpu_budget { stage = "coded-robdd"; elapsed })
         | bdd_root, bdd_stats ->
-            let mdd = Mdd.create (mdd_specs problem scheme) in
+            (* The conversion only calls [mk], so the cap matters only to
+               APPLY run later in this manager, as the direct route does. *)
+            let mdd =
+              Mdd.create ~cache_bits:config.cache_bits (mdd_specs problem scheme)
+            in
             let mdd_root =
               staged stages "romdd-convert" (fun () ->
                   Conversion.run ?team bdd bdd_root mdd
@@ -433,20 +469,11 @@ module Artifacts = struct
     let t0 = Obs.now () in
     let s = sweep t in
     let traversal_s = Obs.now () -. t0 in
-    let w = Model.w_pmf t.lethal ~m:t.m in
-    (* Theorem 1 recombination: P(G = 1) = Σ_k Q'_k · P(G = 1 | W = k),
-       the W-marginal of the former single mixed traversal. *)
-    let p_unusable = ref 0.0 in
-    for k = 0 to t.m + 1 do
-      p_unusable := !p_unusable +. (w.(k) *. s.(k))
-    done;
-    let p_unusable = !p_unusable in
-    let yield_lower = 1.0 -. p_unusable in
-    let tail = w.(t.m + 1) in
+    let p_unusable, yield_lower, yield_upper = recombine t.lethal ~m:t.m s in
     let engine = B.stats t.bdd in
     {
       yield_lower;
-      yield_upper = yield_lower +. tail;
+      yield_upper;
       p_unusable;
       m = t.m;
       p_lethal = t.lethal.Model.p_lethal;
@@ -472,13 +499,36 @@ module Artifacts = struct
     }
 end
 
-let run_lethal ?(config = default_config) fault_tree lethal =
+let run_family ?(config = default_config) fault_tree first rest =
   let t0 = Sys.time () in
   Trace.with_span "pipeline" (fun () ->
-      match Artifacts.build ~config fault_tree lethal with
+      match Artifacts.build ~config fault_tree first with
       | Error f -> Error f
       | Ok artifacts ->
-          Ok (Artifacts.report artifacts ~cpu_seconds:(Sys.time () -. t0)))
+          let r = Artifacts.report artifacts ~cpu_seconds:(Sys.time () -. t0) in
+          let s = Artifacts.sweep artifacts in
+          (* The build's M, sizes, peaks and counters are every member's;
+             only the count distribution differs. *)
+          let member lethal =
+            let t1 = Sys.time () in
+            let p_unusable, yield_lower, yield_upper =
+              recombine lethal ~m:r.m s
+            in
+            {
+              r with
+              yield_lower;
+              yield_upper;
+              p_unusable;
+              p_lethal = lethal.Model.p_lethal;
+              cpu_seconds = Sys.time () -. t1;
+              stage_times = [];
+              stage_gc = [];
+            }
+          in
+          Ok (r, List.map member rest))
+
+let run_lethal ?config fault_tree lethal =
+  Result.map fst (run_family ?config fault_tree lethal [])
 
 let run ?(config = default_config) fault_tree model =
   let t0 = Obs.now () in

@@ -40,8 +40,10 @@ type config = {
           The cache starts at 4096 lines and doubles whenever a miss finds
           more nodes in the store than it has lines, up to [2^cache_bits];
           the concurrent engine's per-domain caches grow the same way
-          under a cap scaled down by the team size. The size changes hit
-          and miss counts only, never a result. *)
+          under a cap scaled down by the team size. The ROMDD manager's
+          APPLY cache has the same cap; the conversion never calls APPLY,
+          so only the direct route ({!Direct.build_into}) grows it. The
+          size changes hit and miss counts only, never a result. *)
   cpu_limit : float option;
       (** CPU-seconds budget for the coded-ROBDD build; exceeding it is
           reported as a failure, like the node budget *)
@@ -207,6 +209,57 @@ val run_lethal :
   Socy_defects.Model.lethal ->
   (report, failure) result
 
+(** {1 Defect-model families}
+
+    By Theorem 1 the diagram of G depends only on the circuit, M and the
+    variable order; the victim distribution P′_i enters only the
+    probability sweep, and the count distribution Q′ only the final sum
+    Y_M = Σ_k Q′_k · P(G = 1 | W = k). Models that share the circuit, M,
+    the order and P′_i are priced from one build and one sweep. *)
+
+(** What a build depends on besides the circuit and the settings a
+    campaign grid holds fixed (bit order, node and CPU limits, [reorder],
+    [par_domains]): M and the variable order that
+    {!Socy_order.Scheme.make} resolves the mv and bit orders to. The rest
+    of a {!Socy_order.Scheme.t} is derived from these arrays or is a name,
+    so configurations with equal keys build the same diagram node for
+    node, whatever their mv order or ε (at [ml] bits, [t] and [h] resolve
+    to [wv]'s order and [w] to [wvr]'s on the suite's circuits). Compare
+    keys with [=]. *)
+type build_key = {
+  truncation : int;  (** M *)
+  groups_in_order : int array;  (** position → group id *)
+  input_of_level : int array;  (** BDD level → circuit input id *)
+}
+
+(** [build_key config fault_tree lethal] is the key of the build
+    {!Artifacts.build} would make. It runs the truncation, encoding and
+    ordering steps, but builds no diagram. Raises [Invalid_argument]
+    where those steps do. *)
+val build_key :
+  config -> Socy_logic.Circuit.t -> Socy_defects.Model.lethal -> build_key
+
+(** [run_family ?config fault_tree first rest] builds and sweeps once for
+    [first], inside one [pipeline] span, and returns [first]'s report,
+    which is {!run_lethal}'s, with one report per model of [rest], in
+    order. Every model of [rest] must have the victim distribution of
+    [first] and, under its own configuration, the {!build_key} of [first]
+    under [config]: the caller groups by key, and nothing here checks it.
+
+    A member of [rest] reports its own yields, [p_unusable] and
+    [p_lethal], bit for bit what its own build would give, since both go
+    through the same recombination of the same sweep. Its M, sizes, peaks
+    and engine counters are the build's; its [cpu_seconds] counts only
+    its recombination, and its [stage_times] and [stage_gc] are empty,
+    since it ran no stage. A budget failure of the build fails the whole
+    family. *)
+val run_family :
+  ?config:config ->
+  Socy_logic.Circuit.t ->
+  Socy_defects.Model.lethal ->
+  Socy_defects.Model.lethal list ->
+  (report * report list, failure) result
+
 (** {1 Staged access}
 
     The benchmark harness needs the intermediate artifacts (Tables 2 and 3
@@ -262,9 +315,9 @@ module Artifacts : sig
 
   (** Finish the evaluation: probability sweep + report assembly. The sweep
       result is memoized on the artifacts (see {!type-t}), and
-      [P(G = 1) = Σ_k Q′_k · P(G = 1 | W = k)] recombines it per Theorem 1
-      — one ROMDD traversal however often report/conditional yields are
-      read. *)
+      [P(G = 1) = Σ_k Q′_k · P(G = 1 | W = k)] recombines it per Theorem 1,
+      in the same function {!run_family} prices its members with — one
+      ROMDD traversal however often report/conditional yields are read. *)
   val report : t -> cpu_seconds:float -> report
 
   (** [victim_sensitivities t] is the exact gradient

@@ -13,6 +13,11 @@ module Store = Socy_campaign.Store
 module Campaign = Socy_campaign.Campaign
 module Scheme = Socy_order.Scheme
 module H = Socy_order.Heuristics
+module P = Socy_core.Pipeline
+module S = Socy_benchmarks.Suite
+module Model = Socy_defects.Model
+module D = Socy_defects.Distribution
+module Obs = Socy_obs.Obs
 
 let gates = Gates.default_gates
 
@@ -436,7 +441,8 @@ let test_run_domains_deterministic () =
     {
       (tiny_grid "det") with
       Campaign.benchmarks = [ "MS2"; "ESEN4x1"; "ESEN4x2" ];
-      mv_orders = [ Scheme.Heur H.Weight; Scheme.Wv ];
+      mv_orders =
+        [ Scheme.Heur H.Weight; Scheme.Wv; Scheme.Wvr; Scheme.Heur H.Topology ];
       node_limit = 50_000;
     }
   in
@@ -476,7 +482,9 @@ let test_run_domains_deterministic () =
           Alcotest.(check int) (label ^ ": robdd_size") x.Campaign.robdd_size
             y.Campaign.robdd_size;
           Alcotest.(check int) (label ^ ": romdd_size") x.Campaign.romdd_size
-            y.Campaign.romdd_size
+            y.Campaign.romdd_size;
+          Alcotest.(check (option string)) (label ^ ": shared_with")
+            x.Campaign.shared_with y.Campaign.shared_with
       | Error (Campaign.Node_budget_hit p), Error (Campaign.Node_budget_hit q)
         ->
           Alcotest.(check int) (label ^ ": peak at failure") p q
@@ -489,6 +497,148 @@ let test_run_domains_deterministic () =
     drift.Campaign.max_drift;
   Alcotest.(check int) "sequential_rerun: no status mismatch" 0
     drift.Campaign.status_mismatches
+
+(* ------------------------------------------------------------------ *)
+(* Shared builds                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* At ml bits, t resolves to wv's order and w to wvr's, and M is 6 at
+   both lambdas: each benchmark's eight points make two builds. *)
+let sharing_grid =
+  {
+    (tiny_grid "share") with
+    Campaign.benchmarks = [ "MS2"; "ESEN4x1" ];
+    lambdas = [ 8.5; 9.5 ];
+    mv_orders = [ Scheme.Wv; Scheme.Wvr; Scheme.Heur H.Topology; Scheme.Heur H.Weight ];
+    node_limit = P.default_config.P.node_limit;
+  }
+
+(* What the point would give on its own build. *)
+let own_build grid (p : Campaign.point) =
+  let instance = S.by_name p.Campaign.source in
+  let lethal =
+    Model.to_lethal
+      (Model.create
+         (D.negative_binomial ~mean:p.Campaign.lambda ~alpha:grid.Campaign.alpha)
+         instance.S.affect)
+  in
+  let config =
+    P.Config.make ~epsilon:p.Campaign.epsilon ~mv_order:p.Campaign.mv
+      ~bit_order:grid.Campaign.bit_order ~node_limit:grid.Campaign.node_limit
+      ?cpu_limit:grid.Campaign.cpu_limit ()
+  in
+  P.run_lethal ~config instance.S.circuit lethal
+
+let with_obs f =
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) f
+
+let counter name = Obs.counter_value (Obs.counter name)
+
+(* Progress runs on the worker domains, so it only counts; the checks
+   run after the batch. *)
+let run_counting_progress ?wall_budget grid =
+  let progressed = Atomic.make 0 and wrong_total = Atomic.make 0 in
+  let total_points = List.length (Campaign.points grid) in
+  let c =
+    match
+      Campaign.run ~domains:2 ?wall_budget
+        ~progress:(fun ~completed:_ ~total ~label:_ ->
+          if total <> total_points then Atomic.incr wrong_total;
+          Atomic.incr progressed)
+        grid
+    with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "campaign run failed: %s" msg
+  in
+  Alcotest.(check int) "progress once per point" total_points
+    (Atomic.get progressed);
+  Alcotest.(check int) "progress total is the point count" 0
+    (Atomic.get wrong_total);
+  c
+
+let test_shared_equal_independent () =
+  with_obs @@ fun () ->
+  let grid = sharing_grid in
+  let jobs0 = counter "batch.jobs" in
+  let c = run_counting_progress grid in
+  Alcotest.(check int) "16 points" 16 (List.length c.Campaign.rows);
+  Alcotest.(check int) "batch.jobs counts builds" 4 (counter "batch.jobs" - jobs0);
+  let bits f = Int64.bits_of_float f in
+  let built =
+    List.filter_map
+      (fun (r : Campaign.row) ->
+        match r.Campaign.result with
+        | Ok { Campaign.shared_with = None; _ } ->
+            Some (Campaign.point_label r.Campaign.point, r.Campaign.point.Campaign.source)
+        | _ -> None)
+      c.Campaign.rows
+  in
+  Alcotest.(check int) "four built rows" 4 (List.length built);
+  let shared = ref 0 in
+  List.iter
+    (fun (r : Campaign.row) ->
+      let p = r.Campaign.point in
+      let label = Campaign.point_label p in
+      match (r.Campaign.result, own_build grid p) with
+      | Ok x, Ok y ->
+          Alcotest.(check int) (label ^ ": m") y.P.m x.Campaign.m;
+          Alcotest.(check int64) (label ^ ": yield_lower bits")
+            (bits y.P.yield_lower) (bits x.Campaign.yield_lower);
+          Alcotest.(check int64) (label ^ ": yield_upper bits")
+            (bits y.P.yield_upper) (bits x.Campaign.yield_upper);
+          Alcotest.(check int) (label ^ ": robdd_peak") y.P.robdd_peak
+            x.Campaign.robdd_peak;
+          Alcotest.(check int) (label ^ ": robdd_size") y.P.robdd_size
+            x.Campaign.robdd_size;
+          Alcotest.(check int) (label ^ ": romdd_size") y.P.romdd_size
+            x.Campaign.romdd_size;
+          Option.iter
+            (fun first ->
+              incr shared;
+              Alcotest.(check (option string))
+                (label ^ ": shares a built row of its benchmark")
+                (Some p.Campaign.source) (List.assoc_opt first built))
+            x.Campaign.shared_with
+      | _ -> Alcotest.failf "%s: not ok" label)
+    c.Campaign.rows;
+  Alcotest.(check int) "twelve shared rows" 12 !shared;
+  let _, drift = Campaign.sequential_rerun c in
+  Alcotest.(check (float 0.0)) "sequential_rerun: no drift" 0.0
+    drift.Campaign.max_drift;
+  Alcotest.(check int) "sequential_rerun: no status mismatch" 0
+    drift.Campaign.status_mismatches
+
+(* A group's budget failure is every member's row, the one its own build
+   would give; a spent wall budget cancels every member. *)
+let test_shared_failures () =
+  with_obs @@ fun () ->
+  let grid = { sharing_grid with Campaign.benchmarks = [ "ESEN4x1" ]; node_limit = 5_000 } in
+  let failed0 = counter "batch.jobs_failed" in
+  let c = run_counting_progress grid in
+  List.iter
+    (fun (r : Campaign.row) ->
+      let label = Campaign.point_label r.Campaign.point in
+      match (r.Campaign.result, own_build grid r.Campaign.point) with
+      | Error (Campaign.Node_budget_hit p), Error (P.Node_budget { peak; _ }) ->
+          Alcotest.(check int) (label ^ ": peak at failure") peak p
+      | ra, _ ->
+          Alcotest.failf "%s: %s, expected node-budget on both" label
+            (Campaign.status_name ra))
+    c.Campaign.rows;
+  Alcotest.(check int) "batch.jobs_failed counts points" 8
+    (counter "batch.jobs_failed" - failed0);
+  let cancelled0 = counter "batch.jobs_cancelled" in
+  let c = run_counting_progress ~wall_budget:0.0 sharing_grid in
+  List.iter
+    (fun (r : Campaign.row) ->
+      Alcotest.(check string)
+        (Campaign.point_label r.Campaign.point)
+        "cancelled"
+        (Campaign.status_name r.Campaign.result))
+    c.Campaign.rows;
+  Alcotest.(check int) "batch.jobs_cancelled counts points" 16
+    (counter "batch.jobs_cancelled" - cancelled0)
 
 (* ------------------------------------------------------------------ *)
 (* Codec property                                                      *)
@@ -522,7 +672,7 @@ let gen_result =
       [
         ( 3,
           map
-            (fun (m, (yl, yu), (peak, size), cpu) ->
+            (fun (m, (yl, yu), (peak, size), (cpu, shared_with)) ->
               Ok
                 {
                   Campaign.m;
@@ -532,10 +682,12 @@ let gen_result =
                   robdd_size = size;
                   romdd_size = size + 1;
                   cpu_s = cpu;
+                  shared_with =
+                    Option.map Campaign.point_label shared_with;
                 })
             (quad (int_range 0 20) (pair gen_float gen_float)
                (pair (int_range 0 1000000) (int_range 0 1000000))
-               gen_float) );
+               (pair gen_float (opt gen_point))) );
         (1, map (fun n -> Error (Campaign.Node_budget_hit n)) (int_range 0 1000));
         (1, map (fun s -> Error (Campaign.Cpu_budget_hit s)) gen_float);
         (1, return (Error Campaign.Cancelled));
@@ -604,6 +756,88 @@ let test_codec_rejects_wrong_schema () =
   match Campaign.of_string "{\"schema\":\"socyield-campaign/1\"}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing fields must not parse"
+
+(* ------------------------------------------------------------------ *)
+(* Golden documents                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let golden_campaign name =
+  let text = read_file (Filename.concat "golden" name) in
+  match Campaign.of_string text with
+  | Ok c ->
+      (* Decoding and re-encoding reproduces the document field for field:
+         a field renamed, retyped or dropped on either side fails here. *)
+      Alcotest.(check string) (name ^ ": re-encodes")
+        (Json.to_string (Json.of_string text))
+        (Json.to_string (Campaign.to_json c));
+      c
+  | Error msg -> Alcotest.failf "%s: %s" name msg
+
+(* A row without its timing: what two runs of the same point share. *)
+let result_fields (r : Campaign.row) =
+  Json.to_string
+    (Json.Obj
+       (List.filter
+          (fun (k, _) -> k <> "cpu_s" && k <> "shared_with")
+          (Campaign.row_fields r)))
+
+(* golden/campaign-parent.json was written before rows could share a
+   build, and golden/campaign-shared.json after, both by
+   [socyield sweep -b MS2 --lambdas 8.5,9.5 --mv-orders wvr,w --domains 1
+   --output json]. The old document still loads; both carry the same
+   results, and a fresh run of the grid reproduces them, sharing
+   included. *)
+let test_golden_campaign () =
+  let old_doc = golden_campaign "campaign-parent.json" in
+  let doc = golden_campaign "campaign-shared.json" in
+  List.iter
+    (fun (r : Campaign.row) ->
+      match r.Campaign.result with
+      | Ok s ->
+          Alcotest.(check (option string)) "no shared_with before sharing" None
+            s.Campaign.shared_with
+      | Error _ -> Alcotest.fail "golden row failed")
+    old_doc.Campaign.rows;
+  let shared_with (c : Campaign.t) =
+    List.map
+      (fun (r : Campaign.row) ->
+        match r.Campaign.result with
+        | Ok s -> s.Campaign.shared_with
+        | Error _ -> None)
+      c.Campaign.rows
+  in
+  let first = Some "MS2 l=8.5 e=0.001 wvr" in
+  Alcotest.(check (list (option string))) "three rows share the first build"
+    [ None; first; first; first ] (shared_with doc);
+  Alcotest.(check (list string)) "same results before and after sharing"
+    (List.map result_fields old_doc.Campaign.rows)
+    (List.map result_fields doc.Campaign.rows);
+  match Campaign.run ~domains:1 doc.Campaign.grid with
+  | Error msg -> Alcotest.failf "golden grid: %s" msg
+  | Ok fresh ->
+      Alcotest.(check (list string)) "a fresh run gives the golden results"
+        (List.map result_fields doc.Campaign.rows)
+        (List.map result_fields fresh.Campaign.rows);
+      Alcotest.(check (list (option string))) "and shares the same way"
+        (shared_with doc) (shared_with fresh)
+
+(* golden/bench.json: [bench/main.exe --quick --json=bench.json par]. *)
+let test_golden_bench () =
+  let text = read_file (Filename.concat "golden" "bench.json") in
+  match Bench.of_string text with
+  | Error msg -> Alcotest.failf "bench.json: %s" msg
+  | Ok doc ->
+      Alcotest.(check string) "re-encodes"
+        (Json.to_string (Json.of_string text))
+        (Json.to_string (Bench.to_json doc));
+      (match Bench.find doc ~section:"par" ~row:"MS4, l'=1 build+convert" with
+      | Some r ->
+          Alcotest.(check (option (float 0.0))) "gated drift field" (Some 0.0)
+            (Bench.number "par_yield_drift" r)
+      | None -> Alcotest.fail "par record missing");
+      Alcotest.(check int) "one record" 1 (List.length doc.Bench.records)
 
 (* ------------------------------------------------------------------ *)
 (* Bench codec (Doc.Bench)                                             *)
@@ -680,11 +914,21 @@ let () =
             test_validate_rejects_values;
           Alcotest.test_case "one domain = three domains" `Quick
             test_run_domains_deterministic;
+          Alcotest.test_case "shared points equal independent builds" `Quick
+            test_shared_equal_independent;
+          Alcotest.test_case "shared failures and cancellation" `Quick
+            test_shared_failures;
           QCheck_alcotest.to_alcotest prop_campaign_codec_round_trip;
         ] );
       ( "bench-doc",
         [
           Alcotest.test_case "round trip" `Quick test_bench_codec_round_trip;
           Alcotest.test_case "rejects malformed" `Quick test_bench_codec_rejects;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "socyield-campaign/1 documents" `Quick
+            test_golden_campaign;
+          Alcotest.test_case "socyield-bench/1 document" `Quick test_golden_bench;
         ] );
     ]

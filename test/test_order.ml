@@ -203,6 +203,28 @@ let test_group_positions_inverse () =
     (fun pos g -> check_int "positions inverse" pos s.Scheme.group_position.(g))
     s.Scheme.groups_in_order
 
+(* golden/orderings.tsv: [socyield tune -b MS2,ESEN4x1 --domains 2]. It
+   loads, and saving what loaded writes the same bytes. *)
+let test_golden_registry () =
+  let module Registry = Socy_order.Registry in
+  let golden = Filename.concat "golden" "orderings.tsv" in
+  let entries = Registry.load golden in
+  Alcotest.(check (list string)) "families" [ "ESEN4x1"; "MS2" ]
+    (List.map (fun e -> e.Registry.family) entries);
+  List.iter
+    (fun e ->
+      Alcotest.(check string) (e.Registry.family ^ ": mv") "wvr"
+        (Scheme.mv_order_name e.Registry.mv);
+      Alcotest.(check bool) (e.Registry.family ^ ": static") false e.Registry.reorder)
+    entries;
+  let copy = Filename.temp_file "orderings" ".tsv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove copy)
+    (fun () ->
+      Registry.save copy entries;
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string) "save writes the golden bytes" (read golden) (read copy))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let prop_scheme_levels_partition =
@@ -238,4 +260,6 @@ let () =
           Alcotest.test_case "group positions inverse" `Quick test_group_positions_inverse;
         ] );
       qsuite "props" [ prop_scheme_levels_partition ];
+      ( "golden",
+        [ Alcotest.test_case "socyield-orderings/1 registry" `Quick test_golden_registry ] );
     ]

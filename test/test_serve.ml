@@ -302,6 +302,72 @@ let str_at path j =
   | _ -> Alcotest.failf "%s not a string" (String.concat "." path)
 
 (* ------------------------------------------------------------------ *)
+(* Golden documents                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let golden name = In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all
+
+(* golden/serve-request.json and golden/serve-reply.json were recorded
+   from [socyield serve]; golden/report.json is [socyield eval -b MS2
+   --lambda 8.5 --mv-order wvr --metrics json], the same query. The
+   request decodes, the daemon answers it with the recorded result, and
+   the eval document's report is that result plus [cpu_seconds]. *)
+let test_golden_serve () =
+  let line = String.trim (golden "serve-request.json") in
+  let q =
+    match Proto.parse_request line with
+    | Ok { Proto.meth = Proto.Eval; query = Some q; _ } -> q
+    | Ok _ -> Alcotest.fail "golden request is not an eval query"
+    | Error (_, msg) -> Alcotest.failf "golden request: %s" msg
+  in
+  Alcotest.(check bool) "the query it names" true
+    (q = { base_query with Proto.lambda = 8.5; mv_order = Scheme.Wvr });
+  let reply = Json.of_string (golden "serve-reply.json") in
+  Alcotest.(check string) "recorded status" "ok" (str_at [ "status" ] reply);
+  let result = member_exn [ "result" ] reply in
+  with_server (fun path _server ->
+      with_client path (fun c ->
+          send_line c line;
+          let live = Json.of_string (input_line c.ic) in
+          Alcotest.(check string) "live status" "ok" (str_at [ "status" ] live);
+          Alcotest.(check string) "live result = recorded result"
+            (Json.to_string result)
+            (Json.to_string (member_exn [ "result" ] live))));
+  let report = Json.of_string (golden "report.json") in
+  Alcotest.(check string) "report schema" "socyield-report/1"
+    (str_at [ "schema" ] report);
+  let fields =
+    match member_exn [ "report" ] report with
+    | Json.Obj fields -> List.filter (fun (k, _) -> k <> "cpu_seconds") fields
+    | _ -> Alcotest.fail "report is not an object"
+  in
+  Alcotest.(check string) "eval report = served report"
+    (Json.to_string (member_exn [ "report" ] result))
+    (Json.to_string (Json.Obj fields));
+  let resolved =
+    match Proto.resolve q with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "resolve: %s" msg
+  in
+  let config =
+    P.Config.make ~epsilon:q.Proto.epsilon ~mv_order:q.Proto.mv_order
+      ~bit_order:q.Proto.bit_order ()
+  in
+  match P.run ~config resolved.Proto.circuit resolved.Proto.model with
+  | Error f -> Alcotest.failf "golden query failed: %s" (P.failure_to_string f)
+  | Ok r ->
+      Alcotest.(check string) "a fresh run gives the recorded fields"
+        (Json.to_string (Json.Obj fields))
+        (Json.to_string (Json.Obj (Proto.report_fields r)));
+      let stages =
+        match member_exn [ "stage_times_s" ] report with
+        | Json.Obj l -> List.map fst l
+        | _ -> Alcotest.fail "stage_times_s is not an object"
+      in
+      Alcotest.(check (list string)) "stage names" (List.map fst r.P.stage_times)
+        stages
+
+(* ------------------------------------------------------------------ *)
 (* Live server tests                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -720,6 +786,11 @@ let () =
       ( "codec",
         qsuite [ qcheck_roundtrip; qcheck_wire_roundtrip ]
         @ [ Alcotest.test_case "decode errors" `Quick test_decode_errors ] );
+      ( "golden",
+        [
+          Alcotest.test_case "socyield-serve/1 and socyield-report/1" `Quick
+            test_golden_serve;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "lru eviction" `Quick test_cache_lru;
