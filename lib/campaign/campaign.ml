@@ -132,6 +132,13 @@ let validate grid =
     | Some b -> Error (Printf.sprintf "unknown benchmark %S" b)
     | None -> Ok ()
   in
+  let* () =
+    List.fold_left
+      (fun acc mv ->
+        let* () = acc in
+        Scheme.check_pairing ~mv ~bits:grid.bit_order)
+      (Ok ()) grid.mv_orders
+  in
   (* The numeric rules are the constructors' own: build what [job] builds
      for each benchmark × lambda × epsilon, truncation point included, so
      [run] fails only with a typed [Error]. *)
@@ -159,8 +166,10 @@ let ok_counter = Obs.counter "batch.jobs_ok"
 let failed_counter = Obs.counter "batch.jobs_failed"
 let cancelled_counter = Obs.counter "batch.jobs_cancelled"
 
-let job grid p =
-  let instance = S.by_name p.source in
+(* [instances] holds one instance per benchmark, so that the points of a
+   benchmark share its circuit and [groups] builds its problems once. *)
+let job grid instances p =
+  let instance = List.assoc p.source instances in
   ( instance.S.circuit,
     lethal grid instance ~lambda:p.lambda,
     P.Config.with_mv_order p.mv (config grid ~epsilon:p.epsilon) )
@@ -174,16 +183,20 @@ let groups ~share points jobs =
   if not share then Array.init (Array.length points) (fun i -> [ i ])
   else begin
     let by_key = Hashtbl.create 16 and firsts = ref [] in
+    let keys =
+      P.build_keys
+        (Array.map (fun (circuit, lethal, config) -> (config, circuit, lethal)) jobs)
+    in
     Array.iteri
-      (fun i (circuit, lethal, config) ->
-        let key = (points.(i).source, P.build_key config circuit lethal) in
+      (fun i key ->
+        let key = (points.(i).source, key) in
         match Hashtbl.find_opt by_key key with
         | Some members -> members := i :: !members
         | None ->
             let members = ref [ i ] in
             Hashtbl.add by_key key members;
             firsts := members :: !firsts)
-      jobs;
+      keys;
     Array.of_list (List.rev_map (fun members -> List.rev !members) !firsts)
   end
 
@@ -240,7 +253,8 @@ let run_grid ~share ?domains ?wall_budget ?progress
     ?(now = Unix.gettimeofday ()) grid =
   let* () = validate grid in
   let points = Array.of_list (points grid) in
-  let jobs = Array.map (job grid) points in
+  let instances = List.map (fun b -> (b, S.by_name b)) grid.benchmarks in
+  let jobs = Array.map (job grid instances) points in
   let groups = groups ~share points jobs in
   let domains =
     match domains with Some d -> d | None -> Pool.default_domains ()

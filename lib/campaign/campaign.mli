@@ -84,7 +84,9 @@ val points : grid -> point list
 
 val validate : grid -> (unit, string) result
 (** Reject empty axes, unknown benchmark names, names unusable as
-    directory prefixes, and every value that
+    directory prefixes, an mv order that
+    {!Socy_order.Scheme.check_pairing} does not allow beside the grid's
+    bit order, and every value that
     {!Socy_defects.Distribution.negative_binomial} (per λ, with α) or
     {!Socy_core.Pipeline.Config.make} (per ε, with the node and CPU
     limits and [par_domains]) or

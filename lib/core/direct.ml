@@ -77,16 +77,10 @@ let evaluate ?(epsilon = 1e-3) fault_tree lethal ~mv ~bits =
   let m = Model.truncation lethal ~epsilon in
   let problem = Problem.build fault_tree ~m in
   let scheme = Scheme.make problem ~mv ~bits in
-  let specs =
-    Array.map
-      (fun g ->
-        {
-          Mdd.name = Problem.group_name problem g;
-          Mdd.domain = Problem.domain problem g;
-        })
-      scheme.Scheme.groups_in_order
+  let mdd =
+    Mdd.create ~cache_bits:Pipeline.default_config.Pipeline.cache_bits
+      (Pipeline.mdd_specs problem scheme)
   in
-  let mdd = Mdd.create ~cache_bits:Pipeline.default_config.Pipeline.cache_bits specs in
   let root = build mdd problem scheme in
   let w = Model.w_pmf lethal ~m in
   let p pos value =

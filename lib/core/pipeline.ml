@@ -138,17 +138,44 @@ type build_key = {
   input_of_level : int array;
 }
 
-let build_key config fault_tree lethal =
-  let m = Model.truncation lethal ~epsilon:config.epsilon in
-  let scheme =
-    Scheme.make (Problem.build fault_tree ~m) ~mv:config.mv_order
-      ~bits:config.bit_order
+(* A key needs the problem of its circuit at M and the order resolved on
+   it. Jobs that share a circuit and M share the problem, and those that
+   also share the mv and bit orders share the order; a grid holds few of
+   each, so association lists do. *)
+let build_keys jobs =
+  let problems = ref [] and schemes = ref [] in
+  let problem fault_tree m =
+    match List.find_opt (fun (c, m', _) -> c == fault_tree && m' = m) !problems with
+    | Some (_, _, p) -> p
+    | None ->
+        let p = Problem.build fault_tree ~m in
+        problems := (fault_tree, m, p) :: !problems;
+        p
   in
-  {
-    truncation = m;
-    groups_in_order = scheme.Scheme.groups_in_order;
-    input_of_level = scheme.Scheme.input_of_level;
-  }
+  let scheme problem ~mv ~bits =
+    match
+      List.find_opt (fun (p, mv', bits', _) -> p == problem && mv' = mv && bits' = bits) !schemes
+    with
+    | Some (_, _, _, s) -> s
+    | None ->
+        let s = Scheme.make problem ~mv ~bits in
+        schemes := (problem, mv, bits, s) :: !schemes;
+        s
+  in
+  Array.map
+    (fun (config, fault_tree, lethal) ->
+      let m = Model.truncation lethal ~epsilon:config.epsilon in
+      let scheme =
+        scheme (problem fault_tree m) ~mv:config.mv_order ~bits:config.bit_order
+      in
+      {
+        truncation = m;
+        groups_in_order = scheme.Scheme.groups_in_order;
+        input_of_level = scheme.Scheme.input_of_level;
+      })
+    jobs
+
+let build_key config fault_tree lethal = (build_keys [| (config, fault_tree, lethal) |]).(0)
 
 (* Theorem 1: P(G = 1) = Σ_k Q'_k · P(G = 1 | W = k) over the sweep's
    slots k = 0 … M + 1, the last being W's aggregated tail, whose mass is

@@ -239,6 +239,15 @@ type build_key = {
 val build_key :
   config -> Socy_logic.Circuit.t -> Socy_defects.Model.lethal -> build_key
 
+(** [build_keys jobs] is the {!build_key} of every [(config, fault_tree,
+    lethal)] of [jobs], in order. It builds one problem per circuit and M,
+    and resolves one order per circuit, M, mv order and bit order, where
+    one {!build_key} call per job would build each time. Circuits are told
+    apart physically ([==]), so jobs on one circuit must share the value.
+    Raises [Invalid_argument] where {!build_key} does. *)
+val build_keys :
+  (config * Socy_logic.Circuit.t * Socy_defects.Model.lethal) array -> build_key array
+
 (** [run_family ?config fault_tree first rest] builds and sweeps once for
     [first], inside one [pipeline] span, and returns [first]'s report,
     which is {!run_lethal}'s, with one report per model of [rest], in
@@ -265,6 +274,17 @@ val run_family :
     The benchmark harness needs the intermediate artifacts (Tables 2 and 3
     report ROMDD / coded-ROBDD sizes under various orderings); [Artifacts]
     exposes one fully built instance. *)
+
+(** [layout_of_scheme problem scheme] is the conversion layout of the
+    coded ROBDD that [problem] and [scheme] give: each BDD level's group
+    position, each position's levels in increasing order, and every
+    codeword re-aligned from most significant bit first to level order. *)
+val layout_of_scheme :
+  Socy_encode.Problem.t -> Socy_order.Scheme.t -> Socy_mdd.Conversion.layout
+
+(** [mdd_specs problem scheme] are the ROMDD variables in [scheme]'s
+    multiple-valued order: the manager {!Artifacts.build} converts into. *)
+val mdd_specs : Socy_encode.Problem.t -> Socy_order.Scheme.t -> Socy_mdd.Mdd.spec array
 
 module Artifacts : sig
   type t = {

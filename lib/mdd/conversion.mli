@@ -7,7 +7,10 @@
     are processed bottom-up; each entry node of a layer (a node reached from
     a different layer, or the root) is mapped to an ROMDD node by
     "simulating", for every domain value, the codeword of that value through
-    the layer's binary nodes. *)
+    the layer's binary nodes. The simulations of one entry share one walk:
+    the layer's codewords form a binary trie in level order, and the
+    entry's BDD nodes and the trie are descended together, so a prefix
+    common to several codewords is followed once. *)
 
 type layout = {
   group_of_level : int array;
@@ -17,7 +20,7 @@ type layout = {
       (** group → its BDD levels, increasing. *)
   codeword : int -> int -> bool array;
       (** [codeword g j] = bit values of value [j] of group [g], aligned
-          with [levels_of_group.(g)]. *)
+          with [levels_of_group.(g)] (one bit per level). *)
 }
 
 (** [run bdd root mdd layout] converts the coded ROBDD [root] into an ROMDD
@@ -28,6 +31,9 @@ type layout = {
     Returns the ROMDD root. Nodes corresponding to binary combinations that
     encode no domain value are never created (the paper instead creates and
     then prunes them; the result is the same reduced diagram).
+
+    Raises [Invalid_argument] when a codeword's length differs from its
+    group's level count.
 
     With [?team], layers are processed layer-parallel: the per-entry
     codeword simulations of each layer — independent given the already

@@ -8,30 +8,32 @@ type spec = { name : string; domain : int }
 
 type node = int
 
-module Key = struct
-  type t = int * int array (* level, children *)
-
-  let equal (l1, c1) (l2, c2) =
-    l1 = l2
-    && Array.length c1 = Array.length c2
-    &&
-    let rec loop i = i >= Array.length c1 || (c1.(i) = c2.(i) && loop (i + 1)) in
-    loop 0
-
-  let hash (l, c) =
-    let h = ref (l * 0x9E3779B1) in
-    Array.iter (fun x -> h := (!h * 31) + x + 1) c;
-    !h land max_int
-end
-
-module Tbl = Hashtbl.Make (Key)
-
 type t = {
   specs : spec array;
-  table : node Tbl.t;
-  mutable levels : int array; (* node -> level *)
-  mutable kids : int array array; (* node -> children *)
+  arity : int array; (* level -> domain *)
+  (* Node store. Node [n] tests level [levels.(n)]. Its children are
+     copied at creation into a pool of int chunks, which never move: they
+     are [k.(b) .. k.(b + arity.(levels.(n)) - 1)] for the chunk
+     [k = chunks.(offs.(n) lsr chunk_shift)] and [b = offs.(n) land
+     offset_mask] ([chunk_of], [base_of]). Chunks double from
+     [first_chunk] to [max_chunk] words, so a small manager touches little
+     memory and a large one never copies its children. Ids are handed out
+     in creation order. The terminals 0 and 1 sit at level [num_mvars] and
+     own no children. *)
+  mutable levels : int array;
+  mutable offs : int array;
+  mutable chunks : int array array;
+  mutable nchunks : int;
+  mutable fill : int; (* words used in chunk [nchunks - 1] *)
   mutable used : int;
+  (* Unique table: open addressing with linear probing over node ids,
+     kept at most half full. Slot [i] holds an id at [utab.(2 i)] (-1 when
+     empty) and that node's hash at [utab.(2 i + 1)], so a probe rejects
+     most other nodes without reading their children. *)
+  mutable utab : int array;
+  mutable umask : int; (* slots - 1 *)
+  (* APPLY work stack, reused across calls; frame layout at [apply]. *)
+  mutable ap_stack : int array;
   (* APPLY computed cache: direct-mapped over int keys (op, f, g), like the
      ROBDD manager's ITE cache. Bounded by construction — a colliding entry
      overwrites — so repeated APPLYs on one manager cannot grow memory past
@@ -58,6 +60,12 @@ let one = 1
 let is_terminal n = n < 2
 
 let initial_cache_bits = 12
+let initial_nodes = 1024
+let initial_slots = 4096
+let first_chunk = 4096
+let max_chunk = 1 lsl 16
+let chunk_shift = 32
+let offset_mask = (1 lsl chunk_shift) - 1
 
 let create ?(cache_bits = 16) specs =
   Array.iter
@@ -69,15 +77,21 @@ let create ?(cache_bits = 16) specs =
   let nvars = Array.length specs in
   let lines = 1 lsl min cache_bits initial_cache_bits in
   let ap_max = 1 lsl cache_bits in
-  let levels = Array.make 1024 (-1) in
+  let levels = Array.make initial_nodes (-1) in
   levels.(0) <- nvars;
   levels.(1) <- nvars;
   {
     specs;
-    table = Tbl.create 4096;
+    arity = Array.map (fun s -> s.domain) specs;
     levels;
-    kids = Array.make 1024 [||];
+    offs = Array.make initial_nodes 0;
+    chunks = Array.make 8 [||];
+    nchunks = 0;
+    fill = 0;
     used = 2;
+    utab = Array.make (2 * initial_slots) (-1);
+    umask = initial_slots - 1;
+    ap_stack = Array.make 256 0;
     ap_op = Array.make lines (-1);
     ap_f = Array.make lines 0;
     ap_g = Array.make lines 0;
@@ -100,39 +114,130 @@ let spec t v =
 
 let level t n = t.levels.(n)
 
+let chunk_of t n = t.chunks.(t.offs.(n) lsr chunk_shift)
+let base_of t n = t.offs.(n) land offset_mask
+
 let children t n =
   if is_terminal n then invalid_arg "Mdd.children: terminal node";
-  t.kids.(n)
+  Array.sub (chunk_of t n) (base_of t n) t.arity.(t.levels.(n))
 
-let grow t =
+(* A copy of [a] in an array of [size] slots, the rest filled with [fill].
+   Int arrays are copied by a loop of plain stores: [Array.blit] into a
+   block of the major heap goes through the write barrier per element. *)
+let extend (a : int array) size fill =
+  let b = Array.make size fill in
+  for i = 0 to Array.length a - 1 do
+    b.(i) <- a.(i)
+  done;
+  b
+
+(* Room for [d] more children: a fresh chunk when the last one is full. *)
+let reserve t d =
+  if t.nchunks = 0 || t.fill + d > Array.length t.chunks.(t.nchunks - 1) then begin
+    let last = if t.nchunks = 0 then first_chunk / 2 else Array.length t.chunks.(t.nchunks - 1) in
+    if t.nchunks = Array.length t.chunks then begin
+      let chunks = Array.make (2 * t.nchunks) [||] in
+      Array.blit t.chunks 0 chunks 0 t.nchunks;
+      t.chunks <- chunks
+    end;
+    t.chunks.(t.nchunks) <- Array.make (max d (min max_chunk (2 * last))) 0;
+    t.nchunks <- t.nchunks + 1;
+    t.fill <- 0
+  end
+
+let grow_nodes t =
   let cap = Array.length t.levels in
   Trace.instant "mdd.grow" ~args:[ ("slots", Json.Int (2 * cap)) ];
-  let extend a fill =
-    let b = Array.make (2 * cap) fill in
-    Array.blit a 0 b 0 cap;
-    b
-  in
-  t.levels <- extend t.levels (-1);
-  t.kids <- extend t.kids [||]
+  t.levels <- extend t.levels (2 * cap) (-1);
+  t.offs <- extend t.offs (2 * cap) 0
+
+(* Hash of a node: its level and its children [a.(off) .. a.(off + d - 1)],
+   folded with a multiply per child and finished with a xorshift-multiply
+   round, so that the low bits that pick a slot depend on every child. *)
+let hash_node lv a off d =
+  let h = ref (lv + 1) in
+  for i = off to off + d - 1 do
+    h := (!h + a.(i)) * 0x2545F4914F6CDD1D
+  done;
+  let h = !h in
+  let h = (h lxor (h lsr 29)) * 0x165667B19E3779F9 in
+  (h lxor (h lsr 32)) land max_int
+
+(* Double the unique table, re-inserting every id at its stored hash. *)
+let rehash t =
+  let old = t.utab in
+  let slots = 2 * (t.umask + 1) in
+  let mask = slots - 1 in
+  let tab = Array.make (2 * slots) (-1) in
+  for i = 0 to t.umask do
+    let n = old.(2 * i) in
+    if n >= 0 then begin
+      let h = old.((2 * i) + 1) in
+      let j = ref (h land mask) in
+      while tab.(2 * !j) >= 0 do
+        j := (!j + 1) land mask
+      done;
+      tab.(2 * !j) <- n;
+      tab.((2 * !j) + 1) <- h
+    end
+  done;
+  t.utab <- tab;
+  t.umask <- mask
+
+(* The node at level [lv] whose children are [a.(off) .. a.(off + d - 1)],
+   [d] the level's arity: found in the unique table, or created at the
+   next id with the children copied into the pool. The caller has applied
+   the elimination rule. Loops rather than local functions, so that a
+   lookup allocates nothing. *)
+let intern t lv a off =
+  let d = t.arity.(lv) in
+  let h = hash_node lv a off d in
+  let i = ref (h land t.umask) and found = ref (-1) in
+  while !found < 0 && t.utab.(2 * !i) >= 0 do
+    let n = t.utab.(2 * !i) in
+    if t.utab.((2 * !i) + 1) = h && t.levels.(n) = lv then begin
+      let kids = chunk_of t n and base = base_of t n and j = ref 0 in
+      while !j < d && kids.(base + !j) = a.(off + !j) do
+        incr j
+      done;
+      if !j = d then found := n
+    end;
+    if !found < 0 then i := (!i + 1) land t.umask
+  done;
+  if !found >= 0 then !found
+  else begin
+    if t.used = Array.length t.levels then grow_nodes t;
+    reserve t d;
+    let n = t.used and c = t.nchunks - 1 in
+    t.used <- n + 1;
+    t.levels.(n) <- lv;
+    t.offs.(n) <- (c lsl chunk_shift) lor t.fill;
+    let kids = t.chunks.(c) and base = t.fill in
+    for j = 0 to d - 1 do
+      kids.(base + j) <- a.(off + j)
+    done;
+    t.fill <- base + d;
+    t.utab.(2 * !i) <- n;
+    t.utab.((2 * !i) + 1) <- h;
+    (* ids 2 .. n are in the table *)
+    if 2 * (n - 1) > t.umask + 1 then rehash t;
+    n
+  end
+
+(* [mk] on the children [a.(off) .. a.(off + arity - 1)]. *)
+let mk_sub t lv a off =
+  let d = t.arity.(lv) in
+  let first = a.(off) and j = ref 1 in
+  while !j < d && a.(off + !j) = first do
+    incr j
+  done;
+  if !j = d then first else intern t lv a off
 
 let mk t lv children =
   if lv < 0 || lv >= num_mvars t then invalid_arg "Mdd.mk: level out of range";
-  if Array.length children <> t.specs.(lv).domain then
+  if Array.length children <> t.arity.(lv) then
     invalid_arg "Mdd.mk: children arity must match the variable domain";
-  let first = children.(0) in
-  if Array.for_all (fun c -> c = first) children then first
-  else
-    let key = (lv, children) in
-    match Tbl.find_opt t.table key with
-    | Some n -> n
-    | None ->
-        if t.used = Array.length t.levels then grow t;
-        let n = t.used in
-        t.used <- n + 1;
-        t.levels.(n) <- lv;
-        t.kids.(n) <- Array.copy children;
-        Tbl.add t.table (lv, t.kids.(n)) n;
-        n
+  mk_sub t lv children 0
 
 let literal t lv ~values =
   let domain = (spec t lv).domain in
@@ -184,91 +289,121 @@ let grow_apply_cache t =
   t.ap_mask <- mask;
   t.ap_grow_at <- (if n < t.ap_max then n else max_int)
 
-(* One suspended APPLY call: children [0 .. j-1] are already combined into
-   [kid]; the result of combining child [j] arrives through [finished]. *)
-type apply_frame = {
-  fa : int;
-  fb : int;
-  flv : int;
-  kid : int array;
-  mutable j : int;
-}
+(* One suspended APPLY call is a frame of [t.ap_stack] from its base [b]:
+   [b], [b + 1] the normalized operands; [b + 2] the level tested;
+   [b + 3] the child index whose result is pending (-1 before the first);
+   [b + 4] the number of distinct operand pairs launched; [b + 5] the base
+   of the caller's frame (-1 for the outermost call); then the [d] result
+   slots, and one (f_j, g_j, j) triple per distinct pair, where [j] is the
+   first child index that met the pair. *)
+let frame_header = 6
 
 let apply t op f g =
   let opc = op_code op in
+  (* The result when the operation short-circuits on [f] and [g], else -1. *)
   let shortcut f g =
     match op with
     | O_and ->
-        if f = zero || g = zero then Some zero
-        else if f = one then Some g
-        else if g = one then Some f
-        else if f = g then Some f
-        else None
+        if f = zero || g = zero then zero
+        else if f = one then g
+        else if g = one then f
+        else if f = g then f
+        else -1
     | O_or ->
-        if f = one || g = one then Some one
-        else if f = zero then Some g
-        else if g = zero then Some f
-        else if f = g then Some f
-        else None
+        if f = one || g = one then one
+        else if f = zero then g
+        else if g = zero then f
+        else if f = g then f
+        else -1
     | O_xor ->
-        if f = g then Some zero
-        else if f = zero then Some g
-        else if g = zero then Some f
-        else if is_terminal f && is_terminal g then Some one
-        else None
+        if f = g then zero
+        else if f = zero then g
+        else if g = zero then f
+        else if is_terminal f && is_terminal g then one
+        else -1
   in
   (* Explicit work stack instead of recursion: deep diagrams (hundreds of
      thousands of levels) must not overflow the OCaml stack. [finished]
      carries the result of the innermost resolved call to the frame that
-     requested it. *)
-  let finished = ref (-1) in
-  let stack = ref [] in
+     requested it; [top] is the base of the innermost frame and [sp] the
+     first free stack slot. *)
+  let finished = ref (-1) and top = ref (-1) and sp = ref 0 in
   let launch f g =
-    match shortcut f g with
-    | Some r -> finished := r
-    | None ->
-        (* Commutative ops: normalize the key. *)
-        let a, b = if f <= g then (f, g) else (g, f) in
-        let i = hash3 opc a b land t.ap_mask in
-        if t.ap_op.(i) = opc && t.ap_f.(i) = a && t.ap_g.(i) = b then begin
-          t.apply_hits <- t.apply_hits + 1;
-          finished := t.ap_r.(i)
-        end
-        else begin
-          t.apply_misses <- t.apply_misses + 1;
-          if t.used > t.ap_grow_at then grow_apply_cache t;
-          let lv = min t.levels.(a) t.levels.(b) in
-          let domain = t.specs.(lv).domain in
-          stack := { fa = a; fb = b; flv = lv; kid = Array.make domain 0; j = -1 } :: !stack
-        end
+    let r = shortcut f g in
+    if r >= 0 then finished := r
+    else begin
+      (* Commutative ops: normalize the key. *)
+      let a = if f <= g then f else g and b = if f <= g then g else f in
+      let i = hash3 opc a b land t.ap_mask in
+      if t.ap_op.(i) = opc && t.ap_f.(i) = a && t.ap_g.(i) = b then begin
+        t.apply_hits <- t.apply_hits + 1;
+        finished := t.ap_r.(i)
+      end
+      else begin
+        t.apply_misses <- t.apply_misses + 1;
+        if t.used > t.ap_grow_at then grow_apply_cache t;
+        let la = t.levels.(a) and lb = t.levels.(b) in
+        let lv = if la <= lb then la else lb in
+        let base = !sp in
+        let next = base + frame_header + (4 * t.arity.(lv)) in
+        if next > Array.length t.ap_stack then
+          t.ap_stack <- extend t.ap_stack (2 * next) 0;
+        let s = t.ap_stack in
+        s.(base) <- a;
+        s.(base + 1) <- b;
+        s.(base + 2) <- lv;
+        s.(base + 3) <- -1;
+        s.(base + 4) <- 0;
+        s.(base + 5) <- !top;
+        top := base;
+        sp := next
+      end
+    end
   in
   launch f g;
-  let rec drive () =
-    match !stack with
-    | [] -> ()
-    | fr :: rest ->
-        if fr.j >= 0 then fr.kid.(fr.j) <- !finished;
-        fr.j <- fr.j + 1;
-        if fr.j = Array.length fr.kid then begin
-          let r = mk t fr.flv fr.kid in
-          let i = hash3 opc fr.fa fr.fb land t.ap_mask in
-          t.ap_op.(i) <- opc;
-          t.ap_f.(i) <- fr.fa;
-          t.ap_g.(i) <- fr.fb;
-          t.ap_r.(i) <- r;
-          stack := rest;
-          finished := r
-        end
-        else begin
-          let j = fr.j in
-          let cf = if t.levels.(fr.fa) = fr.flv then t.kids.(fr.fa).(j) else fr.fa in
-          let cg = if t.levels.(fr.fb) = fr.flv then t.kids.(fr.fb).(j) else fr.fb in
-          launch cf cg
-        end;
-        drive ()
-  in
-  (* [drive] is tail-recursive: constant OCaml stack regardless of depth. *)
-  drive ();
+  while !top >= 0 do
+    let s = t.ap_stack and base = !top in
+    let lv = s.(base + 2) in
+    let d = t.arity.(lv) in
+    let kid = base + frame_header in
+    let j = s.(base + 3) in
+    if j >= 0 then s.(kid + j) <- !finished;
+    let j = j + 1 in
+    let a = s.(base) and b = s.(base + 1) in
+    if j = d then begin
+      let r = mk_sub t lv s kid in
+      let i = hash3 opc a b land t.ap_mask in
+      t.ap_op.(i) <- opc;
+      t.ap_f.(i) <- a;
+      t.ap_g.(i) <- b;
+      t.ap_r.(i) <- r;
+      sp := base;
+      top := s.(base + 5);
+      finished := r
+    end
+    else begin
+      s.(base + 3) <- j;
+      let cf = if t.levels.(a) = lv then (chunk_of t a).(base_of t a + j) else a in
+      let cg = if t.levels.(b) = lv then (chunk_of t b).(base_of t b + j) else b in
+      (* A pair met before gets that child's result: launching it again
+         could only hit the cache or rebuild nodes that exist. Equal
+         children come in runs, so the search starts at the latest pair. *)
+      let pairs = kid + d and nd = s.(base + 4) in
+      let k = ref (nd - 1) in
+      while !k >= 0 && not (s.(pairs + (3 * !k)) = cf && s.(pairs + (3 * !k) + 1) = cg) do
+        decr k
+      done;
+      if !k >= 0 then finished := s.(kid + s.(pairs + (3 * !k) + 2))
+      else begin
+        let p = pairs + (3 * nd) in
+        s.(p) <- cf;
+        s.(p + 1) <- cg;
+        s.(p + 2) <- j;
+        s.(base + 4) <- nd + 1;
+        launch cf cg
+      end
+    end
+  done;
   !finished
 
 let apply_and t f g = apply t O_and f g
@@ -281,7 +416,11 @@ let eval t n assignment =
   let rec go n =
     if n = zero then false
     else if n = one then true
-    else go t.kids.(n).(assignment t.levels.(n))
+    else
+      let lv = t.levels.(n) in
+      let j = assignment lv in
+      if j < 0 || j >= t.arity.(lv) then invalid_arg "Mdd.eval: value out of domain";
+      go (chunk_of t n).(base_of t n + j)
   in
   go n
 
@@ -312,7 +451,10 @@ let cone_by_level t n =
       let x = Int_vec.pop stack in
       let lv = t.levels.(x) in
       buckets.(lv) <- x :: buckets.(lv);
-      Array.iter push t.kids.(x)
+      let kids = chunk_of t x and base = base_of t x in
+      for j = 0 to t.arity.(lv) - 1 do
+        push kids.(base + j)
+      done
     done
   end;
   buckets
@@ -329,11 +471,11 @@ let probability t n ~p =
   for lv = num_mvars t - 1 downto 0 do
     List.iter
       (fun x ->
-        let kids = t.kids.(x) in
+        let kids = chunk_of t x and base = base_of t x in
         let acc = ref 0.0 in
-        for j = 0 to Array.length kids - 1 do
+        for j = 0 to t.arity.(lv) - 1 do
           let pj = p lv j in
-          if pj <> 0.0 then acc := !acc +. (pj *. value.(kids.(j)))
+          if pj <> 0.0 then acc := !acc +. (pj *. value.(kids.(base + j)))
         done;
         value.(x) <- !acc)
       buckets.(lv)
@@ -355,7 +497,7 @@ let probability_sweep t n ~nk ~p =
     let pvec lv =
       if pv.(lv) = [||] then
         pv.(lv) <-
-          Array.init t.specs.(lv).domain (fun j ->
+          Array.init t.arity.(lv) (fun j ->
               let v = p lv j in
               if Array.length v < nk then
                 invalid_arg "Mdd.probability_sweep: probability vector shorter than nk";
@@ -368,10 +510,10 @@ let probability_sweep t n ~nk ~p =
       let vecs = if buckets.(lv) = [] then [||] else pvec lv in
       List.iter
         (fun x ->
-          let kids = t.kids.(x) in
+          let kids = chunk_of t x and base = base_of t x in
           let acc = Array.make nk 0.0 in
-          for j = 0 to Array.length kids - 1 do
-            let c = kids.(j) in
+          for j = 0 to t.arity.(lv) - 1 do
+            let c = kids.(base + j) in
             if c <> zero then begin
               let pj = vecs.(j) in
               if c = one then
@@ -400,10 +542,10 @@ let probability_with_sensitivities t n ~p =
   for lv = nvars - 1 downto 0 do
     List.iter
       (fun x ->
-        let kids = t.kids.(x) in
+        let kids = chunk_of t x and base = base_of t x in
         let acc = ref 0.0 in
-        for j = 0 to Array.length kids - 1 do
-          acc := !acc +. (p lv j *. value.(kids.(j)))
+        for j = 0 to t.arity.(lv) - 1 do
+          acc := !acc +. (p lv j *. value.(kids.(base + j)))
         done;
         value.(x) <- !acc)
       buckets.(lv)
@@ -414,18 +556,18 @@ let probability_with_sensitivities t n ~p =
   let reach = Array.make t.used 0.0 in
   if not (is_terminal n) then reach.(n) <- 1.0;
   let sens =
-    Array.init nvars (fun v -> Array.make t.specs.(v).domain 0.0)
+    Array.init nvars (fun v -> Array.make t.arity.(v) 0.0)
   in
   for lv = 0 to nvars - 1 do
     List.iter
       (fun x ->
         let r = reach.(x) in
         if r <> 0.0 then begin
-          let kids = t.kids.(x) in
-          for j = 0 to Array.length kids - 1 do
-            sens.(lv).(j) <- sens.(lv).(j) +. (r *. value.(kids.(j)));
-            if not (is_terminal kids.(j)) then
-              reach.(kids.(j)) <- reach.(kids.(j)) +. (r *. p lv j)
+          let kids = chunk_of t x and base = base_of t x in
+          for j = 0 to t.arity.(lv) - 1 do
+            let c = kids.(base + j) in
+            sens.(lv).(j) <- sens.(lv).(j) +. (r *. value.(c));
+            if not (is_terminal c) then reach.(c) <- reach.(c) +. (r *. p lv j)
           done
         end)
       buckets.(lv)
@@ -453,11 +595,22 @@ let iter_reachable t n f =
   while Int_vec.length stack > 0 do
     let top = Int_vec.length stack - 1 in
     let x = Int_vec.get stack (top - 1) in
-    let j = Int_vec.get stack top in
-    let kids = t.kids.(x) in
-    if j < Array.length kids then begin
-      Int_vec.set stack top (j + 1);
-      visit kids.(j)
+    let kids = chunk_of t x and base = base_of t x and d = t.arity.(t.levels.(x)) in
+    (* Run over the children seen before, reporting a terminal at its
+       first sight, up to the first unseen nonterminal. *)
+    let j = ref (Int_vec.get stack top) and next = ref (-1) in
+    while !next < 0 && !j < d do
+      let c = kids.(base + !j) in
+      incr j;
+      if Bytes.get seen c = '\000' then begin
+        Bytes.set seen c '\001';
+        if is_terminal c then f c else next := c
+      end
+    done;
+    if !next >= 0 then begin
+      Int_vec.set stack top !j;
+      ignore (Int_vec.push stack !next);
+      ignore (Int_vec.push stack 0)
     end
     else begin
       ignore (Int_vec.pop stack);
@@ -493,14 +646,22 @@ let stats (t : t) =
 let obs_apply_hits = Obs.counter "mdd.apply_cache_hits"
 let obs_apply_misses = Obs.counter "mdd.apply_cache_misses"
 
-(* Table-occupancy snapshot at publish time: [Hashtbl.stats] already
-   carries the chain-length distribution of the unique table; the APPLY
-   cache is a linear scan of its tag array. *)
+(* Table-occupancy snapshot at publish time: the unique table's fill and
+   the probe length of each stored node (1 + its distance from its home
+   slot, the probes a lookup of it takes); the APPLY cache is a linear
+   scan of its tag array. *)
 let snapshot_occupancy (t : t) =
-  let st = Tbl.stats t.table in
-  Memory.record_occupancy ~name:"mdd.unique" ~used:st.Hashtbl.num_bindings
-    ~capacity:st.Hashtbl.num_buckets;
-  Memory.observe_chain_lengths ~name:"mdd.unique" st.Hashtbl.bucket_histogram;
+  let slots = t.umask + 1 in
+  Memory.record_occupancy ~name:"mdd.unique" ~used:(t.used - 2) ~capacity:slots;
+  let counts = ref (Array.make 8 0) in
+  for i = 0 to t.umask do
+    if t.utab.(2 * i) >= 0 then begin
+      let len = 1 + ((i - t.utab.((2 * i) + 1)) land t.umask) in
+      if len >= Array.length !counts then counts := extend !counts (2 * len) 0;
+      !counts.(len) <- !counts.(len) + 1
+    end
+  done;
+  Memory.observe_probe_lengths ~name:"mdd.unique" !counts;
   let cache_used = ref 0 in
   Array.iter (fun op -> if op >= 0 then cache_used := !cache_used + 1) t.ap_op;
   Memory.record_occupancy ~name:"mdd.cache" ~used:!cache_used
@@ -544,7 +705,7 @@ let to_dot t n =
           (fun j c ->
             let l = Option.value ~default:[] (Hashtbl.find_opt dests c) in
             Hashtbl.replace dests c (j :: l))
-          t.kids.(x);
+          (children t x);
         Hashtbl.iter
           (fun c values ->
             let label =

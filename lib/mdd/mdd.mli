@@ -12,7 +12,10 @@
 
     Managers never reclaim nodes (ROMDDs are an order of magnitude smaller
     than the coded ROBDDs they come from — Table 4 of the paper); sizes are
-    counted over the cone of a root. *)
+    counted over the cone of a root. Node ids are handed out in creation
+    order. A node's children are stored once, in int chunks at a per-node
+    offset, and an open-addressing unique table over node ids finds them,
+    so neither a lookup nor a walk allocates per node. *)
 
 type spec = { name : string; domain : int }
 (** A multiple-valued variable: values are [0 .. domain-1]. *)
@@ -41,7 +44,8 @@ val one : node
 val is_terminal : node -> bool
 
 (** [mk t level children] hash-conses a node; [Array.length children] must
-    equal the variable's domain. Applies the elimination rule. *)
+    equal the variable's domain. Applies the elimination rule. A new node
+    copies [children], so the caller may reuse the array. *)
 val mk : t -> int -> node array -> node
 
 (** [literal t level values] is the function "variable [level] ∈ [values]"
@@ -51,10 +55,16 @@ val literal : t -> int -> values:int list -> node
 (** The variable tested at a node; [num_mvars t] for terminals. *)
 val level : t -> node -> int
 
-(** Children array (borrowed; do not mutate). Raises on terminals. *)
+(** A fresh copy of a node's children, in value order. Raises on
+    terminals. *)
 val children : t -> node -> node array
 
-(** {1 Boolean combinators} (hash-consed, memoized APPLY) *)
+(** {1 Boolean combinators}
+
+    Hash-consed, memoized APPLY. A call combines the children of its
+    operands value by value, and launches one sub-call per distinct pair
+    of child operands: a value whose pair came up before takes that
+    value's result. *)
 
 val apply_and : t -> node -> node -> node
 val apply_or : t -> node -> node -> node
@@ -64,7 +74,7 @@ val not_ : t -> node -> node
 (** {1 Analysis} *)
 
 (** [eval t n assignment] with [assignment level] the value of that
-    variable. *)
+    variable. Raises [Invalid_argument] on a value outside the domain. *)
 val eval : t -> node -> (int -> int) -> bool
 
 (** [probability t n ~p] is P(f = 1) when variable [v] independently takes

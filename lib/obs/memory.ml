@@ -114,10 +114,11 @@ let record_occupancy ~name ~used ~capacity =
 
 let chain_buckets = [| 0.0; 1.0; 2.0; 3.0; 4.0; 8.0; 16.0 |]
 
-let observe_chain_lengths ~name counts =
+let observe_lengths metric ~name counts =
   if Obs.enabled () then begin
-    let h =
-      Obs.histogram ~buckets:chain_buckets ("table.occupancy." ^ name ^ ".chain_len")
-    in
+    let h = Obs.histogram ~buckets:chain_buckets ("table.occupancy." ^ name ^ metric) in
     Array.iteri (fun len n -> Obs.observe_many h (float_of_int len) n) counts
   end
+
+let observe_chain_lengths = observe_lengths ".chain_len"
+let observe_probe_lengths = observe_lengths ".probe_len"

@@ -67,8 +67,9 @@ val delta_to_json : gc_delta -> Json.t
 
     Naming convention: a table called [name] publishes
     [table.occupancy.<name>.used] / [.capacity] / [.load_factor] gauges and
-    a [table.occupancy.<name>.chain_len] histogram. The engines call these
-    from their [publish_obs]. *)
+    a [table.occupancy.<name>.chain_len] histogram (chained tables) or a
+    [table.occupancy.<name>.probe_len] histogram (open addressing). The
+    engines call these from their [publish_obs]. *)
 
 (** [record_occupancy ~name ~used ~capacity] sets the three gauges.
     No-op while disabled or when [capacity = 0]. *)
@@ -79,3 +80,8 @@ val record_occupancy : name:string -> used:int -> capacity:int -> unit
     [i] long (the shape [Hashtbl.stats] returns). One registry lock per
     distinct length, not per bucket. No-op while disabled. *)
 val observe_chain_lengths : name:string -> int array -> unit
+
+(** [observe_probe_lengths ~name counts] records the probe-length
+    distribution of an open-addressing table: [counts.(i)] entries are
+    found on the [i]-th probe. No-op while disabled. *)
+val observe_probe_lengths : name:string -> int array -> unit

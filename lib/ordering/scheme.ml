@@ -113,14 +113,17 @@ let bit_sequence problem ranks group = function
       let sorted = List.stable_sort (fun (a, _) (b, _) -> compare a b) bits in
       Array.of_list (List.map snd sorted)
 
-let make problem ~mv ~bits =
-  (match (mv, bits) with
-  | _, (Ml | Lm) -> ()
-  | Heur k1, Heur_bits k2 when k1 = k2 -> ()
+let check_pairing ~mv ~bits =
+  match (mv, bits) with
+  | _, (Ml | Lm) -> Ok ()
+  | Heur k1, Heur_bits k2 when k1 = k2 -> Ok ()
   | _, Heur_bits _ ->
-      invalid_arg
+      Error
         "Scheme.make: a heuristic bit order must be paired with the \
-         same-named multiple-valued ordering");
+         same-named multiple-valued ordering"
+
+let make problem ~mv ~bits =
+  Result.iter_error invalid_arg (check_pairing ~mv ~bits);
   let ranks =
     match (mv, bits) with
     | Heur k, _ | _, Heur_bits k -> Some (Heuristics.rank k problem.P.circuit)

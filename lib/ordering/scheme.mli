@@ -52,8 +52,12 @@ val table2_mv_orders : mv_order list
 
 val table3_bit_orders : bit_order list
 
+(** [check_pairing ~mv ~bits] is [Error msg] when a heuristic bit order
+    is paired with a different multiple-valued ordering: the paper only
+    allows matching pairs. This is the rule {!make} applies. *)
+val check_pairing : mv:mv_order -> bits:bit_order -> (unit, string) result
+
 (** [make problem ~mv ~bits] computes the concrete ordering. Raises
-    [Invalid_argument] when a heuristic bit order is paired with a
-    different multiple-valued ordering (the paper only allows matching
-    pairs). *)
+    [Invalid_argument] with {!check_pairing}'s message on a pair it
+    rejects. *)
 val make : Socy_encode.Problem.t -> mv:mv_order -> bits:bit_order -> t

@@ -431,7 +431,10 @@ let test_validate_rejects_values () =
   rejected "zero cpu limit" { g with Campaign.cpu_limit = Some 0.0 };
   rejected "negative cpu limit" { g with Campaign.cpu_limit = Some (-1.0) };
   rejected "unknown benchmark" { g with Campaign.benchmarks = [ "MS2"; "XX" ] };
-  rejected "empty axis" { g with Campaign.mv_orders = [] }
+  rejected "empty axis" { g with Campaign.mv_orders = [] };
+  rejected "heuristic bits beside another mv order"
+    { g with Campaign.mv_orders = [ Scheme.Heur H.Weight; Scheme.Wv ];
+             bit_order = Scheme.Heur_bits H.Weight }
 
 (* The one grid runner is deterministic: the same grid on one domain and
    on three gives equal rows field by field, floats bit for bit, budget
@@ -528,6 +531,43 @@ let own_build grid (p : Campaign.point) =
       ?cpu_limit:grid.Campaign.cpu_limit ()
   in
   P.run_lethal ~config instance.S.circuit lethal
+
+(* [Pipeline.build_keys] on grid-small's shape (three benchmarks, two λ,
+   two ε, three mv orders), one circuit per benchmark as [Campaign.run]
+   passes them, against one [Pipeline.build_key] per point on a circuit
+   of its own. *)
+let test_build_keys_per_point () =
+  let grid =
+    {
+      (tiny_grid "keys") with
+      Campaign.benchmarks = [ "MS2"; "ESEN4x1"; "ESEN4x2" ];
+      lambdas = [ 5.9; 8.6 ];
+      epsilons = [ 1e-3; 1e-2 ];
+      mv_orders = [ Scheme.Wv; Scheme.Wvr; Scheme.Heur H.Weight ];
+    }
+  in
+  let instances = List.map (fun b -> (b, S.by_name b)) grid.Campaign.benchmarks in
+  let job (instance : S.instance) (p : Campaign.point) =
+    ( P.Config.make ~epsilon:p.Campaign.epsilon ~mv_order:p.Campaign.mv
+        ~bit_order:grid.Campaign.bit_order (),
+      instance.S.circuit,
+      Model.to_lethal
+        (Model.create
+           (D.negative_binomial ~mean:p.Campaign.lambda ~alpha:grid.Campaign.alpha)
+           instance.S.affect) )
+  in
+  let points = Array.of_list (Campaign.points grid) in
+  Alcotest.(check int) "36 points" 36 (Array.length points);
+  let keys =
+    P.build_keys
+      (Array.map (fun p -> job (List.assoc p.Campaign.source instances) p) points)
+  in
+  Array.iteri
+    (fun i (p : Campaign.point) ->
+      let config, circuit, lethal = job (S.by_name p.Campaign.source) p in
+      Alcotest.(check bool) (Campaign.point_label p) true
+        (keys.(i) = P.build_key config circuit lethal))
+    points
 
 let with_obs f =
   Obs.set_enabled true;
@@ -916,6 +956,8 @@ let () =
             test_run_domains_deterministic;
           Alcotest.test_case "shared points equal independent builds" `Quick
             test_shared_equal_independent;
+          Alcotest.test_case "group keys equal per-point build keys" `Quick
+            test_build_keys_per_point;
           Alcotest.test_case "shared failures and cancellation" `Quick
             test_shared_failures;
           QCheck_alcotest.to_alcotest prop_campaign_codec_round_trip;

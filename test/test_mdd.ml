@@ -242,6 +242,23 @@ let test_conversion_terminal_root () =
   Alcotest.(check int) "one" Mdd.one (Conversion.run bdd B.one mdd layout);
   Alcotest.(check int) "zero" Mdd.zero (Conversion.run bdd B.zero mdd layout)
 
+(* Case 5: layouts the trie walk cannot follow are refused: a codeword
+   with a bit count other than its group's, and a group whose levels are
+   not listed in increasing order. *)
+let test_conversion_layout_checks () =
+  let bdd = B.create ~num_vars:2 () in
+  let f = B.and_ bdd (B.var bdd 0) (B.var bdd 1) in
+  let layout levels codeword =
+    { Conversion.group_of_level = [| 0; 0 |]; levels_of_group = [| levels |]; codeword }
+  in
+  let refused what layout =
+    match Conversion.run bdd f (Mdd.create [| spec "x" 3 |]) layout with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "short codeword" (layout [| 0; 1 |] (fun _ v -> [| v = 1 |]));
+  refused "decreasing levels" (layout [| 1; 0 |] (fun _ v -> [| v >= 2; v land 1 = 1 |]))
+
 (* ------------------------------------------------------------------ *)
 (* Conversion vs direct APPLY on random multi-valued functions          *)
 (* ------------------------------------------------------------------ *)
@@ -837,6 +854,193 @@ let test_apply_cache_grows () =
     (Int64.bits_of_float (Mdd.probability capped rc ~p))
     (Int64.bits_of_float (Mdd.probability grown rg ~p))
 
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: the trie conversion against per-codeword walks *)
+(* ------------------------------------------------------------------ *)
+
+module Circuit = Socy_logic.Circuit
+module Problem = Socy_encode.Problem
+module Scheme = Socy_order.Scheme
+module H = Socy_order.Heuristics
+module Compile = Socy_bdd.Compile
+module Par = Socy_bdd.Par
+module P = Socy_core.Pipeline
+
+(* The conversion walking each value's codeword through the layer on its
+   own, with the entry scan and mk order it has always had: the
+   reference [Conversion.run] must reproduce node for node. *)
+let reference_conversion bdd root mdd (layout : Conversion.layout) =
+  let group_of n = layout.Conversion.group_of_level.(B.level bdd n) in
+  let pos = Array.make (B.num_vars bdd) (-1) in
+  Array.iter (Array.iteri (fun i lv -> pos.(lv) <- i)) layout.Conversion.levels_of_group;
+  let entries = Array.make (Mdd.num_mvars mdd) [] in
+  let mark n = entries.(group_of n) <- n :: entries.(group_of n) in
+  let seen = Hashtbl.create 64 and stack = ref [] in
+  let visit n =
+    if not (Hashtbl.mem seen n) then begin
+      Hashtbl.add seen n ();
+      if not (B.is_terminal n) then stack := n :: !stack
+    end
+  in
+  if not (B.is_terminal root) then mark root;
+  visit root;
+  while !stack <> [] do
+    let n = List.hd !stack in
+    stack := List.tl !stack;
+    let edge c =
+      if (not (B.is_terminal c)) && group_of c <> group_of n then mark c;
+      visit c
+    in
+    edge (B.low bdd n);
+    edge (B.high bdd n)
+  done;
+  let mapping = Hashtbl.create 64 in
+  Hashtbl.replace mapping B.zero Mdd.zero;
+  Hashtbl.replace mapping B.one Mdd.one;
+  for g = Mdd.num_mvars mdd - 1 downto 0 do
+    let rec follow bits n =
+      if B.is_terminal n || group_of n <> g then Hashtbl.find mapping n
+      else follow bits (if bits.(pos.(B.level bdd n)) then B.high bdd n else B.low bdd n)
+    in
+    let domain = (Mdd.spec mdd g).Mdd.domain in
+    List.iter
+      (fun e ->
+        if not (Hashtbl.mem mapping e) then
+          Hashtbl.replace mapping e
+            (Mdd.mk mdd g
+               (Array.init domain (fun v -> follow (layout.Conversion.codeword g v) e))))
+      entries.(g)
+  done;
+  Hashtbl.find mapping root
+
+(* Every (mv, bit) order pair [Scheme.make] accepts. *)
+let order_pairs =
+  let mvs = [ Scheme.Wv; Wvr; Vw; Vrw; Heur H.Topology; Heur H.Weight; Heur H.H4 ] in
+  List.concat_map (fun mv -> [ (mv, Scheme.Ml); (mv, Scheme.Lm) ]) mvs
+  @ List.map (fun k -> (Scheme.Heur k, Scheme.Heur_bits k)) [ H.Topology; H.Weight; H.H4 ]
+
+type oexpr = OVar of int | ONot of oexpr | OAnd of oexpr * oexpr | OOr of oexpr * oexpr
+
+let rec oexpr_print = function
+  | OVar i -> Printf.sprintf "x%d" i
+  | ONot e -> Printf.sprintf "!(%s)" (oexpr_print e)
+  | OAnd (a, b) -> Printf.sprintf "(%s&%s)" (oexpr_print a) (oexpr_print b)
+  | OOr (a, b) -> Printf.sprintf "(%s|%s)" (oexpr_print a) (oexpr_print b)
+
+(* A fault tree over [c] components (2–7: victim domains of every size up
+   to 7, most of them not powers of two) and a truncation point M (1–3). *)
+let arb_oracle_case =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 7 >>= fun c ->
+      int_range 1 3 >>= fun m ->
+      let var = map (fun i -> OVar i) (int_bound (c - 1)) in
+      sized_size (int_range 2 12)
+        (fix (fun self size ->
+             if size <= 0 then var
+             else
+               frequency
+                 [
+                   (1, var);
+                   (1, map (fun e -> ONot e) (self (size - 1)));
+                   (2, map2 (fun a b -> OAnd (a, b)) (self (size / 2)) (self (size / 2)));
+                   (2, map2 (fun a b -> OOr (a, b)) (self (size / 2)) (self (size / 2)));
+                 ]))
+      >|= fun e -> (c, m, e))
+  in
+  QCheck.make ~print:(fun (c, m, e) -> Printf.sprintf "C=%d M=%d %s" c m (oexpr_print e)) gen
+
+let circuit_of_oexpr c e =
+  let b = Circuit.builder ~num_inputs:c () in
+  let rec go = function
+    | OVar i -> Circuit.input b i
+    | ONot e -> Circuit.not_ b (go e)
+    | OAnd (x, y) -> Circuit.and_ b [ go x; go y ]
+    | OOr (x, y) -> Circuit.or_ b [ go x; go y ]
+  in
+  Circuit.finish b ~name:"oracle" (go e)
+
+(* Converts [problem] under every order pair, in fresh managers, with the
+   reference, without a team and with [team]: the same root, the same
+   node count, and the same level and children at every id. *)
+let conversions_agree ~team problem =
+  List.for_all
+    (fun (mv, bits) ->
+      let scheme = Scheme.make problem ~mv ~bits in
+      let bdd = B.create ~num_vars:(Problem.num_binary_vars problem) () in
+      let root, _ =
+        Compile.of_circuit bdd problem.Problem.circuit ~var_of_input:(fun i ->
+            scheme.Scheme.level_of_input.(i))
+      in
+      let layout = P.layout_of_scheme problem scheme in
+      let convert f =
+        let mdd = Mdd.create (P.mdd_specs problem scheme) in
+        let r = f mdd in
+        ( r,
+          Mdd.total_nodes mdd,
+          List.init (Mdd.total_nodes mdd - 2) (fun i ->
+              (Mdd.level mdd (i + 2), Mdd.children mdd (i + 2))) )
+      in
+      let expected = convert (fun mdd -> reference_conversion bdd root mdd layout) in
+      expected = convert (fun mdd -> Conversion.run bdd root mdd layout)
+      && expected = convert (fun mdd -> Conversion.run ~team bdd root mdd layout))
+    order_pairs
+
+let with_team domains f =
+  let team = Par.spawn ~domains in
+  Fun.protect ~finally:(fun () -> Par.shutdown team) (fun () -> f team)
+
+let prop_conversion_matches_reference =
+  QCheck.Test.make ~name:"trie conversion = per-codeword reference, node for node"
+    ~count:40 arb_oracle_case (fun (c, m, e) ->
+      with_team 2 (fun team ->
+          conversions_agree ~team (Problem.build (circuit_of_oexpr c e) ~m)))
+
+(* Layers of MS2 and ESEN4x1 at M = 3 have enough entries to run the team
+   path, which the small random circuits above may not reach. *)
+let test_team_layers_match_reference () =
+  let par_layers = Socy_obs.Obs.counter "mdd.convert.par_layers" in
+  Socy_obs.Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Socy_obs.Obs.set_enabled false)
+    (fun () ->
+      with_team 2 (fun team ->
+          List.iter
+            (fun name ->
+              let instance = Socy_benchmarks.Suite.by_name name in
+              let before = Socy_obs.Obs.counter_value par_layers in
+              Alcotest.(check bool) (name ^ ": agrees") true
+                (conversions_agree ~team
+                   (Problem.build instance.Socy_benchmarks.Suite.circuit ~m:3));
+              Alcotest.(check bool) (name ^ ": team layers ran") true
+                (Socy_obs.Obs.counter_value par_layers > before))
+            [ "MS2"; "ESEN4x1" ]))
+
+(* golden/romdd-esen4x1.dot: [socyield dot romdd -b ESEN4x1 --lambda 6
+   -e 1e-2], recorded before the trie conversion and the flat store. The
+   ROMDD's node ids appear in it, so it pins them. *)
+let test_golden_romdd_dot () =
+  let instance = Socy_benchmarks.Suite.by_name "ESEN4x1" in
+  let model =
+    Socy_defects.Model.create
+      (Socy_defects.Distribution.negative_binomial ~mean:6.0
+         ~alpha:Socy_benchmarks.Suite.alpha)
+      instance.Socy_benchmarks.Suite.affect
+  in
+  match
+    P.Artifacts.build ~config:(P.Config.make ~epsilon:1e-2 ())
+      instance.Socy_benchmarks.Suite.circuit
+      (Socy_defects.Model.to_lethal model)
+  with
+  | Error f -> Alcotest.failf "build failed: %s" (P.failure_to_string f)
+  | Ok a ->
+      let golden =
+        In_channel.with_open_bin (Filename.concat "golden" "romdd-esen4x1.dot")
+          In_channel.input_all
+      in
+      Alcotest.(check string) "DOT bytes" golden
+        (Mdd.to_dot a.P.Artifacts.mdd a.P.Artifacts.mdd_root)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -865,6 +1069,7 @@ let () =
           Alcotest.test_case "invalid codes unreachable" `Quick
             test_conversion_invalid_code_unreachable;
           Alcotest.test_case "terminal root" `Quick test_conversion_terminal_root;
+          Alcotest.test_case "layout checks" `Quick test_conversion_layout_checks;
         ] );
       qsuite "props"
         [
@@ -886,6 +1091,13 @@ let () =
         ] );
       qsuite "sweep-props" [ prop_sweep_matches_per_scenario_probability ];
       qsuite "walk-props" [ prop_walks_match_reference ];
+      qsuite "conversion-oracle" [ prop_conversion_matches_reference ];
+      ( "conversion-pins",
+        [
+          Alcotest.test_case "team layers = reference" `Quick
+            test_team_layers_match_reference;
+          Alcotest.test_case "golden ROMDD DOT" `Quick test_golden_romdd_dot;
+        ] );
       ( "deep-diagrams",
         [
           Alcotest.test_case "200k-deep MDD chain" `Quick test_deep_mdd_chain;
