@@ -229,11 +229,11 @@ module Ordering = struct
     in
     Arg.(value & opt int 1 & info [ "par-domains" ] ~docv:"N" ~doc)
 
-  (* The range of --par-domains is Config.make's to check; the clash with
-     --reorder downgrades to sequential with a warning, matching the
-     pipeline's own reorder-wins rule. *)
+  (* The range of --par-domains is Config.make's to check; when the
+     pipeline's reorder rule cuts the team down, say so. *)
   let warn_par_fallback ~reorder par_domains =
-    if reorder && par_domains > 1 then begin
+    if Socy_core.Pipeline.Config.team_domains ~reorder par_domains < par_domains
+    then begin
       Socy_obs.Log.warn "cli.par_fallback"
         ~fields:[ ("par_domains", Json.Int par_domains) ]
         "--reorder takes precedence over --par-domains; build stays sequential";

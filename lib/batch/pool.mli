@@ -65,7 +65,8 @@ val parallel_map :
     time, from many client threads, over hours — so {!Executor} keeps a
     fixed set of worker domains alive across submissions, consuming a
     thunk queue that any number of (sys)threads feed concurrently.
-    [socyield serve] schedules every pipeline run on one of these. *)
+    [socyield serve] schedules every pipeline run on one of these, and
+    every {!Socy_bdd.Par} team runs its tasks on one. *)
 
 module Executor : sig
   (** A persistent pool of worker domains executing submitted thunks. *)
@@ -98,9 +99,11 @@ module Executor : sig
       {!parallel_map} uses, by up to [domains t] helper drainers queued on
       the executor {e and by the calling thread}, which drains regardless
       — so completion is guaranteed even when the executor is saturated by
-      enclosing jobs (the helpers then no-op). This is the
-      {!Socy_bdd.Par.runner} hook [socyield serve] installs to reuse its
-      batch workers for intra-problem parallelism. *)
+      enclosing jobs (the helpers then no-op). The caller's request context
+      is re-installed around every drain. This is every
+      {!Socy_bdd.Par} team's runner: [Par.spawn] creates an executor of its
+      own, and [socyield serve] lends its batch executor. Each helper is
+      one [executor.tasks] submission. *)
   val parallel_tasks : t -> (unit -> unit) array -> unit
 
   (** [shutdown t] closes the queue, lets the workers {e drain every

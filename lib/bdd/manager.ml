@@ -712,138 +712,13 @@ let and_ m f g =
   !finished
 
 let or_ m f g = and_ m (f lxor 1) (g lxor 1) lxor 1
-let imp m f g = ite m f g one
 
 (* ¬g is a free handle complement, so XOR is a single ITE call. *)
 let xor_ m f g = ite m f (g lxor 1) g
 
-(* --- cofactors and quantification --------------------------------------- *)
-
 (* Parity-adjusted child handles, shared by the traversals below. *)
 let lo_of m h = m.low.(h lsr 1) lxor (h land 1)
 let hi_of m h = m.high.(h lsr 1) lxor (h land 1)
-
-(* Suspended rebuild step shared by [restrict] and [quantify]: node, its
-   level, the finished else-branch, and which child is being visited. *)
-type rebuild_frame = {
-  rb_n : int;
-  rb_lv : int;
-  mutable rb_e : int;
-  mutable rb_stage : int;
-}
-
-let restrict m f ~var ~value =
-  if var < 0 || var >= m.nvars then invalid_arg "Manager.restrict: var out of range";
-  let var = m.level_of_var.(var) in
-  let memo = Hashtbl.create 64 in
-  (* Explicit frame stack instead of recursion; see [ite] for the pattern.
-     Memoization is per handle: a slot reachable under both polarities is
-     rebuilt once per polarity, which keeps the parity bookkeeping local. *)
-  let finished = ref (-1) in
-  let stack = ref [] in
-  let launch f =
-    let lv = m.level.(f lsr 1) in
-    if lv > var then begin
-      ref_ m f;
-      finished := f
-    end
-    else if lv = var then begin
-      let c = if value then hi_of m f else lo_of m f in
-      ref_ m c;
-      finished := c
-    end
-    else
-      match Hashtbl.find_opt memo f with
-      | Some r ->
-          (* The memo holds a borrowed handle; the first owned reference is
-             the one returned when the frame completed. Later hits take
-             fresh references. *)
-          ref_ m r;
-          finished := r
-      | None -> stack := { rb_n = f; rb_lv = lv; rb_e = 0; rb_stage = 0 } :: !stack
-  in
-  launch f;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | fr :: rest -> (
-        match fr.rb_stage with
-        | 0 ->
-            fr.rb_stage <- 1;
-            launch (lo_of m fr.rb_n)
-        | 1 ->
-            fr.rb_e <- !finished;
-            fr.rb_stage <- 2;
-            launch (hi_of m fr.rb_n)
-        | _ ->
-            let t = !finished in
-            let r = mk m fr.rb_lv fr.rb_e t in
-            deref m fr.rb_e;
-            deref m t;
-            Hashtbl.add memo fr.rb_n r;
-            stack := rest;
-            finished := r)
-  done;
-  !finished
-
-let quantify m combine vars f =
-  let vset = Array.make m.nvars false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= m.nvars then invalid_arg "Manager.quantify: var out of range";
-      vset.(m.level_of_var.(v)) <- true)
-    vars;
-  let memo = Hashtbl.create 64 in
-  (* Same explicit-stack discipline as [restrict]; the [combine] callback
-     (itself the iterative [ite]/[and_]) runs between frames, never nested
-     under recursion. Memoized per handle — quantification does not commute
-     with complement, so the two polarities of a slot are distinct calls. *)
-  let finished = ref (-1) in
-  let stack = ref [] in
-  let launch f =
-    if is_terminal f then begin
-      ref_ m f;
-      finished := f
-    end
-    else
-      match Hashtbl.find_opt memo f with
-      | Some r ->
-          ref_ m r;
-          finished := r
-      | None ->
-          stack :=
-            { rb_n = f; rb_lv = m.level.(f lsr 1); rb_e = 0; rb_stage = 0 }
-            :: !stack
-  in
-  launch f;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | fr :: rest -> (
-        match fr.rb_stage with
-        | 0 ->
-            fr.rb_stage <- 1;
-            launch (lo_of m fr.rb_n)
-        | 1 ->
-            fr.rb_e <- !finished;
-            fr.rb_stage <- 2;
-            launch (hi_of m fr.rb_n)
-        | _ ->
-            let t = !finished in
-            let e = fr.rb_e in
-            let r =
-              if vset.(fr.rb_lv) then combine e t else mk m fr.rb_lv e t
-            in
-            deref m e;
-            deref m t;
-            Hashtbl.add memo fr.rb_n r;
-            stack := rest;
-            finished := r)
-  done;
-  !finished
-
-let exists m vars f = quantify m (fun a b -> or_ m a b) vars f
-let forall m vars f = quantify m (fun a b -> and_ m a b) vars f
 
 (* --- read-only analyses -------------------------------------------------- *)
 
@@ -937,8 +812,6 @@ let probability m n ~p =
       end);
   handle_value n
 
-let sat_fraction m n = probability m n ~p:(fun _ -> 0.5)
-
 let support m n =
   let present = Array.make m.nvars false in
   iter_reachable m n (fun x ->
@@ -949,18 +822,6 @@ let support m n =
     if present.(v) then acc := v :: !acc
   done;
   !acc
-
-let any_sat m n =
-  if n = zero then raise Not_found;
-  let rec go n acc =
-    if n = one then List.rev acc
-    else
-      let hi = hi_of m n in
-      let v = m.var_at_level.(m.level.(n lsr 1)) in
-      if hi <> zero then go hi ((v, true) :: acc)
-      else go (lo_of m n) ((v, false) :: acc)
-  in
-  go n []
 
 (* --- garbage collection -------------------------------------------------- *)
 

@@ -41,8 +41,8 @@
     repository) permute their problem variables into manager variables
     before building — see {!Socy_order}.
 
-    All variable-facing entry points ({!var}, {!restrict}, {!eval},
-    {!probability}, {!support}, …) speak {e variables} and translate
+    All variable-facing entry points ({!var}, {!eval}, {!probability},
+    {!support}, …) speak {e variables} and translate
     through the permutation internally, so client code is oblivious to
     reordering.
 
@@ -150,17 +150,6 @@ val and_ : t -> node -> node -> node
 
 val or_ : t -> node -> node -> node
 val xor_ : t -> node -> node -> node
-val imp : t -> node -> node -> node
-
-(** [restrict m f ~var ~value] is the cofactor of [f] with variable [var]
-    fixed to [value]. *)
-val restrict : t -> node -> var:int -> value:bool -> node
-
-(** [exists m vars f] existentially quantifies the listed variables. *)
-val exists : t -> int list -> node -> node
-
-(** [forall m vars f] universally quantifies the listed variables. *)
-val forall : t -> int list -> node -> node
 
 (** {1 Structure access} *)
 
@@ -216,10 +205,6 @@ val size_multi : t -> node list -> int
     value of variable [v]. *)
 val eval : t -> node -> (int -> bool) -> bool
 
-(** [sat_fraction m n] is the fraction of assignments (over all
-    [num_vars] variables) satisfying the function. *)
-val sat_fraction : t -> node -> float
-
 (** [probability m n ~p] is P(f = 1) when variable [v] is independently 1
     with probability [p v]. Complement-consistent by construction: node
     values are computed once per physical slot and read through a
@@ -229,10 +214,6 @@ val probability : t -> node -> p:(int -> float) -> float
 
 (** [support m n] is the increasing list of variables on which [n] depends. *)
 val support : t -> node -> int list
-
-(** [any_sat m n] is a satisfying partial assignment [(var, value)] list
-    along one path to {!one}; raises [Not_found] when [n] = {!zero}. *)
-val any_sat : t -> node -> (int * bool) list
 
 (** [iter_reachable m n f] calls [f] once per distinct reachable {e
     physical} node (as its regular handle), sink included, in postorder:

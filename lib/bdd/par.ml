@@ -1,169 +1,39 @@
-(* A small domain team with a claim-counter work queue.
+(* A domain team for intra-problem parallelism: a width and a runner.
 
-   [run] distributes an array of tasks over the team: every participant
-   (the caller included) repeatedly claims the next unclaimed index with
-   a fetch-and-add and executes it, so load balances at task granularity
-   without a deque — the tasks the engine produces (frontier subproblems,
-   conversion-layer chunks) are coarse enough that one atomic per task is
-   noise. Workers persist across [run] calls, parked on a condition
-   variable between jobs.
+   [spawn] backs the team with a [Socy_batch.Pool.Executor] of
+   [domains - 1] workers and hands every task array to its
+   [parallel_tasks], whose claim counter the caller drains beside the
+   workers. [of_runner] wraps an external runner instead, which is how
+   [socyield serve] lends its own executor; it spawns nothing. *)
 
-   A team can instead wrap an external runner ([of_runner]): no domains
-   are spawned and [run] delegates, which is how [socyield serve] reuses
-   its [Socy_batch.Pool.Executor] workers for intra-problem work instead
-   of stacking a second set of domains on the machine. *)
-
-module Obs = Socy_obs.Obs
-module Ctx = Socy_obs.Ctx
+module Executor = Socy_batch.Pool.Executor
 
 type runner = (unit -> unit) array -> unit
+type t = { width : int; call : runner; pool : Executor.t option }
 
-type job = {
-  tasks : (unit -> unit) array;
-  next : int Atomic.t;
-  mutable completed : int; (* under [lock] *)
-  mutable failure : exn option; (* first task exception wins *)
-}
+let check fn domains =
+  if domains < 1 then invalid_arg ("Par." ^ fn ^ ": domains must be >= 1")
 
-type own = {
-  n : int;
-  lock : Mutex.t;
-  work : Condition.t; (* new job published, or shutdown *)
-  idle : Condition.t; (* job fully completed *)
-  mutable gen : int;
-  mutable job : job option;
-  mutable stop : bool;
-  mutable stolen : int; (* tasks executed by non-caller workers *)
-  mutable runs : int;
-  mutable workers : unit Domain.t list;
-}
-
-type t = Own of own | Runner of { rn : int; call : runner }
-
-let obs_steal_tasks = Obs.counter "apply.steal.tasks"
-let obs_steal_runs = Obs.counter "apply.steal.runs"
-
-(* Claim-and-execute until the job is drained; returns how many tasks
-   this participant ran. Task exceptions are recorded (first wins) and
-   never tear down the loop — the peers still drain the claim counter,
-   typically fast because the engine's abort flag is already set. *)
-let drain o j ~caller =
-  let n = Array.length j.tasks in
-  let did = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let i = Atomic.fetch_and_add j.next 1 in
-    if i >= n then continue := false
-    else begin
-      (try j.tasks.(i) ()
-       with e ->
-         Mutex.lock o.lock;
-         if j.failure = None then j.failure <- Some e;
-         Mutex.unlock o.lock);
-      incr did
-    end
-  done;
-  if !did > 0 || caller then begin
-    Mutex.lock o.lock;
-    j.completed <- j.completed + !did;
-    if not caller then o.stolen <- o.stolen + !did;
-    if j.completed = n then Condition.broadcast o.idle;
-    Mutex.unlock o.lock
-  end
-
-let rec worker o my_gen =
-  Mutex.lock o.lock;
-  while o.gen = my_gen && not o.stop do
-    Condition.wait o.work o.lock
-  done;
-  if o.stop then Mutex.unlock o.lock
-  else begin
-    let g = o.gen in
-    let j = o.job in
-    Mutex.unlock o.lock;
-    (* [job] may already be [None] if the caller finished and cleared it
-       before this worker woke; that generation is simply skipped. *)
-    (match j with Some j -> drain o j ~caller:false | None -> ());
-    worker o g
-  end
+(* The one-domain team: every task runs once, in order, on the caller;
+   the first exception is re-raised after the last task. *)
+let sequential tasks =
+  let failure = ref None in
+  Array.iter
+    (fun f -> try f () with e -> if !failure = None then failure := Some e)
+    tasks;
+  Option.iter raise !failure
 
 let spawn ~domains =
-  if domains < 1 then invalid_arg "Par.spawn: domains must be >= 1";
-  let o =
-    {
-      n = domains;
-      lock = Mutex.create ();
-      work = Condition.create ();
-      idle = Condition.create ();
-      gen = 0;
-      job = None;
-      stop = false;
-      stolen = 0;
-      runs = 0;
-      workers = [];
-    }
-  in
-  o.workers <-
-    List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker o 0));
-  Own o
+  check "spawn" domains;
+  if domains = 1 then { width = 1; call = sequential; pool = None }
+  else
+    let pool = Executor.create ~domains:(domains - 1) () in
+    { width = domains; call = Executor.parallel_tasks pool; pool = Some pool }
 
 let of_runner ~domains call =
-  if domains < 1 then invalid_arg "Par.of_runner: domains must be >= 1";
-  Runner { rn = domains; call }
+  check "of_runner" domains;
+  { width = domains; call; pool = None }
 
-let domains = function Own o -> o.n | Runner { rn; _ } -> rn
-
-let run t tasks =
-  if Array.length tasks > 0 then
-    match t with
-    | Runner { call; _ } ->
-        (* The external runner (the serve executor) captures the ambient
-           context itself at this call. *)
-        call tasks
-    | Own o ->
-        (* Team domains have no context of their own: wrap each task so
-           spans emitted by stolen work carry the caller's request id.
-           Requestless runs (the CLI) skip the wrap entirely. *)
-        let tasks =
-          match Ctx.get () with
-          | None -> tasks
-          | Some rid ->
-              Array.map (fun f () -> Ctx.with_request rid f) tasks
-        in
-        let j =
-          { tasks; next = Atomic.make 0; completed = 0; failure = None }
-        in
-        Mutex.lock o.lock;
-        o.job <- Some j;
-        o.gen <- o.gen + 1;
-        o.runs <- o.runs + 1;
-        Condition.broadcast o.work;
-        Mutex.unlock o.lock;
-        drain o j ~caller:true;
-        Mutex.lock o.lock;
-        while j.completed < Array.length tasks do
-          Condition.wait o.idle o.lock
-        done;
-        o.job <- None;
-        Mutex.unlock o.lock;
-        (match j.failure with Some e -> raise e | None -> ())
-
-let stolen = function Own o -> o.stolen | Runner _ -> 0
-
-let publish_obs t =
-  if Obs.enabled () then
-    match t with
-    | Own o ->
-        Obs.add obs_steal_tasks o.stolen;
-        Obs.add obs_steal_runs o.runs
-    | Runner _ -> ()
-
-let shutdown = function
-  | Runner _ -> ()
-  | Own o ->
-      Mutex.lock o.lock;
-      o.stop <- true;
-      Condition.broadcast o.work;
-      Mutex.unlock o.lock;
-      List.iter Domain.join o.workers;
-      o.workers <- []
+let domains t = t.width
+let run t tasks = if Array.length tasks > 0 then t.call tasks
+let shutdown t = Option.iter Executor.shutdown t.pool

@@ -1,8 +1,8 @@
-(** Small persistent domain team for intra-problem parallelism.
+(** Domain team for intra-problem parallelism.
 
     [run team tasks] executes every task exactly once, distributing them
-    over the team's domains (the calling domain participates) via a
-    claim-counter queue, and returns when all are done. The first task
+    over the team's domains (the calling domain participates) through a
+    shared claim counter, and returns when all are done. The first task
     exception is re-raised in the caller after the job drains. *)
 
 type t
@@ -12,9 +12,10 @@ type runner = (unit -> unit) array -> unit
     before returning (the caller may participate). *)
 
 val spawn : domains:int -> t
-(** A team of [domains] total participants: [domains - 1] worker domains
-    are spawned and parked; the caller of {!run} is the last one.
-    [domains = 1] spawns nothing and {!run} degenerates to a loop. *)
+(** A team of [domains] total participants, backed by a
+    [Socy_batch.Pool.Executor] of [domains - 1] workers; the caller of
+    {!run} is the last participant. [domains = 1] starts no domain and
+    {!run} is a plain loop. *)
 
 val of_runner : domains:int -> runner -> t
 (** A team backed by an external runner (e.g. [Pool.Executor] workers in
@@ -25,13 +26,6 @@ val domains : t -> int
 
 val run : t -> (unit -> unit) array -> unit
 (** Not reentrant: tasks must not call {!run} on their own team. *)
-
-val stolen : t -> int
-(** Cumulative tasks executed by non-caller workers (own teams only). *)
-
-val publish_obs : t -> unit
-(** Push [apply.steal.tasks] / [apply.steal.runs] into [Socy_obs].
-    Publish once per team (counters are cumulative, not deltas). *)
 
 val shutdown : t -> unit
 (** Join the spawned domains. Idempotent; no-op for runner teams. *)

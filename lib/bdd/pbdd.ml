@@ -533,7 +533,6 @@ let fast_hits t = Atomic.get t.agg_fast
 
 let publish_obs t =
   Store.publish_obs t.store;
-  Par.publish_obs t.team;
   if Obs.enabled () then begin
     Obs.add (Obs.counter "bdd.par.cache_hits") (Atomic.get t.agg_hits);
     Obs.add (Obs.counter "bdd.par.cache_misses") (Atomic.get t.agg_misses);

@@ -60,5 +60,5 @@ val cache_misses : t -> int
 val fast_hits : t -> int
 
 val publish_obs : t -> unit
-(** Publish store shard counters, team steal counters and the aggregated
-    per-domain cache counters. Once per build. *)
+(** Publish store shard counters and the aggregated per-domain cache
+    counters. Once per build. *)

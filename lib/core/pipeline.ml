@@ -99,6 +99,11 @@ module Config = struct
     check "with_par_domains" { c with par_domains }
 
   let with_par_runner par_runner c = { c with par_runner }
+
+  (* Reorder wins over the team: sifting moves levels in place, which the
+     concurrent store cannot follow, so a build with [reorder] runs on a
+     team of one. *)
+  let team_domains ~reorder par_domains = if reorder then 1 else par_domains
 end
 
 type report = {
@@ -295,26 +300,24 @@ module Artifacts = struct
         ~num_vars:(Problem.num_binary_vars problem)
         ()
     in
-    (* Dynamic reordering mutates levels in place, which the concurrent
-       store does not support — reorder wins and the build stays
-       sequential (the CLI warns when both are requested). *)
-    let use_par = config.par_domains > 1 && not config.reorder in
-    if config.par_domains > 1 && config.reorder then
+    (* Reorder wins over the team; the CLI warns about it too. *)
+    let domains = Config.team_domains ~reorder:config.reorder config.par_domains in
+    if domains < config.par_domains then
       Log.info "pipeline.par_fallback"
         ~fields:[ ("par_domains", Json.Int config.par_domains) ]
         "reorder wins over par-domains: building with the sequential engine";
     let team =
-      if not use_par then None
+      if domains <= 1 then None
       else
         Some
           (match config.par_runner with
-          | Some call -> Par.of_runner ~domains:config.par_domains call
-          | None -> Par.spawn ~domains:config.par_domains)
+          | Some call -> Par.of_runner ~domains call
+          | None -> Par.spawn ~domains)
     in
     (* On a parallel budget trip the sequential manager is still empty;
        the concurrent store's creation count is the honest peak figure. *)
     let par_peak = ref 0 in
-    (* A spawned team parks domains; join them on every exit path. *)
+    (* A spawned team holds domains; join them on every exit path. *)
     Fun.protect
       ~finally:(fun () -> Option.iter Par.shutdown team)
       (fun () ->

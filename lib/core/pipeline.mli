@@ -64,7 +64,8 @@ type config = {
           [1] (the default) is the pure sequential path, byte-for-byte the
           code that has always run. Ignored (sequential build) when
           [reorder] is also set: in-place sifting and the append-only
-          concurrent store are mutually exclusive, and reorder wins. *)
+          concurrent store are mutually exclusive, and reorder wins
+          ({!Config.team_domains}). *)
   par_runner : Socy_bdd.Par.runner option;
       (** external work-distribution hook for the parallel build; when set
           (e.g. by [socyield serve], which re-uses its batch
@@ -131,6 +132,12 @@ module Config : sig
 
   val with_par_runner : Socy_bdd.Par.runner option -> t -> t
   (** Takes the option so a runner can also be cleared. *)
+
+  val team_domains : reorder:bool -> int -> int
+  (** The domains a build with these settings runs on: [par_domains], or
+      [1] when [reorder] is set — reorder wins over the team, because
+      in-place sifting needs the sequential manager. The pipeline, the
+      daemon's cache key and the CLI's warning all apply this rule. *)
 end
 
 type report = {

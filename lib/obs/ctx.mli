@@ -7,10 +7,10 @@
     request, and a slow-query log line can be joined to its timeline spans.
 
     The binding is per {e thread} (not per domain): connection handlers are
-    sys-threads sharing one domain, and work crosses domains through
-    [Pool.Executor] jobs and [Socy_bdd.Par] team bodies, both of which
-    capture the submitter's context and re-install it around the job with
-    {!with_restored}. Reads are lock-free (one atomic load and a small map
+    sys-threads sharing one domain, and work crosses domains only through
+    [Pool.Executor] jobs and task drains (a [Socy_bdd.Par] team runs on
+    one), which capture the submitter's context and re-install it around
+    the job with {!with_restored}. Reads are lock-free (one atomic load and a small map
     lookup); installs are compare-and-set. A thread with no installed
     context reads [None] — nothing is stamped, nothing is paid. *)
 

@@ -95,6 +95,11 @@ let to_channel oc v =
 
 exception Parse_error of string
 
+(* The parser recurses once per array or object level; the bound keeps one
+   hostile line from pinning a core, far above the program's own
+   documents (a metrics report nests 6 levels). *)
+let max_depth = 1_000
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -181,7 +186,14 @@ let of_string s =
           | Some f -> Float f
           | None -> fail "bad number")
   in
-  let rec parse_value () =
+  (* Step into an array or object with [depth] of them already open. *)
+  let enter depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d levels" max_depth);
+    advance ()
+  in
+  (* [depth] counts the arrays and objects open around the value. *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -190,7 +202,7 @@ let of_string s =
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some '[' ->
-        advance ();
+        enter depth;
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
@@ -198,7 +210,7 @@ let of_string s =
         end
         else begin
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -212,7 +224,7 @@ let of_string s =
           List (items [])
         end
     | Some '{' ->
-        advance ();
+        enter depth;
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
@@ -224,7 +236,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let rec fields acc =
@@ -243,7 +255,7 @@ let of_string s =
         end
     | Some _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
   v

@@ -38,10 +38,14 @@ val to_channel : out_channel -> t -> unit
 exception Parse_error of string
 (** Raised by {!of_string} with a position-annotated message. *)
 
+val max_depth : int
+(** How many arrays and objects {!of_string} lets nest: 1,000. *)
+
 (** [of_string s] parses one JSON document. Numbers without a fraction or
     exponent become [Int]; everything else numeric becomes [Float]. [\uXXXX]
-    escapes are decoded to UTF-8. Raises {!Parse_error} on malformed input
-    or trailing garbage. *)
+    escapes are decoded to UTF-8. Raises {!Parse_error} on malformed input,
+    trailing garbage, or arrays and objects nested deeper than
+    {!max_depth}. *)
 val of_string : string -> t
 
 (** {1 Accessors} *)

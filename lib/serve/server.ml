@@ -374,13 +374,12 @@ let eval_reply t (req : Proto.request) ~t0 =
     | Some c, Some cap -> c > cap
     | _ -> false
   in
-  (* Effective team size: request override, else the server default;
-     reorder wins over parallelism (the sequential engine is the only one
-     that can sift), matching Pipeline's own rule, so the cache key
-     reflects the engine that actually runs. *)
+  (* Effective team size: request override, else the server default,
+     under the pipeline's reorder rule, so the cache key reflects the
+     engine that actually runs. *)
   let par_domains =
-    if q.Proto.reorder then 1
-    else Option.value q.Proto.par_domains ~default:t.cfg.default_par_domains
+    P.Config.team_domains ~reorder:q.Proto.reorder
+      (Option.value q.Proto.par_domains ~default:t.cfg.default_par_domains)
   in
   (* The config is built before the cache lookup: a value the pipeline
      rejects (an epsilon outside (0, 1)) is the client's error, never a

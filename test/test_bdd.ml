@@ -70,59 +70,21 @@ let test_ite_identities () =
       let nf = M.not_ m f in
       Alcotest.(check int) "double negation" f (M.not_ m nf))
 
-let test_xor_imp () =
+let test_xor () =
   with_manager 2 (fun m ->
       let a = M.var m 0 and b = M.var m 1 in
       let x = M.xor_ m a b in
       Alcotest.(check (list bool)) "xor table" [ false; true; true; false ]
-        (semantics m x 2);
-      let i = M.imp m a b in
-      (* mask bit 0 = a, bit 1 = b: a→b is false only at a=1, b=0 (mask 1) *)
-      Alcotest.(check (list bool)) "imp table" [ true; false; true; true ]
-        (semantics m i 2))
-
-(* ------------------------------------------------------------------ *)
-(* Cofactors and quantification                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_restrict () =
-  with_manager 3 (fun m ->
-      (* f = (x0 ∧ x1) ∨ x2 *)
-      let f = M.or_ m (M.and_ m (M.var m 0) (M.var m 1)) (M.var m 2) in
-      let f_x1_true = M.restrict m f ~var:1 ~value:true in
-      let expected = M.or_ m (M.var m 0) (M.var m 2) in
-      Alcotest.(check int) "restrict x1=1" expected f_x1_true;
-      let f_x0_false = M.restrict m f ~var:0 ~value:false in
-      Alcotest.(check int) "restrict x0=0" (M.var m 2) f_x0_false)
-
-let test_exists_forall () =
-  with_manager 3 (fun m ->
-      let f = M.and_ m (M.var m 0) (M.var m 1) in
-      Alcotest.(check int) "exists" (M.var m 0) (M.exists m [ 1 ] f);
-      Alcotest.(check int) "forall" M.zero (M.forall m [ 1 ] f);
-      let g = M.or_ m (M.var m 0) (M.var m 2) in
-      Alcotest.(check int) "exists both" M.one (M.exists m [ 0; 2 ] g);
-      Alcotest.(check int) "forall none quantified" g (M.forall m [] g))
-
-let test_support_any_sat () =
-  with_manager 4 (fun m ->
-      let f = M.and_ m (M.var m 0) (M.var m 3) in
-      Alcotest.(check (list int)) "support" [ 0; 3 ] (M.support m f);
-      let assignment = M.any_sat m f in
-      Alcotest.(check bool) "sat assignment satisfies" true
-        (M.eval m f (fun v -> List.assoc_opt v assignment = Some true));
-      Alcotest.check_raises "unsat" Not_found (fun () -> ignore (M.any_sat m M.zero)))
+        (semantics m x 2))
 
 (* ------------------------------------------------------------------ *)
 (* Counting and probability                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_sat_fraction () =
-  with_manager 3 (fun m ->
-      let f = M.or_ m (M.var m 0) (M.var m 1) in
-      Alcotest.(check (float 1e-12)) "or fraction" 0.75 (M.sat_fraction m f);
-      Alcotest.(check (float 1e-12)) "one" 1.0 (M.sat_fraction m M.one);
-      Alcotest.(check (float 1e-12)) "zero" 0.0 (M.sat_fraction m M.zero))
+let test_support () =
+  with_manager 4 (fun m ->
+      let f = M.and_ m (M.var m 0) (M.var m 3) in
+      Alcotest.(check (list int)) "support" [ 0; 3 ] (M.support m f))
 
 let test_probability () =
   with_manager 2 (fun m ->
@@ -319,7 +281,8 @@ let prop_sat_fraction_counts =
           (List.init (1 lsl nvars_prop) Fun.id)
       in
       abs_float
-        (M.sat_fraction m node -. (float_of_int count /. float_of_int (1 lsl nvars_prop)))
+        (M.probability m node ~p:(fun _ -> 0.5)
+        -. (float_of_int count /. float_of_int (1 lsl nvars_prop)))
       < 1e-12)
 
 let prop_refcounts_survive_gc =
@@ -747,17 +710,6 @@ let test_deep_chain_ops () =
       M.deref m neg;
       M.deref m chain)
 
-let test_deep_chain_cofactors () =
-  with_manager deep_n (fun m ->
-      let chain = deep_chain m deep_n in
-      let restricted = M.restrict m chain ~var:(deep_n - 1) ~value:true in
-      Alcotest.(check int) "restricted size" deep_n (M.size m restricted);
-      let exd = M.exists m [ deep_n - 1 ] chain in
-      Alcotest.(check bool) "exists = restrict true" true (exd = restricted);
-      M.deref m exd;
-      M.deref m restricted;
-      M.deref m chain)
-
 (* Runs [f] with a fresh, enabled observability registry. *)
 let with_obs f =
   let module Obs = Socy_obs.Obs in
@@ -970,19 +922,13 @@ let () =
           Alcotest.test_case "structure access" `Quick test_structure_access;
           Alcotest.test_case "canonicity" `Quick test_canonicity_same_function_same_node;
           Alcotest.test_case "ite identities" `Quick test_ite_identities;
-          Alcotest.test_case "xor/imp" `Quick test_xor_imp;
-        ] );
-      ( "cofactor",
-        [
-          Alcotest.test_case "restrict" `Quick test_restrict;
-          Alcotest.test_case "exists/forall" `Quick test_exists_forall;
-          Alcotest.test_case "support/any_sat" `Quick test_support_any_sat;
+          Alcotest.test_case "xor" `Quick test_xor;
         ] );
       ( "counting",
         [
-          Alcotest.test_case "sat fraction" `Quick test_sat_fraction;
           Alcotest.test_case "probability" `Quick test_probability;
           Alcotest.test_case "size" `Quick test_size;
+          Alcotest.test_case "support" `Quick test_support;
         ] );
       ( "memory",
         [
@@ -1026,8 +972,6 @@ let () =
       ( "deep-diagrams",
         [
           Alcotest.test_case "ops on a 220k-deep chain" `Quick test_deep_chain_ops;
-          Alcotest.test_case "cofactors on a 220k-deep chain" `Quick
-            test_deep_chain_cofactors;
           Alcotest.test_case "publish_obs is delta-based" `Quick
             test_publish_obs_delta;
         ] );

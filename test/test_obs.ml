@@ -272,6 +272,34 @@ let test_json_deep_nesting () =
   Alcotest.check json_testable "500 levels survive pretty" !deep
     (Json.of_string (Json.to_string_pretty !deep))
 
+(* The parser refuses arrays and objects nested past [Json.max_depth], and
+   refuses a hostile depth at once instead of recursing through it. *)
+let test_json_nesting_bound () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  let rec depth = function
+    | Json.List [] -> 1
+    | Json.List [ v ] -> 1 + depth v
+    | _ -> Alcotest.fail "not a chain of one-element arrays"
+  in
+  Alcotest.(check int) "depth = bound parses" Json.max_depth
+    (depth (Json.of_string (nested Json.max_depth)));
+  (match Json.of_string (nested (Json.max_depth + 1)) with
+  | exception Json.Parse_error msg ->
+      Alcotest.(check string) "message names the bound"
+        (Printf.sprintf "nesting deeper than %d levels at offset %d" Json.max_depth
+           Json.max_depth)
+        msg
+  | _ -> Alcotest.fail "depth = bound + 1 accepted");
+  let hostile = nested 1_000_000 in
+  let t0 = Sys.time () in
+  (match Json.of_string hostile with
+  | exception Json.Parse_error _ -> ()
+  | _ -> Alcotest.fail "depth 10^6 accepted");
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "depth 10^6 refused in %.3f s CPU" dt)
+    true (dt < 0.1)
+
 let test_json_accessors () =
   let v = Json.of_string {|{"a": {"b": 2}, "c": 1.5}|} in
   Alcotest.(check (option (float 0.0))) "nested member" (Some 2.0)
@@ -415,6 +443,7 @@ let () =
           Alcotest.test_case "non-finite floats" `Quick (off test_json_non_finite_floats);
           Alcotest.test_case "parser details" `Quick (off test_json_parser_details);
           Alcotest.test_case "deep nesting" `Quick (off test_json_deep_nesting);
+          Alcotest.test_case "nesting bound" `Quick (off test_json_nesting_bound);
           Alcotest.test_case "accessors" `Quick (off test_json_accessors);
           QCheck_alcotest.to_alcotest prop_json_round_trip;
         ] );

@@ -17,6 +17,7 @@ module D = Socy_defects.Distribution
 module S = Socy_benchmarks.Suite
 module Scheme = Socy_order.Scheme
 module H = Socy_order.Heuristics
+module Ctx = Socy_obs.Ctx
 
 (* ------------------------------------------------------------------ *)
 (* Random fault trees                                                  *)
@@ -283,6 +284,38 @@ let test_par_first_exception_wins () =
       Par.run team (Array.init 4 (fun _ () -> Atomic.incr ok));
       Alcotest.(check int) "team reusable after failure" 4 (Atomic.get ok))
 
+(* A spawned team runs tasks on more than one domain, and every task sees
+   the caller's request id wherever it runs. Each task waits, up to a
+   deadline, until a second task has started, so the caller cannot drain
+   the job alone. The team is shut down twice: once here, once on exit. *)
+let test_team_domains_and_context () =
+  let team = Par.spawn ~domains:2 in
+  Fun.protect
+    ~finally:(fun () -> Par.shutdown team)
+    (fun () ->
+      let n = 4 in
+      let started = Atomic.make 0 in
+      let domain_of = Array.make n (-1) and rid_of = Array.make n None in
+      let task i () =
+        Atomic.incr started;
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.0005
+        done;
+        domain_of.(i) <- (Domain.self () :> int);
+        rid_of.(i) <- Ctx.get ()
+      in
+      Ctx.with_request 42 (fun () -> Par.run team (Array.init n task));
+      let distinct = List.sort_uniq compare (Array.to_list domain_of) in
+      Alcotest.(check int) "tasks ran on two domains" 2 (List.length distinct);
+      Array.iteri
+        (fun i rid ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "task %d sees the caller's request id" i)
+            (Some 42) rid)
+        rid_of;
+      Par.shutdown team)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
@@ -314,5 +347,7 @@ let () =
             test_par_run_executes_all_tasks;
           Alcotest.test_case "first exception wins, team reusable" `Quick
             test_par_first_exception_wins;
+          Alcotest.test_case "two domains, caller's request id" `Quick
+            test_team_domains_and_context;
         ] );
     ]

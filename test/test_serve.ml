@@ -667,10 +667,25 @@ let test_health_and_draining_reject () =
           | reply ->
               Alcotest.(check string) "draining reply" "shutting-down"
                 (str_at [ "error"; "code" ] reply)
-          | exception End_of_file ->
-              (* The drain won the race and closed the connection first —
-                 equally correct: no new work was accepted. *)
+          | exception (End_of_file | Sys_error _) ->
+              (* The drain won the race and closed the connection first,
+                 before the request was written (a broken pipe) or before
+                 its reply was read — equally correct: no new work was
+                 accepted. *)
               ()))
+
+(* A line nested far past the JSON depth bound is refused with a
+   parse-error, quickly, and the connection goes on serving. *)
+let test_deep_nesting_rejected () =
+  with_server (fun path _ ->
+      with_client path (fun c ->
+          let depth = 1_000_000 in
+          send_line c (String.make depth '[' ^ String.make depth ']');
+          let reply = Json.of_string (input_line c.ic) in
+          Alcotest.(check string) "code" "parse-error"
+            (str_at [ "error"; "code" ] reply);
+          let reply = roundtrip c (request ~id:2 Proto.Health None) in
+          Alcotest.(check string) "health after" "ok" (str_at [ "status" ] reply)))
 
 (* The metrics method returns a Prometheus exposition; serve's probes are
    registered at module load, so known families are present regardless of
@@ -820,5 +835,7 @@ let () =
           Alcotest.test_case "metrics method" `Quick test_metrics_method;
           Alcotest.test_case "request id propagation" `Quick
             test_request_id_propagation;
+          Alcotest.test_case "deep nesting rejected" `Quick
+            test_deep_nesting_rejected;
         ] );
     ]
