@@ -188,20 +188,21 @@ let bench_grid name =
     par_domains = 1;
   }
 
-let run_campaign grid =
-  match Campaign.run grid with
+let run_campaign ?route grid =
+  match Campaign.run ?route grid with
   | Ok c -> c
   | Error msg -> failwith (grid.Campaign.name ^ ": " ^ msg)
 
 (* Run the sweep-table cells of [rows] as campaign grids: at one lambda
    the table rows are a benchmark x lambda product, so each lambda is one
-   grid. Cells are looked up by row and mv ordering. *)
+   grid. Cells are looked up by row and mv ordering. Tables 2 and 3 report
+   the coded route's sizes, so these grids build on it. *)
 let sweep_grids mode ~name ~rows ~mv_orders ~bit_order =
   let cells =
     List.concat_map
       (fun lambda ->
         let c =
-          run_campaign
+          run_campaign ~route:P.Coded
             {
               (bench_grid name) with
               benchmarks =
@@ -297,9 +298,14 @@ let table3 mode =
     (fun row ->
       let label = S.row_label row in
       let paper = List.assoc_opt label Paper_data.table3 in
+      let robdd_size (s : Campaign.success) =
+        match s.Campaign.build with
+        | Campaign.Coded { robdd_size; _ } -> robdd_size
+        | Campaign.Direct _ -> invalid_arg "table3: a direct-route cell has no ROBDD"
+      in
       let cell_at cell paper_v =
         Printf.sprintf "%s / %s"
-          (fmt_sweep_cell (fun s -> s.Campaign.robdd_size) (cell row mv))
+          (fmt_sweep_cell robdd_size (cell row mv))
           (fmt_int_opt paper_v)
       in
       Text_table.add_row t
@@ -394,7 +400,7 @@ let fig2 _mode =
       pf "P(G = 1) = %.9f, Y_M = %.9f (hand value 0.4 + 0.3*2/3 + 0.2*2/9 = %.9f)\n"
         r.P.p_unusable r.P.yield_lower
         (0.4 +. (0.3 *. 2.0 /. 3.0) +. (0.2 *. 2.0 /. 9.0));
-      let direct = Socy_core.Direct.build_into a in
+      let direct = Socy_core.Direct.build mdd a.P.Artifacts.problem a.P.Artifacts.scheme in
       pf "direct MDD-APPLY construction gives the same canonical node: %b\n\n"
         (direct = root)
 
@@ -501,44 +507,70 @@ let montecarlo mode =
   pf "\n"
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: coded-ROBDD route vs direct multiple-valued APPLY         *)
+(* Section 2 revisited: the coded route vs direct multiple-valued APPLY *)
 (* ------------------------------------------------------------------ *)
 
-let ablation _mode =
-  pf "== Ablation: coded-ROBDD route vs direct ROMDD APPLY construction ==\n";
-  pf "   (the design decision of Section 2: both give the same ROMDD; each\n";
-  pf "    route runs end to end in managers of its own)\n\n";
+(* Every Table 4 row the mode's budget admits, cold on each route in
+   managers of its own, through the same Pipeline.run_lethal. Each route
+   is a bench record ("<row> coded", "<row> direct") under the seconds
+   and yield gates; the routes must agree on M, ROMDD size and every bit
+   of the yield, or the bench fails. *)
+let route mode =
+  pf "== Section 2 revisited: coded-ROBDD route vs direct ROMDD APPLY ==\n";
+  pf "   (the paper builds the coded ROBDD and converts it because direct\n";
+  pf "    APPLY was slower; both routes give the same ROMDD and yield)\n\n";
   let t =
     Text_table.create
-      ~aligns:[ Left; Right; Right; Right ]
-      [ "benchmark"; "coded-ROBDD route (s)"; "direct APPLY (s)"; "same result" ]
+      ~aligns:[ Left; Right; Right; Right; Right; Right ]
+      [ "benchmark"; "M"; "ROMDD"; "coded (s)"; "direct (s)"; "speedup" ]
   in
   List.iter
     (fun row ->
-      let circuit = row.S.instance.S.circuit in
-      let lethal = S.lethal row in
-      let config = config_for () in
-      let t0 = wall () in
-      match P.run_lethal ~config circuit lethal with
-      | Error _ -> ()
-      | Ok r ->
-          let t_coded = wall () -. t0 in
-          let t1 = wall () in
-          let y, m, size =
-            Socy_core.Direct.evaluate ~epsilon:config.P.epsilon circuit lethal
-              ~mv:config.P.mv_order ~bits:config.P.bit_order
-          in
-          let t_direct = wall () -. t1 in
-          Text_table.add_row t
-            [
-              S.row_label row;
-              Printf.sprintf "%.2f" t_coded;
-              Printf.sprintf "%.2f" t_direct;
-              string_of_bool
-                (m = r.P.m && size = r.P.romdd_size
-                && Float.abs (y -. r.P.yield_lower) <= 1e-12);
-            ])
-    (rows_for Quick ~sweep:true);
+      let label = S.row_label row in
+      let circuit = row.S.instance.S.circuit and lethal = S.lethal row in
+      let run route =
+        let config = P.Config.make ~route () in
+        let t0 = wall () in
+        match P.run_lethal ~config circuit lethal with
+        | Ok r -> (r, wall () -. t0)
+        | Error f -> failwith (Printf.sprintf "route: %s: %s" label (P.failure_to_string f))
+      in
+      let coded, coded_s = run P.Coded in
+      let direct, direct_s = run P.Direct in
+      if
+        coded.P.m <> direct.P.m
+        || coded.P.romdd_size <> direct.P.romdd_size
+        || Int64.bits_of_float coded.P.yield_lower <> Int64.bits_of_float direct.P.yield_lower
+        || Int64.bits_of_float coded.P.yield_upper <> Int64.bits_of_float direct.P.yield_upper
+      then
+        failwith
+          (Printf.sprintf "route: %s: coded (M %d, ROMDD %d, Y %h) and direct (M %d, ROMDD %d, Y %h) differ"
+             label coded.P.m coded.P.romdd_size coded.P.yield_lower direct.P.m
+             direct.P.romdd_size direct.P.yield_lower);
+      let fields (r : P.report) wall_s extra =
+        [
+          ("m", Json.Int r.P.m);
+          ("cpu_s", Json.Float r.P.cpu_seconds);
+          ("wall_s", Json.Float wall_s);
+          ("romdd_size", Json.Int r.P.romdd_size);
+          ("yield_lower", Json.Float r.P.yield_lower);
+        ]
+        @ extra
+      in
+      record ~section:"route" ~label:(label ^ " coded")
+        (fields coded coded_s [ ("robdd_peak", Json.Int coded.P.robdd_peak) ]);
+      record ~section:"route" ~label:(label ^ " direct") (fields direct direct_s []);
+      Text_table.add_row t
+        [
+          label;
+          string_of_int coded.P.m;
+          Text_table.group_thousands coded.P.romdd_size;
+          Printf.sprintf "%.3f" coded_s;
+          Printf.sprintf "%.3f" direct_s;
+          Printf.sprintf "%.1fx" (coded_s /. Float.max direct_s 1e-9);
+        ];
+      pf "  ... %s done\n%!" label)
+    (rows_for mode ~sweep:true);
   print_string (Text_table.render t);
   pf "\n"
 
@@ -683,7 +715,7 @@ let sections =
     ("fig2", fig2);
     ("curves", curves);
     ("mc", montecarlo);
-    ("ablation", ablation);
+    ("route", route);
     ("par", par);
     ("micro", micro);
   ]

@@ -142,7 +142,11 @@ module Budget = struct
     Arg.(value & opt (list float) [ S.epsilon ] & info [ "epsilons" ] ~docv:"FLOATS" ~doc)
 
   let node_limit_arg =
-    let doc = "Live ROBDD node budget before the run is declared failed." in
+    let doc =
+      "Node budget before the run is declared failed: live coded-ROBDD \
+       nodes, or, for `campaign run', which builds on the direct route, MDD \
+       nodes created."
+    in
     Arg.(value & opt int 40_000_000 & info [ "node-limit" ] ~docv:"N" ~doc)
 
   let cpu_limit_arg =
@@ -214,7 +218,8 @@ module Ordering = struct
       "Enable group-aware dynamic variable reordering (Rudell sifting) during \
        the coded-ROBDD build. The order is walked back to the static scheme \
        before the ROMDD conversion, so the yield is bit-identical; only the \
-       transient peak changes."
+       transient peak changes. `campaign run' builds no ROBDD (direct route) \
+       and refuses it."
     in
     Arg.(value & flag & info [ "reorder" ] ~doc)
 
@@ -225,7 +230,8 @@ module Ordering = struct
        ROMDD conversion distributes each layer across the team. Results — \
        yield, diagram sizes, node ids — are bit-identical to the sequential \
        engine. 1 (the default) is the pure sequential path. Ignored with \
-       --reorder (sifting needs the sequential manager); a warning is printed."
+       --reorder (sifting needs the sequential manager); a warning is printed. \
+       `campaign run' builds no ROBDD (direct route) and takes only 1."
     in
     Arg.(value & opt int 1 & info [ "par-domains" ] ~docv:"N" ~doc)
 

@@ -189,12 +189,12 @@ let eval_cmd =
 
 (* Every grid goes through Campaign.run, whose only failure is grid
    validation: a usage error. *)
-let run_grid ?wall_budget ?progress ~domains (grid : Campaign.grid) =
-  match Campaign.validate grid with
+let run_grid ?wall_budget ?progress ~route ~domains (grid : Campaign.grid) =
+  match Campaign.validate ~route grid with
   | Error msg -> Cli_terms.usage_error "%s" msg
   | Ok () ->
       warn_par_fallback ~reorder:grid.Campaign.reorder grid.Campaign.par_domains;
-      Result.get_ok (Campaign.run ~domains ?wall_budget ?progress grid)
+      Result.get_ok (Campaign.run ~route ~domains ?wall_budget ?progress grid)
 
 (* The CPU cell of a grid row: its own seconds, or "=" and what sets the
    point whose build it reused apart from its own, e.g. "= wvr". *)
@@ -250,7 +250,7 @@ let sweep_cmd =
       trace_out progress =
     if metrics <> None || trace_out <> None then Obs.set_enabled true;
     let c =
-      run_grid ~domains ?wall_budget ?progress
+      run_grid ~route:P.Coded ~domains ?wall_budget ?progress
         (grid ~name:"sweep" ~cpu_limit:None)
     in
     let seq = if check_seq then Some (Campaign.sequential_rerun c) else None in
@@ -355,9 +355,15 @@ let sweep_cmd =
    lowest final size, then the earlier candidate (lower mv index, static
    before sifted) — and the yields are bit-identical across the whole grid
    row for a family (reordering is walked back before the ROMDD
-   conversion), so only memory is at stake. *)
+   conversion), so only memory is at stake. The ROBDD figures rank, so
+   both grids run on the coded route. *)
 let tune_cmd =
   let module Registry = Socy_order.Registry in
+  let robdd (s : Campaign.success) =
+    match s.Campaign.build with
+    | Campaign.Coded { robdd_peak; robdd_size } -> (robdd_peak, robdd_size)
+    | Campaign.Direct _ -> invalid_arg "tune: a direct-route row has no ROBDD"
+  in
   let run benchmarks lambda alpha epsilon node_limit domains registry =
     let existing =
       try Registry.load registry with Failure msg -> Cli_terms.usage_error "%s" msg
@@ -377,8 +383,10 @@ let tune_cmd =
         par_domains = 1;
       }
     in
-    let static = run_grid ~domains grid in
-    let sifted = run_grid ~domains { grid with Campaign.reorder = true } in
+    let static = run_grid ~route:P.Coded ~domains grid in
+    let sifted =
+      run_grid ~route:P.Coded ~domains { grid with Campaign.reorder = true }
+    in
     (* Candidates in tie-break order: family, mv, static before sifted. *)
     let rows =
       List.concat
@@ -402,9 +410,7 @@ let tune_cmd =
             List.fold_left
               (fun best (mv, reorder, s) ->
                 match best with
-                | Some (_, _, b)
-                  when (b.Campaign.robdd_peak, b.Campaign.robdd_size)
-                       <= (s.Campaign.robdd_peak, s.Campaign.robdd_size) ->
+                | Some (_, _, b) when robdd b <= robdd s ->
                     best
                 | _ -> Some (mv, reorder, s))
               None candidates
@@ -423,7 +429,7 @@ let tune_cmd =
                     mv;
                     bit = Scheme.Ml;
                     reorder;
-                    peak_nodes = s.Campaign.robdd_peak;
+                    peak_nodes = fst (robdd s);
                   },
                 missing ))
         (existing, false) benchmarks
@@ -443,9 +449,10 @@ let tune_cmd =
         let cells =
           match result with
           | Ok s ->
+              let peak, size = robdd s in
               [
-                Text_table.group_thousands s.Campaign.robdd_peak;
-                Text_table.group_thousands s.Campaign.robdd_size;
+                Text_table.group_thousands peak;
+                Text_table.group_thousands size;
                 cpu_cell (if reorder then sifted else static).Campaign.rows p s;
                 (if won then "ok *winner*" else "ok");
               ]
@@ -1249,7 +1256,8 @@ let campaign_run_cmd =
       progress =
     if save_metrics || save_trace then Obs.set_enabled true;
     let c =
-      run_grid ~domains ?wall_budget ?progress (grid ~name ~cpu_limit)
+      run_grid ~route:P.Direct ~domains ?wall_budget ?progress
+        (grid ~name ~cpu_limit)
     in
     let metrics =
       if save_metrics then Some (Sink.snapshot_to_json (Obs.snapshot ()))
@@ -1290,7 +1298,10 @@ let campaign_run_cmd =
     (Cmd.info "run"
        ~doc:
          "Evaluate a named benchmark × lambda × epsilon × ordering grid and \
-          store the result as a timestamped socyield-campaign/1 artifact")
+          store the result as a timestamped socyield-campaign/1 artifact. \
+          Points build on the direct route: the ROMDD by multiple-valued \
+          APPLY, without the coded ROBDD, so rows carry peak_nodes (MDD \
+          nodes created) where sweep's carry robdd_peak and robdd_size")
     term
 
 let campaign_report_cmd =
@@ -1334,6 +1345,12 @@ let campaign_report_cmd =
   let report_diff d =
     let failures = ref 0 in
     Printf.printf "diff %s -> %s\n" d.Campaign.d_old d.Campaign.d_new;
+    Option.iter
+      (fun (o, n) ->
+        Printf.printf
+          "note  routes differ (%s -> %s): node counts are not compared\n"
+          (P.route_name o) (P.route_name n))
+      d.Campaign.routes;
     List.iter
       (fun (o : Gates.outcome) ->
         if o.Gates.failed then begin

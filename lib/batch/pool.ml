@@ -40,7 +40,7 @@ module Executor = struct
 
   let tasks_counter = Obs.counter "executor.tasks"
 
-  let create ?domains () =
+  let create ?domains ?(lifetime_span = true) () =
     let n =
       match domains with
       | Some d when d < 1 -> invalid_arg "Executor.create: domains < 1"
@@ -58,31 +58,30 @@ module Executor = struct
         n_domains = n;
       }
     in
+    let rec loop () =
+      Mutex.lock t.mutex;
+      let rec take () =
+        match Queue.take_opt t.tasks with
+        | Some task -> Some task
+        | None ->
+            if t.closed then None
+            else begin
+              Condition.wait t.nonempty t.mutex;
+              take ()
+            end
+      in
+      let task = take () in
+      Mutex.unlock t.mutex;
+      match task with
+      | None -> ()
+      | Some f ->
+          f ();
+          loop ()
+    in
     let worker k () =
-      Trace.with_span
-        (Printf.sprintf "executor.worker-%d" k)
-        (fun () ->
-          let rec loop () =
-            Mutex.lock t.mutex;
-            let rec take () =
-              match Queue.take_opt t.tasks with
-              | Some task -> Some task
-              | None ->
-                  if t.closed then None
-                  else begin
-                    Condition.wait t.nonempty t.mutex;
-                    take ()
-                  end
-            in
-            let task = take () in
-            Mutex.unlock t.mutex;
-            match task with
-            | None -> ()
-            | Some f ->
-                f ();
-                loop ()
-          in
-          loop ())
+      if lifetime_span then
+        Trace.with_span (Printf.sprintf "executor.worker-%d" k) loop
+      else loop ()
     in
     t.workers <- Array.init n (fun k -> Domain.spawn (worker k));
     t
@@ -150,8 +149,9 @@ module Executor = struct
          domains are busy with other submissions — the helper drainers
          then find the counter spent and no-op. This is what lets
          [socyield serve] point {!Socy_bdd.Par.of_runner} at the batch
-         executor without risking a saturation deadlock. *)
-      let next = Atomic.make 0 in
+         executor without risking a saturation deadlock. Task 0 is the
+         caller's, claimed before any helper is queued. *)
+      let next = Atomic.make 1 in
       let cell_mutex = Mutex.create () in
       let cell_done = Condition.create () in
       let completed = ref 0 in
@@ -160,16 +160,17 @@ module Executor = struct
          request context around the whole drain so intra-problem spans
          (parallel APPLY, layer conversion) carry the request id. *)
       let ctx = Ctx.get () in
-      let drain () =
+      let run i =
+        try tasks.(i) ()
+        with e ->
+          Mutex.lock cell_mutex;
+          if !failure = None then failure := Some e;
+          Mutex.unlock cell_mutex
+      in
+      let drain ~first () =
         Ctx.with_restored ctx @@ fun () ->
-        let did =
-          claim_loop next n (fun i ->
-              try tasks.(i) ()
-              with e ->
-                Mutex.lock cell_mutex;
-                if !failure = None then failure := Some e;
-                Mutex.unlock cell_mutex)
-        in
+        if first then run 0;
+        let did = claim_loop next n run + Bool.to_int first in
         if did > 0 then begin
           Mutex.lock cell_mutex;
           completed := !completed + did;
@@ -183,11 +184,11 @@ module Executor = struct
       (try
          for _ = 1 to helpers do
            submit t ~caller:"parallel_tasks" (fun () ->
-               drain ();
+               drain ~first:false ();
                settle t)
          done
        with Invalid_argument _ -> ());
-      drain ();
+      drain ~first:true ();
       Mutex.lock cell_mutex;
       while !completed < n do
         Condition.wait cell_done cell_mutex
@@ -206,8 +207,44 @@ module Executor = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* One-shot batches                                                    *)
+(* Batches                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* The batch helpers' executor: created on the first call that needs
+   helpers, replaced by a wider one when a call needs more, never shrunk,
+   and shut down at exit with the ones it replaced, which stay parked
+   until then: a job running on one of them may be the very call that
+   outgrew it. A domain joined after each call would leave its heap
+   pinned by every value it allocated that outlives the call (results,
+   what [on_done] keeps), and OCaml 5.1 does not compact; a kept domain
+   reuses its heap. Its workers open no lifetime span, which would stay
+   open until exit. *)
+let batch_lock = Mutex.create ()
+let batch_pools : Executor.t list ref = ref [] (* the widest first *)
+
+let shutdown_batch_pools () =
+  if Domain.is_main_domain () then begin
+    Mutex.lock batch_lock;
+    let pools = !batch_pools in
+    batch_pools := [];
+    Mutex.unlock batch_lock;
+    List.iter Executor.shutdown pools
+  end
+
+let () = at_exit shutdown_batch_pools
+
+let batch_executor ~helpers =
+  Mutex.lock batch_lock;
+  let pool =
+    match !batch_pools with
+    | widest :: _ when Executor.domains widest >= helpers -> widest
+    | pools ->
+        let pool = Executor.create ~domains:helpers ~lifetime_span:false () in
+        batch_pools := pool :: pools;
+        pool
+  in
+  Mutex.unlock batch_lock;
+  pool
 
 let jobs_counter = Obs.counter "batch.jobs"
 let domains_gauge = Obs.gauge "batch.domains"
@@ -231,8 +268,8 @@ let parallel_map ?domains ?wall_budget ?on_done f xs =
     in
     let t0 = Obs.now () in
     (* Slot [i] belongs to the one worker that claimed [i], so plain array
-       writes race with nothing; the final Domain.join publishes them to
-       the caller. *)
+       writes race with nothing; [parallel_tasks]' completion count,
+       taken under its lock, publishes them to the caller. *)
     let results = Array.make n Cancelled in
     (* Per-worker seconds spent running jobs; the speedup gauge is
        Σ busy / wall. Each worker owns its own slot. *)
@@ -259,11 +296,15 @@ let parallel_map ?domains ?wall_budget ?on_done f xs =
         (Printf.sprintf "batch.worker-%d" w)
         (fun () -> ignore (claim_loop next n (run_one w)))
     in
-    let spawned =
-      Array.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1)))
-    in
-    worker 0 ();
-    Array.iter Domain.join spawned;
+    (* Each worker is one task: the caller runs worker 0 and drains the
+       rest with the helpers. An [on_done] that raises ends its worker's
+       claims, and the first such exception is re-raised once every
+       worker has stopped. *)
+    if workers = 1 then worker 0 ()
+    else
+      Executor.parallel_tasks
+        (batch_executor ~helpers:(workers - 1))
+        (Array.init workers worker);
     let wall = Obs.now () -. t0 in
     Obs.add jobs_counter n;
     Obs.set domains_gauge (float_of_int workers);

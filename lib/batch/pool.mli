@@ -24,9 +24,14 @@
       instants.
 
     The submitting domain participates as worker 0, so
-    [parallel_map ~domains:1] spawns no domain at all and degenerates to a
+    [parallel_map ~domains:1] starts no domain at all and degenerates to a
     plain sequential loop in submission order — the reference execution
-    that parallel runs are tested against, bit for bit. *)
+    that parallel runs are tested against, bit for bit. The other workers
+    run on a process-wide {!Executor} that lives until exit: created on
+    the first call that needs helpers and replaced by a wider one when a
+    call needs more. A domain started and joined per call would leave its
+    heap pinned by whatever it allocated that outlives the call (job
+    results, what [on_done] keeps), since OCaml 5.1 does not compact. *)
 
 (** Outcome of one job, in submission order. *)
 type 'a outcome =
@@ -42,10 +47,18 @@ val default_domains : unit -> int
     outcomes in submission order. [wall_budget] is the batch's wall-clock
     budget in seconds, checked as each job starts.
 
+    Each worker is one {!Executor.parallel_tasks} task, so the caller
+    drains too, and a helper that starts late finds the claim counter
+    spent: a [parallel_map] inside a job of another, or two concurrent
+    calls from two threads, complete even when every helper domain is
+    busy. Helpers run under the caller's request context
+    ({!Socy_obs.Ctx}).
+
     [on_done i outcome] is called right after job [i] settles (including
     [Cancelled] jobs), {e on the worker domain that ran it} — it must be
     fast and thread-safe (an [Atomic] bump, a line of progress output
-    under a mutex). Exceptions it raises propagate out of that worker.
+    under a mutex). An exception it raises stops that worker's claims and
+    is re-raised in the caller once every worker has stopped.
 
     [f] must not share mutable state across jobs; everything it mutates
     must be created inside the call (the pipeline does this naturally —
@@ -60,13 +73,12 @@ val parallel_map :
 
 (** {1 Long-lived pools}
 
-    {!parallel_map} owns its workers for the duration of one batch: spawn,
-    drain, join. A server cannot work that way — requests arrive one at a
-    time, from many client threads, over hours — so {!Executor} keeps a
-    fixed set of worker domains alive across submissions, consuming a
-    thunk queue that any number of (sys)threads feed concurrently.
-    [socyield serve] schedules every pipeline run on one of these, and
-    every {!Socy_bdd.Par} team runs its tasks on one. *)
+    An {!Executor} keeps a fixed set of worker domains alive across
+    submissions, consuming a thunk queue that any number of (sys)threads
+    feed concurrently. [socyield serve] schedules every pipeline run on
+    one of these, every {!Socy_bdd.Par} team runs its tasks on one, and
+    {!parallel_map}'s helpers run on a process-wide one. Every domain
+    the program starts is started here. *)
 
 module Executor : sig
   (** A persistent pool of worker domains executing submitted thunks. *)
@@ -75,8 +87,11 @@ module Executor : sig
   (** [create ~domains ()] spawns [domains] worker domains (default
       [max 1 (default_domains () - 1)], leaving a core for the submitting
       threads) that block on an empty queue until work arrives or
-      {!shutdown} is called. Raises [Invalid_argument] on [domains < 1]. *)
-  val create : ?domains:int -> unit -> t
+      {!shutdown} is called. With [lifetime_span] (the default) each
+      worker's lifetime is an [executor.worker-k] span; {!parallel_map}'s
+      executor, which lives until exit, opens none. Raises
+      [Invalid_argument] on [domains < 1]. *)
+  val create : ?domains:int -> ?lifetime_span:bool -> unit -> t
 
   (** Number of worker domains the executor was created with. *)
   val domains : t -> int
@@ -95,15 +110,16 @@ module Executor : sig
 
   (** [parallel_tasks t tasks] runs every task exactly once and returns
       when all are done, re-raising the first task exception afterwards.
-      Tasks are claimed from a shared counter, with the claim loop
-      {!parallel_map} uses, by up to [domains t] helper drainers queued on
-      the executor {e and by the calling thread}, which drains regardless
-      — so completion is guaranteed even when the executor is saturated by
-      enclosing jobs (the helpers then no-op). The caller's request context
-      is re-installed around every drain. This is every
-      {!Socy_bdd.Par} team's runner: [Par.spawn] creates an executor of its
-      own, and [socyield serve] lends its batch executor. Each helper is
-      one [executor.tasks] submission. *)
+      Task 0 runs on the calling thread; the others are claimed from a
+      shared counter, with the claim loop {!parallel_map} uses, by up to
+      [domains t] helper drainers queued on the executor {e and by the
+      calling thread}, which drains regardless — so completion is
+      guaranteed even when the executor is saturated by enclosing jobs
+      (the helpers then no-op). The caller's request context is
+      re-installed around every drain. This is every {!Socy_bdd.Par}
+      team's runner ([Par.spawn] creates an executor of its own, and
+      [socyield serve] lends its batch executor) and {!parallel_map}'s.
+      Each helper is one [executor.tasks] submission. *)
   val parallel_tasks : t -> (unit -> unit) array -> unit
 
   (** [shutdown t] closes the queue, lets the workers {e drain every

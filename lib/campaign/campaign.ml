@@ -46,12 +46,15 @@ type failure_kind =
   | Cpu_budget_hit of float  (** elapsed CPU seconds at cut-off *)
   | Cancelled
 
+type build =
+  | Coded of { robdd_peak : int; robdd_size : int }
+  | Direct of { peak_nodes : int }
+
 type success = {
   m : int;
   yield_lower : float;
   yield_upper : float;
-  robdd_peak : int;
-  robdd_size : int;
+  build : build;
   romdd_size : int;
   cpu_s : float;
   shared_with : string option;
@@ -61,6 +64,7 @@ type row = { point : point; result : (success, failure_kind) result }
 
 type t = {
   grid : grid;
+  route : P.route;
   created_s : float;
   domains : int;
   wall_s : float;
@@ -97,9 +101,9 @@ let points grid =
 
 (* The pipeline configuration shared by the points at [epsilon]; only the
    mv ordering varies below it, and no range rule depends on that. *)
-let config grid ~epsilon =
-  P.Config.make ~epsilon ~node_limit:grid.node_limit ?cpu_limit:grid.cpu_limit
-    ~bit_order:grid.bit_order ~reorder:grid.reorder
+let config grid ~route ~epsilon =
+  P.Config.make ~route ~epsilon ~node_limit:grid.node_limit
+    ?cpu_limit:grid.cpu_limit ~bit_order:grid.bit_order ~reorder:grid.reorder
     ~par_domains:grid.par_domains ()
 
 (* The lethal-defect model of [instance] at mean defect count [lambda]. *)
@@ -109,7 +113,7 @@ let lethal grid (instance : S.instance) ~lambda =
        (D.negative_binomial ~mean:lambda ~alpha:grid.alpha)
        instance.S.affect)
 
-let validate grid =
+let validate ?(route = P.Direct) grid =
   let require ok msg = if ok then Ok () else Error msg in
   let* () = require (grid.name <> "") "campaign name must not be empty" in
   let* () =
@@ -151,7 +155,7 @@ let validate grid =
             let lethal = lethal grid instance ~lambda in
             List.iter
               (fun epsilon ->
-                ignore (config grid ~epsilon);
+                ignore (config grid ~route ~epsilon);
                 ignore (Model.truncation lethal ~epsilon))
               grid.epsilons)
           grid.lambdas)
@@ -168,11 +172,11 @@ let cancelled_counter = Obs.counter "batch.jobs_cancelled"
 
 (* [instances] holds one instance per benchmark, so that the points of a
    benchmark share its circuit and [groups] builds its problems once. *)
-let job grid instances p =
+let job grid ~route instances p =
   let instance = List.assoc p.source instances in
   ( instance.S.circuit,
     lethal grid instance ~lambda:p.lambda,
-    P.Config.with_mv_order p.mv (config grid ~epsilon:p.epsilon) )
+    P.Config.with_mv_order p.mv (config grid ~route ~epsilon:p.epsilon) )
 
 (* The points that build the same diagram, as lists of point indices in
    grid order, listed by their first members. The benchmark fixes the
@@ -213,13 +217,17 @@ let run_group jobs members =
       let circuit, _, config = jobs.(first) in
       P.run_family ~config circuit (lethal first) (List.map lethal rest)
 
-let success_of_report ?shared_with (r : P.report) =
+(* A row's build figures: the coded ROBDD's, or the MDD nodes the direct
+   route's APPLY created. *)
+let success_of_report ~route ~mdd_nodes ?shared_with (r : P.report) =
   {
     m = r.P.m;
     yield_lower = r.P.yield_lower;
     yield_upper = r.P.yield_upper;
-    robdd_peak = r.P.robdd_peak;
-    robdd_size = r.P.robdd_size;
+    build =
+      (match route with
+      | P.Coded -> Coded { robdd_peak = r.P.robdd_peak; robdd_size = r.P.robdd_size }
+      | P.Direct -> Direct { peak_nodes = mdd_nodes });
     romdd_size = r.P.romdd_size;
     cpu_s = r.P.cpu_seconds;
     shared_with;
@@ -227,11 +235,11 @@ let success_of_report ?shared_with (r : P.report) =
 
 (* The rows of one group, members in grid order. A failed or cancelled
    build fails every member the same way. *)
-let member_results points members = function
-  | Pool.Done (Ok (first, rest)) ->
+let member_results ~route points members = function
+  | Pool.Done (Ok { P.first; members = rest; mdd_nodes }) ->
+      let success = success_of_report ~route ~mdd_nodes in
       let shared_with = point_label points.(List.hd members) in
-      Ok (success_of_report first)
-      :: List.map (fun r -> Ok (success_of_report ~shared_with r)) rest
+      Ok (success first) :: List.map (fun r -> Ok (success ~shared_with r)) rest
   | Pool.Done (Error f) ->
       let failure =
         match f with
@@ -249,12 +257,12 @@ let count_result = function
   | Error Cancelled -> Obs.incr cancelled_counter
   | Error (Node_budget_hit _ | Cpu_budget_hit _) -> Obs.incr failed_counter
 
-let run_grid ~share ?domains ?wall_budget ?progress
+let run_grid ~share ?(route = P.Direct) ?domains ?wall_budget ?progress
     ?(now = Unix.gettimeofday ()) grid =
-  let* () = validate grid in
+  let* () = validate ~route grid in
   let points = Array.of_list (points grid) in
   let instances = List.map (fun b -> (b, S.by_name b)) grid.benchmarks in
-  let jobs = Array.map (job grid instances) points in
+  let jobs = Array.map (job grid ~route instances) points in
   let groups = groups ~share points jobs in
   let domains =
     match domains with Some d -> d | None -> Pool.default_domains ()
@@ -287,7 +295,7 @@ let run_grid ~share ?domains ?wall_budget ?progress
           count_result result;
           results.(i) <- result)
         members
-        (member_results points members outcomes.(g)))
+        (member_results ~route points members outcomes.(g)))
     groups;
   let rows =
     Array.to_list
@@ -295,7 +303,7 @@ let run_grid ~share ?domains ?wall_budget ?progress
   in
   Obs.incr runs_counter;
   Obs.set wall_gauge wall_s;
-  Ok { grid; created_s = now; domains; wall_s; rows }
+  Ok { grid; route; created_s = now; domains; wall_s; rows }
 
 let run = run_grid ~share:true
 
@@ -306,7 +314,7 @@ type drift = {
 }
 
 let sequential_rerun t =
-  match run_grid ~share:false ~domains:1 t.grid with
+  match run_grid ~share:false ~route:t.route ~domains:1 t.grid with
   | Error msg -> invalid_arg ("Campaign.sequential_rerun: " ^ msg)
   | Ok seq ->
       let pairs = List.combine t.rows seq.rows in
@@ -358,6 +366,12 @@ let grid_to_json g =
 (* The deterministic result fields a row exposes to the gate table: the
    same names the bench records and the sweep JSON use, so one gate spec
    reads all three document kinds. *)
+(* The fields only one route measures. *)
+let build_fields = function
+  | Coded { robdd_peak; robdd_size } ->
+      [ ("robdd_peak", Json.Int robdd_peak); ("robdd_size", Json.Int robdd_size) ]
+  | Direct { peak_nodes } -> [ ("peak_nodes", Json.Int peak_nodes) ]
+
 let row_fields row =
   match row.result with
   | Ok s ->
@@ -365,11 +379,9 @@ let row_fields row =
         ("m", Json.Int s.m);
         ("yield_lower", Json.Float s.yield_lower);
         ("yield_upper", Json.Float s.yield_upper);
-        ("robdd_peak", Json.Int s.robdd_peak);
-        ("robdd_size", Json.Int s.robdd_size);
-        ("romdd_size", Json.Int s.romdd_size);
-        ("cpu_s", Json.Float s.cpu_s);
       ]
+      @ build_fields s.build
+      @ [ ("romdd_size", Json.Int s.romdd_size); ("cpu_s", Json.Float s.cpu_s) ]
       @ Option.fold ~none:[]
           ~some:(fun label -> [ ("shared_with", Json.String label) ])
           s.shared_with
@@ -390,15 +402,22 @@ let row_to_json row =
 
 let to_json t =
   Json.Obj
-    [
+    ([
       ("schema", Json.String schema);
       ("name", Json.String t.grid.name);
       ("created_s", Json.Float t.created_s);
       ("domains", Json.Int t.domains);
       ("wall_s", Json.Float t.wall_s);
-      ("grid", grid_to_json t.grid);
-      ("rows", Json.List (List.map row_to_json t.rows));
     ]
+    (* Coded documents omit the member: documents written before routes
+       existed are coded, and load and re-encode unchanged. *)
+    @ (match t.route with
+      | P.Coded -> []
+      | P.Direct -> [ ("route", Json.String (P.route_name P.Direct)) ])
+    @ [
+        ("grid", grid_to_json t.grid);
+        ("rows", Json.List (List.map row_to_json t.rows));
+      ])
 
 let field what name json =
   match Json.member name json with
@@ -491,7 +510,7 @@ let grid_of_json ~name json =
       par_domains;
     }
 
-let row_of_json i json =
+let row_of_json ~route i json =
   let what = Printf.sprintf "rows[%d]" i in
   let* source = field what "source" json in
   let* source = as_string (what ^ ".source") source in
@@ -518,8 +537,16 @@ let row_of_json i json =
         let* m = int "m" in
         let* yield_lower = num "yield_lower" in
         let* yield_upper = num "yield_upper" in
-        let* robdd_peak = int "robdd_peak" in
-        let* robdd_size = int "robdd_size" in
+        let* build =
+          match route with
+          | P.Coded ->
+              let* robdd_peak = int "robdd_peak" in
+              let* robdd_size = int "robdd_size" in
+              Ok (Coded { robdd_peak; robdd_size })
+          | P.Direct ->
+              let* peak_nodes = int "peak_nodes" in
+              Ok (Direct { peak_nodes })
+        in
         let* romdd_size = int "romdd_size" in
         let* cpu_s = num "cpu_s" in
         let* shared_with =
@@ -535,8 +562,7 @@ let row_of_json i json =
                m;
                yield_lower;
                yield_upper;
-               robdd_peak;
-               robdd_size;
+               build;
                romdd_size;
                cpu_s;
                shared_with;
@@ -575,6 +601,15 @@ let of_json json =
   let* domains = as_int "domains" domains in
   let* wall_s = field "campaign" "wall_s" json in
   let* wall_s = as_float "wall_s" wall_s in
+  let* route =
+    match Json.member "route" json with
+    | None -> Ok P.Coded
+    | Some v -> (
+        let* name = as_string "route" v in
+        match P.route_of_name name with
+        | Some r -> Ok r
+        | None -> Error (Printf.sprintf "unknown route %S" name))
+  in
   let* grid_json = field "campaign" "grid" json in
   let* grid = grid_of_json ~name grid_json in
   let* rows = field "campaign" "rows" json in
@@ -583,12 +618,12 @@ let of_json json =
     let rec go i acc = function
       | [] -> Ok (List.rev acc)
       | r :: rest ->
-          let* row = row_of_json i r in
+          let* row = row_of_json ~route i r in
           go (i + 1) (row :: acc) rest
     in
     go 0 [] rows
   in
-  Ok { grid; created_s; domains; wall_s; rows }
+  Ok { grid; route; created_s; domains; wall_s; rows }
 
 let of_string s =
   match Json.of_string s with
@@ -654,6 +689,7 @@ type status_change = {
 type diff = {
   d_old : string;  (** display label of the older run *)
   d_new : string;
+  routes : (P.route * P.route) option;  (** old and new, when they differ *)
   outcomes : Gates.outcome list;  (** shared-point gate results *)
   status_changes : status_change list;  (** ok -> failed is a regression *)
 }
@@ -661,6 +697,19 @@ type diff = {
 let diff ?(gates = Gates.default_gates) ~old_label ~new_label old_t new_t =
   let find_row t point =
     List.find_opt (fun r -> r.point = point) t.rows
+  in
+  (* Runs on two routes measured different diagrams' nodes, the coded
+     ROBDD's or the MDD nodes APPLY created, so only what both measure is
+     gated: M, the yields, the ROMDD size and the CPU time. *)
+  let routes =
+    if old_t.route = new_t.route then None else Some (old_t.route, new_t.route)
+  in
+  let fields row =
+    match (routes, row.result) with
+    | Some _, Ok s ->
+        let own = List.map fst (build_fields s.build) in
+        List.filter (fun (k, _) -> not (List.mem k own)) (row_fields row)
+    | _ -> row_fields row
   in
   let outcomes = ref [] and status_changes = ref [] in
   List.iter
@@ -682,9 +731,8 @@ let diff ?(gates = Gates.default_gates) ~old_label ~new_label old_t new_t =
           | Ok _, Ok _ ->
               outcomes :=
                 List.rev
-                  (Gates.check_pair ~gates ~label
-                     ~base:(row_fields old_row)
-                     ~fresh:(row_fields new_row))
+                  (Gates.check_pair ~gates ~label ~base:(fields old_row)
+                     ~fresh:(fields new_row))
                 @ !outcomes
           | old_r, new_r when status_name old_r <> status_name new_r ->
               status_changes :=
@@ -712,6 +760,7 @@ let diff ?(gates = Gates.default_gates) ~old_label ~new_label old_t new_t =
   {
     d_old = old_label;
     d_new = new_label;
+    routes;
     outcomes = List.rev !outcomes;
     status_changes = List.rev !status_changes;
   }

@@ -12,7 +12,9 @@
 
     {!run} is the one grid runner: [socyield sweep], [tune] and
     [campaign run] and the bench's Table 2/3 and yield-curve sections all
-    evaluate their grids through it.
+    evaluate their grids through it. It builds on the direct route
+    ({!Socy_core.Pipeline.route}) unless asked for the coded one, which
+    the front ends that print ROBDD columns do.
 
     Probes: [campaign.runs] (counter), [campaign.wall_s] (gauge), and the
     per-point outcome counters [batch.jobs_ok], [batch.jobs_failed] and
@@ -47,12 +49,19 @@ type failure_kind =
   | Cpu_budget_hit of float  (** elapsed CPU seconds at cut-off *)
   | Cancelled  (** batch wall budget expired before the job started *)
 
+(** What a row's build measured, by route. *)
+type build =
+  | Coded of { robdd_peak : int; robdd_size : int }
+      (** the coded ROBDD's peak and final size *)
+  | Direct of { peak_nodes : int }
+      (** the MDD nodes the direct route's APPLY created: its node peak,
+          since the store frees none *)
+
 type success = {
   m : int;
   yield_lower : float;
   yield_upper : float;
-  robdd_peak : int;
-  robdd_size : int;
+  build : build;
   romdd_size : int;
   cpu_s : float;
       (** the build's CPU seconds, or only the recombination's on a row
@@ -67,6 +76,7 @@ type row = { point : point; result : (success, failure_kind) result }
 
 type t = {
   grid : grid;
+  route : Socy_core.Pipeline.route;  (** the route every point built on *)
   created_s : float;  (** Unix time the run started *)
   domains : int;
   wall_s : float;
@@ -82,25 +92,28 @@ val status_name : (success, failure_kind) result -> string
 
 val points : grid -> point list
 
-val validate : grid -> (unit, string) result
+val validate : ?route:Socy_core.Pipeline.route -> grid -> (unit, string) result
 (** Reject empty axes, unknown benchmark names, names unusable as
     directory prefixes, an mv order that
     {!Socy_order.Scheme.check_pairing} does not allow beside the grid's
     bit order, and every value that
     {!Socy_defects.Distribution.negative_binomial} (per λ, with α) or
-    {!Socy_core.Pipeline.Config.make} (per ε, with the node and CPU
-    limits and [par_domains]) or
+    {!Socy_core.Pipeline.Config.make} (per ε, with [route] — default
+    [Direct] — the node and CPU limits, [reorder] and [par_domains]) or
     {!Socy_defects.Distribution.truncation_point} (per benchmark × λ × ε)
     rejects, with that function's message. *)
 
 val run :
+  ?route:Socy_core.Pipeline.route ->
   ?domains:int ->
   ?wall_budget:float ->
   ?progress:(completed:int -> total:int -> label:string -> unit) ->
   ?now:float ->
   grid ->
   (t, string) result
-(** Evaluate the grid, building each distinct diagram once. Points of one
+(** Evaluate the grid on [route] (default [Direct]: multiple-valued
+    APPLY, no ROBDD; rows then carry [Direct] builds), building each
+    distinct diagram once. Points of one
     benchmark whose {!Socy_core.Pipeline.build_key} is equal (the same M
     and resolved variable order, whatever their λ, ε or mv order) form a
     group, and each group is one {!Socy_core.Pipeline.run_family} job
@@ -131,14 +144,21 @@ type drift = {
 }
 
 val sequential_rerun : t -> t * drift
-(** Rerun [t]'s grid on one domain (a plain sequential loop), every point
-    on its own build, and compare it with [t] row by row: the unshared
+(** Rerun [t]'s grid on [t.route] and one domain (a plain sequential
+    loop), every point on its own build, and compare it with [t] row by
+    row: the unshared
     reference for {!run}. A parallel, shared run must match its rerun bit
     for bit: [max_drift = 0.] and no status mismatch. Raises
     [Invalid_argument] when [t.grid] fails {!validate}, which a [t] from
     {!run} never does. *)
 
-(** {1 Codec} *)
+(** {1 Codec}
+
+    A [socyield-campaign/1] document carries ["route": "direct"] for a
+    direct campaign and no [route] member for a coded one, so documents
+    written before routes existed load as coded and re-encode byte for
+    byte. An ok row carries [robdd_peak] and [robdd_size] on the coded
+    route and [peak_nodes] on the direct one. *)
 
 val to_json : t -> Socy_obs.Json.t
 val of_json : Socy_obs.Json.t -> (t, string) result
@@ -164,8 +184,8 @@ val load_all : root:string -> ((string * t) list, string) result
 
 val row_fields : row -> Gates.fields
 (** The row's numeric result fields under their bench names
-    ([yield_lower], [cpu_s], [robdd_peak], ...), so the shared gate
-    table applies unchanged. *)
+    ([yield_lower], [cpu_s], [robdd_peak] or [peak_nodes], ...), so the
+    shared gate table applies unchanged. *)
 
 val to_bench : t -> Socy_obs.Doc.Bench.t
 (** The campaign as a [socyield-bench/1]-shaped document
@@ -179,6 +199,8 @@ type status_change = { sc_point : point; sc_old : string; sc_new : string }
 type diff = {
   d_old : string;
   d_new : string;
+  routes : (Socy_core.Pipeline.route * Socy_core.Pipeline.route) option;
+      (** the old and the new run's routes, when they differ *)
   outcomes : Gates.outcome list;
   status_changes : status_change list;
 }
@@ -193,7 +215,11 @@ val diff :
 (** Compare two runs point by point: shared ok/ok points go through
     {!Gates.check_pair}; points whose status changed are collected
     separately; points present in only one run surface as
-    {!Gates.Row_missing} / {!Gates.Row_new}. *)
+    {!Gates.Row_missing} / {!Gates.Row_new}. Runs on different routes
+    (a store's coded runs before its direct ones) are compared on what
+    both routes measure — M, the yields, the ROMDD size and [cpu_s] —
+    and [routes] says so; the node counts of one route are not missing
+    from the other. *)
 
 val status_change_failed : status_change -> bool
 (** An [ok -> failed] flip is a regression; [failed -> ok] is an

@@ -2,7 +2,6 @@ module C = Socy_logic.Circuit
 module Mdd = Socy_mdd.Mdd
 module Problem = Socy_encode.Problem
 module Scheme = Socy_order.Scheme
-module Model = Socy_defects.Model
 
 let defect_literals mdd ~m ~components ~w_pos ~v_pos =
   let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
@@ -68,24 +67,3 @@ let build mdd problem (scheme : Scheme.t) =
   in
   Mdd.apply_or mdd w_overflow
     (apply_fault_tree mdd problem.Problem.fault_tree failed)
-
-let build_into (artifacts : Pipeline.Artifacts.t) =
-  build artifacts.Pipeline.Artifacts.mdd artifacts.Pipeline.Artifacts.problem
-    artifacts.Pipeline.Artifacts.scheme
-
-let evaluate ?(epsilon = 1e-3) fault_tree lethal ~mv ~bits =
-  let m = Model.truncation lethal ~epsilon in
-  let problem = Problem.build fault_tree ~m in
-  let scheme = Scheme.make problem ~mv ~bits in
-  let mdd =
-    Mdd.create ~cache_bits:Pipeline.default_config.Pipeline.cache_bits
-      (Pipeline.mdd_specs problem scheme)
-  in
-  let root = build mdd problem scheme in
-  let w = Model.w_pmf lethal ~m in
-  let p pos value =
-    let g = scheme.Scheme.groups_in_order.(pos) in
-    if g = 0 then w.(value) else lethal.Model.component.(value)
-  in
-  let p_unusable = Mdd.probability mdd root ~p in
-  (1.0 -. p_unusable, m, Mdd.size mdd root)

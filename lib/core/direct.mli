@@ -1,14 +1,17 @@
 (** Direct ROMDD construction of G(w, v_1 … v_M) with multiple-valued APPLY
     operations — the "algorithms and packages for ROMDD manipulation" route
-    ([23, 29]) that the paper argues {e against} on efficiency grounds.
+    ([23, 29]) that the paper argues {e against} on efficiency grounds, and
+    that measurement on this engine favours (EXPERIMENTS.md, "Section 2
+    revisited").
 
-    Two uses here:
-    - an independent implementation path: ROMDDs are canonical, so the
-      directly built diagram must be the {e same node} as the one obtained
-      by converting the coded ROBDD (when built in the same manager with
-      the same ordering) — a strong end-to-end correctness check;
-    - the ablation benchmark comparing its cost against the coded-ROBDD
-      route (DESIGN.md §7). *)
+    The one APPLY builder of the program:
+    - the pipeline's direct route ({!Pipeline.route}) builds its ROMDD
+      here, in a budgeted manager of its own;
+    - ROMDDs are canonical, so {!build} into the manager and ordering of a
+      coded-route build must return the {e same node} as the conversion
+      of the coded ROBDD — a strong end-to-end correctness check;
+    - {!Reliability} composes {!defect_literals} and {!apply_fault_tree}
+      for its two-epoch diagram. *)
 
 (** [defect_literals mdd ~m ~components ~w_pos ~v_pos] is
     [(I_{M+1}(w), x)] where [x.(i) = ∨_{l=1..M} I_{≥l}(w)·I_i(v_l)] is
@@ -27,20 +30,10 @@ val defect_literals :
 val apply_fault_tree :
   Socy_mdd.Mdd.t -> Socy_logic.Circuit.t -> Socy_mdd.Mdd.node array -> Socy_mdd.Mdd.node
 
-(** [build_into artifacts] rebuilds G by MDD APPLY inside the artifact's
-    own manager and ordering, returning the root (equal to
-    [artifacts.mdd_root] iff the two routes agree). *)
-val build_into : Pipeline.Artifacts.t -> Socy_mdd.Mdd.node
-
-(** [evaluate ?epsilon fault_tree lethal ~mv ~bits] runs the whole method
-    on the direct route only (no BDD), returning (yield_lower, M,
-    romdd_size). Its APPLY cache has the pipeline's default cap,
-    [2^Pipeline.default_config.cache_bits] lines. Meant for small
-    instances and benchmarks. *)
-val evaluate :
-  ?epsilon:float ->
-  Socy_logic.Circuit.t ->
-  Socy_defects.Model.lethal ->
-  mv:Socy_order.Scheme.mv_order ->
-  bits:Socy_order.Scheme.bit_order ->
-  float * int * int
+(** [build mdd problem scheme] is G = I_{M+1}(w) ∨ F(x_1 … x_C), built in
+    [mdd] by APPLY alone, where [mdd]'s variables are [problem]'s groups in
+    [scheme]'s multiple-valued order ({!Pipeline.mdd_specs}). Raises what
+    [mdd]'s budgets raise ({!Socy_mdd.Mdd.Node_limit_exceeded},
+    {!Socy_mdd.Mdd.Cpu_limit_exceeded}). *)
+val build :
+  Socy_mdd.Mdd.t -> Socy_encode.Problem.t -> Socy_order.Scheme.t -> Socy_mdd.Mdd.node

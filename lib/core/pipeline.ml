@@ -15,7 +15,17 @@ module Log = Socy_obs.Log
 module Json = Socy_obs.Json
 module Memory = Socy_obs.Memory
 
+type route = Coded | Direct
+
+let route_name = function Coded -> "coded" | Direct -> "direct"
+
+let route_of_name = function
+  | "coded" -> Some Coded
+  | "direct" -> Some Direct
+  | _ -> None
+
 type config = {
+  route : route;
   epsilon : float;
   mv_order : Scheme.mv_order;
   bit_order : Scheme.bit_order;
@@ -30,6 +40,7 @@ type config = {
 
 let default_config =
   {
+    route = Coded;
     epsilon = 1e-3;
     mv_order = Scheme.Heur Socy_order.Heuristics.Weight;
     bit_order = Scheme.Ml;
@@ -65,15 +76,23 @@ module Config = struct
       invalid "par_domains must be >= 1 (got %d)" c.par_domains;
     if c.cache_bits < 1 || c.cache_bits > 28 then
       invalid "cache_bits must be in 1..28 (got %d)" c.cache_bits;
+    (* Sifting and the domain team are settings of the coded ROBDD engine,
+       which the direct route never runs. *)
+    if c.route = Direct && c.reorder then
+      invalid "route = direct does not take reorder = true (sifting reorders the coded ROBDD)";
+    if c.route = Direct && c.par_domains > 1 then
+      invalid "route = direct does not take par_domains = %d (the team builds the coded ROBDD)"
+        c.par_domains;
     c
 
-  let make ?(epsilon = default.epsilon) ?(mv_order = default.mv_order)
+  let make ?(route = default.route) ?(epsilon = default.epsilon) ?(mv_order = default.mv_order)
       ?(bit_order = default.bit_order) ?(node_limit = default.node_limit)
       ?(gc_threshold = default.gc_threshold) ?(cache_bits = default.cache_bits)
       ?cpu_limit ?(reorder = default.reorder)
       ?(par_domains = default.par_domains) ?par_runner () =
     check "make"
       {
+        route;
         epsilon;
         mv_order;
         bit_order;
@@ -86,6 +105,7 @@ module Config = struct
         par_runner;
       }
 
+  let with_route route c = check "with_route" { c with route }
   let with_epsilon epsilon c = check "with_epsilon" { c with epsilon }
   let with_mv_order mv_order c = { c with mv_order }
   let with_bit_order bit_order c = { c with bit_order }
@@ -93,7 +113,7 @@ module Config = struct
   let with_gc_threshold gc_threshold c = { c with gc_threshold }
   let with_cache_bits cache_bits c = check "with_cache_bits" { c with cache_bits }
   let with_cpu_limit cpu_limit c = check "with_cpu_limit" { c with cpu_limit }
-  let with_reorder reorder c = { c with reorder }
+  let with_reorder reorder c = check "with_reorder" { c with reorder }
 
   let with_par_domains par_domains c =
     check "with_par_domains" { c with par_domains }
@@ -246,12 +266,12 @@ let mdd_specs problem (scheme : Scheme.t) =
     scheme.Scheme.groups_in_order
 
 module Artifacts = struct
+  type robdd = { bdd : B.t; bdd_root : B.node; bdd_stats : Compile.stats }
+
   type t = {
     problem : Problem.t;
     scheme : Scheme.t;
-    bdd : B.t;
-    bdd_root : B.node;
-    bdd_stats : Compile.stats;
+    robdd : robdd option;
     mdd : Mdd.t;
     mdd_root : Mdd.node;
     lethal : Model.lethal;
@@ -280,19 +300,37 @@ module Artifacts = struct
         (Printf.sprintf "stage %s done in %.6f s" name dt);
     r
 
-  let build ?(config = default_config) fault_tree lethal =
-    let stages = ref [] in
-    let gcs = ref [] in
-    let staged stages name f = staged stages gcs name f in
-    let m =
-      staged stages "truncate" (fun () ->
-          Model.truncation lethal ~epsilon:config.epsilon)
-    in
-    let problem = staged stages "encode" (fun () -> Problem.build fault_tree ~m) in
-    let scheme =
-      staged stages "order" (fun () ->
-          Scheme.make problem ~mv:config.mv_order ~bits:config.bit_order)
-    in
+  (* The typed failures of a diagram stage's budget trips, logged as
+     [pipeline.budget]: [peak] is the node count at the trip, [cpu0] the
+     CPU clock when the budgeted manager was made. *)
+  let node_budget config ~stage peak =
+    Log.warn "pipeline.budget"
+      ~fields:
+        [
+          ("kind", Json.String "node");
+          ("stage", Json.String stage);
+          ("peak", Json.Int peak);
+          ("node_limit", Json.Int config.node_limit);
+        ]
+      (Printf.sprintf "node budget exhausted at %d nodes" peak);
+    Error (Node_budget { stage; peak })
+
+  let cpu_budget ~stage ~cpu0 =
+    let elapsed = Sys.time () -. cpu0 in
+    Log.warn "pipeline.budget"
+      ~fields:
+        [
+          ("kind", Json.String "cpu");
+          ("stage", Json.String stage);
+          ("elapsed_s", Json.Float elapsed);
+        ]
+      (Printf.sprintf "cpu budget exhausted after %.1f s" elapsed);
+    Error (Cpu_budget { stage; elapsed })
+
+  (* The coded route: compile the binary circuit into the coded ROBDD,
+     then convert it into an unbudgeted ROMDD manager. *)
+  let build_coded config ~stages ~gcs problem scheme =
+    let staged name f = staged stages gcs name f in
     let cpu0 = Sys.time () in
     let bdd =
       B.create ~node_limit:config.node_limit ?cpu_limit:config.cpu_limit
@@ -322,7 +360,7 @@ module Artifacts = struct
       ~finally:(fun () -> Option.iter Par.shutdown team)
       (fun () ->
         match
-          staged stages "robdd-build" (fun () ->
+          staged "robdd-build" (fun () ->
               let nvars = Problem.num_binary_vars problem in
               let var_of_input i = scheme.Scheme.level_of_input.(i) in
               match team with
@@ -378,56 +416,69 @@ module Artifacts = struct
                   else (root, st))
         with
         | exception B.Node_limit_exceeded ->
-            let peak = if !par_peak > 0 then !par_peak else B.peak_alive bdd in
-            Log.warn "pipeline.budget"
-              ~fields:
-                [
-                  ("kind", Json.String "node");
-                  ("stage", Json.String "coded-robdd");
-                  ("peak", Json.Int peak);
-                  ("node_limit", Json.Int config.node_limit);
-                ]
-              (Printf.sprintf "node budget exhausted at %d nodes" peak);
-            Error (Node_budget { stage = "coded-robdd"; peak })
-        | exception B.Cpu_limit_exceeded ->
-            let elapsed = Sys.time () -. cpu0 in
-            Log.warn "pipeline.budget"
-              ~fields:
-                [
-                  ("kind", Json.String "cpu");
-                  ("stage", Json.String "coded-robdd");
-                  ("elapsed_s", Json.Float elapsed);
-                ]
-              (Printf.sprintf "cpu budget exhausted after %.1f s" elapsed);
-            Error (Cpu_budget { stage = "coded-robdd"; elapsed })
+            node_budget config ~stage:"coded-robdd"
+              (if !par_peak > 0 then !par_peak else B.peak_alive bdd)
+        | exception B.Cpu_limit_exceeded -> cpu_budget ~stage:"coded-robdd" ~cpu0
         | bdd_root, bdd_stats ->
-            (* The conversion only calls [mk], so the cap matters only to
-               APPLY run later in this manager, as the direct route does. *)
             let mdd =
               Mdd.create ~cache_bits:config.cache_bits (mdd_specs problem scheme)
             in
             let mdd_root =
-              staged stages "romdd-convert" (fun () ->
+              staged "romdd-convert" (fun () ->
                   Conversion.run ?team bdd bdd_root mdd
                     (layout_of_scheme problem scheme))
             in
             B.publish_obs bdd;
-            Ok
-              {
-                problem;
-                scheme;
-                bdd;
-                bdd_root;
-                bdd_stats;
-                mdd;
-                mdd_root;
-                lethal;
-                m;
-                stage_seconds = List.rev !stages;
-                stage_gc = List.rev !gcs;
-                cond_unusable = None;
-                traversal_gc = None;
-              })
+            Ok (Some { bdd; bdd_root; bdd_stats }, mdd, mdd_root))
+
+  (* The direct route: G by multiple-valued APPLY into a budgeted ROMDD
+     manager; no ROBDD exists. *)
+  let build_direct config ~stages ~gcs problem scheme =
+    let staged name f = staged stages gcs name f in
+    let cpu0 = Sys.time () in
+    let mdd =
+      Mdd.create ~node_limit:config.node_limit ?cpu_limit:config.cpu_limit
+        ~cache_bits:config.cache_bits (mdd_specs problem scheme)
+    in
+    match staged "romdd-apply" (fun () -> Direct.build mdd problem scheme) with
+    | exception Mdd.Node_limit_exceeded ->
+        node_budget config ~stage:"romdd-apply" (Mdd.total_nodes mdd)
+    | exception Mdd.Cpu_limit_exceeded -> cpu_budget ~stage:"romdd-apply" ~cpu0
+    | mdd_root -> Ok (None, mdd, mdd_root)
+
+  let build ?(config = default_config) fault_tree lethal =
+    let stages = ref [] in
+    let gcs = ref [] in
+    let staged name f = staged stages gcs name f in
+    let m =
+      staged "truncate" (fun () -> Model.truncation lethal ~epsilon:config.epsilon)
+    in
+    let problem = staged "encode" (fun () -> Problem.build fault_tree ~m) in
+    let scheme =
+      staged "order" (fun () ->
+          Scheme.make problem ~mv:config.mv_order ~bits:config.bit_order)
+    in
+    let built =
+      match config.route with
+      | Coded -> build_coded config ~stages ~gcs problem scheme
+      | Direct -> build_direct config ~stages ~gcs problem scheme
+    in
+    Result.map
+      (fun (robdd, mdd, mdd_root) ->
+        {
+          problem;
+          scheme;
+          robdd;
+          mdd;
+          mdd_root;
+          lethal;
+          m;
+          stage_seconds = List.rev !stages;
+          stage_gc = List.rev !gcs;
+          cond_unusable = None;
+          traversal_gc = None;
+        })
+      built
 
   let probability_of_level t =
     let w = Model.w_pmf t.lethal ~m:t.m in
@@ -500,7 +551,11 @@ module Artifacts = struct
     let s = sweep t in
     let traversal_s = Obs.now () -. t0 in
     let p_unusable, yield_lower, yield_upper = recombine t.lethal ~m:t.m s in
-    let engine = B.stats t.bdd in
+    (* The direct route ran no ROBDD engine: its ROBDD figures and engine
+       counters are 0; a campaign row on it carries none of them. *)
+    let robdd f = match t.robdd with Some r -> f r | None -> 0 in
+    let engine = Option.map (fun r -> B.stats r.bdd) t.robdd in
+    let engine f = match engine with Some e -> f e | None -> 0 in
     {
       yield_lower;
       yield_upper;
@@ -508,26 +563,28 @@ module Artifacts = struct
       m = t.m;
       p_lethal = t.lethal.Model.p_lethal;
       cpu_seconds;
-      robdd_peak = t.bdd_stats.Compile.peak_nodes;
-      robdd_size = t.bdd_stats.Compile.final_size;
+      robdd_peak = robdd (fun r -> r.bdd_stats.Compile.peak_nodes);
+      robdd_size = robdd (fun r -> r.bdd_stats.Compile.final_size);
       romdd_size = Mdd.size t.mdd t.mdd_root;
       num_binary_vars = Problem.num_binary_vars t.problem;
       num_groups = Problem.num_groups t.problem;
       gate_count = C.gate_count t.problem.Problem.circuit;
       stage_times = t.stage_seconds @ [ ("traversal", traversal_s) ];
-      unique_hits = engine.B.unique_hits;
-      ite_cache_hits = engine.B.cache_hits;
-      ite_cache_misses = engine.B.cache_misses;
-      and_or_fast_hits = engine.B.and_or_fast_hits;
-      gc_runs = engine.B.gc_runs;
-      gc_reclaimed = engine.B.reclaimed;
-      reorder_runs = t.bdd_stats.Compile.reorders;
-      reorder_swaps = t.bdd_stats.Compile.reorder_swaps;
+      unique_hits = engine (fun e -> e.B.unique_hits);
+      ite_cache_hits = engine (fun e -> e.B.cache_hits);
+      ite_cache_misses = engine (fun e -> e.B.cache_misses);
+      and_or_fast_hits = engine (fun e -> e.B.and_or_fast_hits);
+      gc_runs = engine (fun e -> e.B.gc_runs);
+      gc_reclaimed = engine (fun e -> e.B.reclaimed);
+      reorder_runs = robdd (fun r -> r.bdd_stats.Compile.reorders);
+      reorder_swaps = robdd (fun r -> r.bdd_stats.Compile.reorder_swaps);
       stage_gc =
         (t.stage_gc
         @ match t.traversal_gc with None -> [] | Some d -> [ ("traversal", d) ]);
     }
 end
+
+type family = { first : report; members : report list; mdd_nodes : int }
 
 let run_family ?(config = default_config) fault_tree first rest =
   let t0 = Sys.time () in
@@ -555,10 +612,15 @@ let run_family ?(config = default_config) fault_tree first rest =
               stage_gc = [];
             }
           in
-          Ok (r, List.map member rest))
+          Ok
+            {
+              first = r;
+              members = List.map member rest;
+              mdd_nodes = Mdd.total_nodes artifacts.Artifacts.mdd;
+            })
 
 let run_lethal ?config fault_tree lethal =
-  Result.map fst (run_family ?config fault_tree lethal [])
+  Result.map (fun f -> f.first) (run_family ?config fault_tree lethal [])
 
 let run ?(config = default_config) fault_tree model =
   let t0 = Obs.now () in

@@ -14,6 +14,13 @@
     + evaluate P(G = 1) on the ROMDD by the probability traversal and
       report the yield band [Y_M, Y_M + ε].
 
+    That is the {e coded} route. The {e direct} route ({!route}) replaces
+    the two diagram steps with one: it builds the ROMDD by
+    multiple-valued APPLY ({!Direct}), the construction the paper set
+    aside as slower. ROMDDs are canonical per order and the traversal
+    reads only their structure, so both routes give the same M, ROMDD size
+    and yield bits; the direct route builds no ROBDD and reports none.
+
     The report carries the statistics of the paper's Table 4 — CPU time,
     ROBDD peak, final coded-ROBDD size, ROMDD size, yield — plus the
     observability extensions: per-stage wall times and the decision-diagram
@@ -23,6 +30,17 @@
     gauges); the report fields themselves are always populated and cost a
     handful of clock reads per run. *)
 
+(** How the ROMDD is built. [Coded] (the paper's route, the default):
+    compile the coded ROBDD, then convert it ([robdd-build],
+    [romdd-convert]). [Direct]: multiple-valued APPLY into the ROMDD
+    manager ([romdd-apply]), no ROBDD. *)
+type route = Coded | Direct
+
+(** ["coded"] or ["direct"]: the spelling of documents and flags. *)
+val route_name : route -> string
+
+val route_of_name : string -> route option
+
 (** Run configuration, exposed as a plain-data record so callers can
     pattern-match, print, or serialize it. To {e construct} one, prefer
     {!Config.make} / the [Config.with_*] setters over record update
@@ -30,10 +48,17 @@
     [{ default_config with ... }] at every call site is noise, and the
     builder keeps call sites stable when the record grows again. *)
 type config = {
+  route : route;
+      (** how the ROMDD is built (default [Coded]); [Direct] takes neither
+          [reorder] nor [par_domains > 1], which configure the coded
+          ROBDD engine *)
   epsilon : float;  (** absolute yield error bound ε (default 1e-3) *)
   mv_order : Socy_order.Scheme.mv_order;  (** default: weight ("w") *)
   bit_order : Socy_order.Scheme.bit_order;  (** default: ml *)
-  node_limit : int;  (** live-BDD-node budget; default 40 million *)
+  node_limit : int;
+      (** node budget, default 40 million: live coded-ROBDD nodes on the
+          coded route, MDD nodes created ({!Socy_mdd.Mdd.create}) on the
+          direct route *)
   gc_threshold : int;  (** dead nodes tolerated between GCs *)
   cache_bits : int;
       (** log2 of the cap on the ROBDD computed cache (1–28, default 21).
@@ -42,11 +67,12 @@ type config = {
           the concurrent engine's per-domain caches grow the same way
           under a cap scaled down by the team size. The ROMDD manager's
           APPLY cache has the same cap; the conversion never calls APPLY,
-          so only the direct route ({!Direct.build_into}) grows it. The
+          so only the direct route ({!Direct.build}) grows it. The
           size changes hit and miss counts only, never a result. *)
   cpu_limit : float option;
-      (** CPU-seconds budget for the coded-ROBDD build; exceeding it is
-          reported as a failure, like the node budget *)
+      (** CPU-seconds budget for the diagram build: the coded-ROBDD build,
+          or the direct route's APPLY; exceeding it is reported as a
+          failure, like the node budget *)
   reorder : bool;
       (** enable group-aware dynamic variable reordering (Rudell sifting)
           during the coded-ROBDD build. Bit-groups of each multiple-valued
@@ -90,6 +116,7 @@ module Config : sig
   (** [= default_config]. *)
 
   val make :
+    ?route:route ->
     ?epsilon:float ->
     ?mv_order:Socy_order.Scheme.mv_order ->
     ?bit_order:Socy_order.Scheme.bit_order ->
@@ -104,9 +131,13 @@ module Config : sig
     t
   (** Raises [Invalid_argument], naming the value, if [epsilon] is outside
       (0, 1), [node_limit < 1], [cpu_limit] is not positive and finite,
-      [par_domains < 1] or [cache_bits] is outside 1–28. Every front end
+      [par_domains < 1] or [cache_bits] is outside 1–28, or if [route] is
+      [Direct] with [reorder = true] or [par_domains > 1]. Every front end
       builds its configuration here, so these are the only range checks
       on these values. *)
+
+  val with_route : route -> t -> t
+  (** Raises [Invalid_argument] on [Direct] beside [reorder] or a team. *)
 
   val with_epsilon : float -> t -> t
   (** Raises [Invalid_argument] if the argument is outside (0, 1). *)
@@ -126,9 +157,11 @@ module Config : sig
       [Invalid_argument] if the budget is not positive and finite. *)
 
   val with_reorder : bool -> t -> t
+  (** Raises [Invalid_argument] on [true] under the direct route. *)
 
   val with_par_domains : int -> t -> t
-  (** Raises [Invalid_argument] if the argument is [< 1]. *)
+  (** Raises [Invalid_argument] if the argument is [< 1], or [> 1] under
+      the direct route. *)
 
   val with_par_runner : Socy_bdd.Par.runner option -> t -> t
   (** Takes the option so a runner can also be cleared. *)
@@ -147,8 +180,8 @@ type report = {
   m : int;  (** truncation point M *)
   p_lethal : float;  (** P_L *)
   cpu_seconds : float;
-  robdd_peak : int;  (** the paper's "ROBDD peak" *)
-  robdd_size : int;  (** final coded ROBDD size *)
+  robdd_peak : int;  (** the paper's "ROBDD peak"; 0 on the direct route *)
+  robdd_size : int;  (** final coded ROBDD size; 0 on the direct route *)
   romdd_size : int;  (** ROMDD size *)
   num_binary_vars : int;
   num_groups : int;  (** M + 1 multiple-valued variables *)
@@ -156,9 +189,13 @@ type report = {
   stage_times : (string * float) list;
       (** wall seconds per pipeline phase, in execution order:
           [lethal-map] (only via {!run}), [truncate], [encode], [order],
-          [robdd-build], [romdd-convert], [traversal]. Populated whether or
-          not observability is enabled. *)
-  unique_hits : int;  (** node requests answered by the unique table *)
+          then [robdd-build], [romdd-convert] on the coded route or
+          [romdd-apply] on the direct one, then [traversal]. Populated
+          whether or not observability is enabled. *)
+  unique_hits : int;
+      (** node requests answered by the unique table. This and the
+          counters below are the coded ROBDD engine's: 0 on the direct
+          route. *)
   ite_cache_hits : int;  (** computed-cache hits (ITE + AND/OR) during the build *)
   ite_cache_misses : int;  (** computed-cache misses (ITE + AND/OR) during the build *)
   and_or_fast_hits : int;
@@ -184,7 +221,9 @@ type report = {
 
     - [Node_budget]: a node creation would have pushed the live-node count
       past [config.node_limit] — the paper's "—" (excessive memory) entries.
-      [peak] is the live-node peak at the moment the budget fired.
+      [peak] is the live-node peak at the moment the budget fired: ROBDD
+      nodes at stage [coded-robdd], MDD nodes created at stage
+      [romdd-apply].
     - [Cpu_budget]: the [config.cpu_limit] CPU-seconds budget ran out;
       [elapsed] is the CPU time the stage had consumed when it was cut off
       (under a parallel batch this is process CPU, so sibling jobs on other
@@ -255,6 +294,17 @@ val build_key :
 val build_keys :
   (config * Socy_logic.Circuit.t * Socy_defects.Model.lethal) array -> build_key array
 
+(** What {!run_family} returns. *)
+type family = {
+  first : report;  (** the first model's report: {!run_lethal}'s *)
+  members : report list;  (** one report per model of [rest], in order *)
+  mdd_nodes : int;
+      (** MDD nodes the build created, terminals included
+          ({!Socy_mdd.Mdd.total_nodes}). The store frees none, so on the
+          direct route this is the build's node peak, the counterpart of
+          the coded route's [robdd_peak]. *)
+}
+
 (** [run_family ?config fault_tree first rest] builds and sweeps once for
     [first], inside one [pipeline] span, and returns [first]'s report,
     which is {!run_lethal}'s, with one report per model of [rest], in
@@ -274,7 +324,7 @@ val run_family :
   Socy_logic.Circuit.t ->
   Socy_defects.Model.lethal ->
   Socy_defects.Model.lethal list ->
-  (report * report list, failure) result
+  (family, failure) result
 
 (** {1 Staged access}
 
@@ -290,23 +340,31 @@ val layout_of_scheme :
   Socy_encode.Problem.t -> Socy_order.Scheme.t -> Socy_mdd.Conversion.layout
 
 (** [mdd_specs problem scheme] are the ROMDD variables in [scheme]'s
-    multiple-valued order: the manager {!Artifacts.build} converts into. *)
+    multiple-valued order: the manager {!Artifacts.build} converts or
+    applies into. *)
 val mdd_specs : Socy_encode.Problem.t -> Socy_order.Scheme.t -> Socy_mdd.Mdd.spec array
 
 module Artifacts : sig
-  type t = {
-    problem : Socy_encode.Problem.t;
-    scheme : Socy_order.Scheme.t;
+  (** The coded route's ROBDD: the manager, the root of G, and the build
+      statistics. *)
+  type robdd = {
     bdd : Socy_bdd.Manager.t;
     bdd_root : Socy_bdd.Manager.node;
     bdd_stats : Socy_bdd.Compile.stats;
+  }
+
+  type t = {
+    problem : Socy_encode.Problem.t;
+    scheme : Socy_order.Scheme.t;
+    robdd : robdd option;  (** [None] on the direct route *)
     mdd : Socy_mdd.Mdd.t;
     mdd_root : Socy_mdd.Mdd.node;
     lethal : Socy_defects.Model.lethal;
     m : int;
     stage_seconds : (string * float) list;
-        (** wall seconds of the build phases ([truncate] … [romdd-convert]),
-            in execution order; {!report} appends the traversal time. *)
+        (** wall seconds of the build phases ([truncate] … [romdd-convert]
+            or [romdd-apply]), in execution order; {!report} appends the
+            traversal time. *)
     stage_gc : (string * Socy_obs.Memory.gc_delta) list;
         (** OCaml-GC deltas of the same build phases, same keys and order
             as [stage_seconds]. *)
@@ -320,7 +378,10 @@ module Artifacts : sig
             [cond_unusable]; {!report} appends it to its [stage_gc]. *)
   }
 
-  (** Build everything up to the ROMDD; [Error] on node-budget exhaustion. *)
+  (** Build everything up to the ROMDD on [config.route]; [Error] on a
+      node or CPU budget exhaustion. On the direct route the ROMDD
+      manager carries the budgets; on the coded route the ROBDD engine
+      does and the conversion's manager is unbudgeted. *)
   val build :
     ?config:config ->
     Socy_logic.Circuit.t ->

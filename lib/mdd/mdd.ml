@@ -46,6 +46,12 @@ type t = {
   mutable ap_mask : int;
   mutable ap_grow_at : int; (* line count, or [max_int] at [ap_max] lines *)
   ap_max : int;
+  (* Budgets. [intern] checks the node limit on every creation: nodes
+     are never freed, so the created count [used] is also the live count
+     and the peak. APPLY reads the clock against the CPU deadline every
+     [clock_period] steps (cache misses). *)
+  node_limit : int;
+  cpu_deadline : float; (* [Sys.time ()] value; infinity = off *)
   (* Plain integer statistics, unconditionally cheap; published to the
      process-wide registry as deltas by [publish_obs]. *)
   mutable apply_hits : int;
@@ -54,6 +60,9 @@ type t = {
   mutable pub_apply_hits : int;
   mutable pub_apply_misses : int;
 }
+
+exception Node_limit_exceeded = Socy_bdd.Manager.Node_limit_exceeded
+exception Cpu_limit_exceeded = Socy_bdd.Manager.Cpu_limit_exceeded
 
 let zero = 0
 let one = 1
@@ -66,14 +75,16 @@ let first_chunk = 4096
 let max_chunk = 1 lsl 16
 let chunk_shift = 32
 let offset_mask = (1 lsl chunk_shift) - 1
+let clock_period = 65536
 
-let create ?(cache_bits = 16) specs =
+let create ?(node_limit = max_int) ?cpu_limit ?(cache_bits = 16) specs =
   Array.iter
     (fun s ->
       if s.domain < 1 then invalid_arg "Mdd.create: empty domain")
     specs;
   if cache_bits < 1 || cache_bits > 28 then
     invalid_arg "Mdd.create: cache_bits out of range";
+  if node_limit < 1 then invalid_arg "Mdd.create: node_limit must be >= 1";
   let nvars = Array.length specs in
   let lines = 1 lsl min cache_bits initial_cache_bits in
   let ap_max = 1 lsl cache_bits in
@@ -99,6 +110,9 @@ let create ?(cache_bits = 16) specs =
     ap_mask = lines - 1;
     ap_grow_at = (if lines < ap_max then lines else max_int);
     ap_max;
+    node_limit;
+    cpu_deadline =
+      (match cpu_limit with None -> infinity | Some s -> Sys.time () +. s);
     apply_hits = 0;
     apply_misses = 0;
     sweeps = 0;
@@ -206,6 +220,7 @@ let intern t lv a off =
   done;
   if !found >= 0 then !found
   else begin
+    if t.used >= t.node_limit then raise Node_limit_exceeded;
     if t.used = Array.length t.levels then grow_nodes t;
     reserve t d;
     let n = t.used and c = t.nchunks - 1 in
@@ -341,6 +356,11 @@ let apply t op f g =
       end
       else begin
         t.apply_misses <- t.apply_misses + 1;
+        if
+          t.apply_misses land (clock_period - 1) = 0
+          && t.cpu_deadline < infinity
+          && Sys.time () > t.cpu_deadline
+        then raise Cpu_limit_exceeded;
         if t.used > t.ap_grow_at then grow_apply_cache t;
         let la = t.levels.(a) and lb = t.levels.(b) in
         let lv = if la <= lb then la else lb in

@@ -74,6 +74,102 @@ let test_pool_empty_and_single () =
   | [| Pool.Done (-1); Pool.Done (-2) |] -> ()
   | _ -> Alcotest.fail "two jobs"
 
+(* Values a worker allocates and the caller keeps must not pin a heap
+   per call: the helpers are the same domains from call to call. Each
+   call keeps one worker-allocated block per job, and the domains that
+   ran the jobs are counted: a domain started and joined per call would
+   show up as a new domain id every call. (On OCaml 5.1, [heap_words]
+   does not tell the two apart: what a dead domain pins shows in the
+   resident set, not in the major heap's size.) *)
+let test_pool_workers_kept () =
+  let kept = ref [] and ids = ref [] and lock = Mutex.create () in
+  let call () =
+    let out =
+      Pool.parallel_map ~domains:2
+        ~on_done:(fun _ _ ->
+          Mutex.lock lock;
+          let id = (Domain.self () :> int) in
+          if not (List.mem id !ids) then ids := id :: !ids;
+          Mutex.unlock lock)
+        (fun i ->
+          (* long enough for both workers to claim jobs *)
+          let t0 = Unix.gettimeofday () in
+          while Unix.gettimeofday () -. t0 < 1e-4 do () done;
+          Array.make 3 i)
+        (Array.init 8 Fun.id)
+    in
+    kept := out :: !kept
+  in
+  for _ = 1 to 20 do call () done;
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  for _ = 1 to 200 do call () done;
+  Gc.full_major ();
+  let after = (Gc.quick_stat ()).Gc.heap_words in
+  Alcotest.(check int) "every call kept" 220 (List.length !kept);
+  (* The caller and the helper domains this suite's calls have started:
+     the widest call so far asked for three helpers. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "220 calls ran on %d domains, not one more per call"
+       (List.length !ids))
+    true
+    (List.length !ids <= 8);
+  Alcotest.(check bool)
+    (Printf.sprintf "heap_words %d -> %d stays within 256k words" before after)
+    true
+    (after - before < 262_144)
+
+(* A job that runs a batch of its own: the inner call's helpers may wait
+   behind the outer call's, and the inner caller drains alone if need
+   be. *)
+let test_pool_nested () =
+  let out =
+    Pool.parallel_map ~domains:2
+      (fun i ->
+        let inner = Pool.parallel_map ~domains:2 (fun j -> (10 * i) + j) (Array.init 5 Fun.id) in
+        Array.fold_left (fun acc -> function Pool.Done y -> acc + y | _ -> acc) 0 inner)
+      (Array.init 6 Fun.id)
+  in
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Pool.Done y -> Alcotest.(check int) "inner sum" ((50 * i) + 10) y
+      | _ -> Alcotest.fail "nested job did not complete")
+    out
+
+(* An [on_done] that raises ends its worker's claims, and the caller gets
+   the exception once every worker has stopped, on one domain or on two,
+   also when no worker is left to claim the other jobs. *)
+let test_pool_on_done_raises () =
+  List.iter
+    (fun domains ->
+      match
+        Pool.parallel_map ~domains
+          ~on_done:(fun _ _ -> failwith "on_done")
+          Fun.id (Array.init 8 Fun.id)
+      with
+      | _ -> Alcotest.failf "domains %d: the exception was lost" domains
+      | exception Failure msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "domains %d: re-raised" domains)
+            "on_done" msg)
+    [ 1; 2 ]
+
+(* Two systhreads, each running batches on the shared helpers. *)
+let test_pool_concurrent_callers () =
+  let sums = Array.make 2 0 in
+  let caller t () =
+    for _ = 1 to 20 do
+      let out = Pool.parallel_map ~domains:2 (fun i -> i + t) (Array.init 16 Fun.id) in
+      sums.(t) <-
+        sums.(t) + Array.fold_left (fun acc -> function Pool.Done y -> acc + y | _ -> acc) 0 out
+    done
+  in
+  let threads = List.init 2 (fun t -> Thread.create (caller t) ()) in
+  List.iter Thread.join threads;
+  Alcotest.(check (array int)) "both callers complete every batch"
+    [| 20 * 120; 20 * (120 + 16) |] sums
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline batches                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -244,7 +340,7 @@ let test_batch_obs_aggregation () =
         }
       in
       let n = List.length (Campaign.points grid) in
-      (match Campaign.run ~domains:3 grid with
+      (match Campaign.run ~route:P.Coded ~domains:3 grid with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "campaign run failed: %s" msg);
       let snap = Obs.snapshot () in
@@ -339,6 +435,10 @@ let () =
           Alcotest.test_case "failure isolation" `Quick test_pool_failure_isolation;
           Alcotest.test_case "wall-budget cancellation" `Quick test_pool_cancellation;
           Alcotest.test_case "edge sizes" `Quick test_pool_empty_and_single;
+          Alcotest.test_case "workers kept across calls" `Quick test_pool_workers_kept;
+          Alcotest.test_case "nested call" `Quick test_pool_nested;
+          Alcotest.test_case "concurrent callers" `Quick test_pool_concurrent_callers;
+          Alcotest.test_case "raising on_done" `Quick test_pool_on_done_raises;
         ] );
       ( "run_batch",
         [

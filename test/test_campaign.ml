@@ -336,11 +336,14 @@ let test_campaign_diff_regression () =
           (fun (r : Campaign.row) ->
             match r.Campaign.result with
             | Ok s ->
-                {
-                  r with
-                  Campaign.result =
-                    Ok { s with Campaign.robdd_peak = s.Campaign.robdd_peak * 2 };
-                }
+                let build =
+                  match s.Campaign.build with
+                  | Campaign.Coded b ->
+                      Campaign.Coded { b with robdd_peak = b.robdd_peak * 2 }
+                  | Campaign.Direct { peak_nodes } ->
+                      Campaign.Direct { peak_nodes = peak_nodes * 2 }
+                in
+                { r with Campaign.result = Ok { s with Campaign.build } }
             | Error _ -> r)
           c1.Campaign.rows;
     }
@@ -365,6 +368,50 @@ let test_campaign_diff_regression () =
   let better = Campaign.diff ~old_label:"old" ~new_label:"new" cancelled c1 in
   Alcotest.(check bool) "cancelled -> ok passes" false
     (Campaign.diff_failed better)
+
+(* A store's runs before routes existed are coded and the next ones
+   direct: the diff gates what both routes measure and says the routes
+   differ, instead of failing every row on a missing ROBDD peak. *)
+let test_campaign_diff_routes () =
+  let run route =
+    match Campaign.run ~route ~domains:1 ~now:1000.0 (tiny_grid "t") with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "campaign run failed: %s" msg
+  in
+  let coded = run P.Coded and direct = run P.Direct in
+  let d = Campaign.diff ~old_label:"coded" ~new_label:"direct" coded direct in
+  Alcotest.(check bool) "routes named" true
+    (d.Campaign.routes = Some (P.Coded, P.Direct));
+  Alcotest.(check bool) "coded -> direct diffs clean" false
+    (Campaign.diff_failed d);
+  Alcotest.(check bool) "no node count compared" true
+    (List.for_all
+       (fun (o : Gates.outcome) ->
+         not (List.mem o.Gates.field [ "robdd_peak"; "robdd_size"; "peak_nodes" ]))
+       d.Campaign.outcomes);
+  let same = Campaign.diff ~old_label:"a" ~new_label:"b" direct direct in
+  Alcotest.(check bool) "one route: none named" true (same.Campaign.routes = None);
+  (* the shared fields are still gated across routes *)
+  let drifted =
+    {
+      direct with
+      Campaign.rows =
+        List.map
+          (fun (r : Campaign.row) ->
+            match r.Campaign.result with
+            | Ok s ->
+                {
+                  r with
+                  Campaign.result =
+                    Ok { s with Campaign.yield_lower = s.Campaign.yield_lower +. 1e-9 };
+                }
+            | Error _ -> r)
+          direct.Campaign.rows;
+    }
+  in
+  Alcotest.(check bool) "yield drift across routes fails" true
+    (Campaign.diff_failed
+       (Campaign.diff ~old_label:"coded" ~new_label:"direct" coded drifted))
 
 let test_campaign_to_bench () =
   let c = run_tiny ~name:"bview" ~now:1000.0 () in
@@ -436,6 +483,12 @@ let test_validate_rejects_values () =
     { g with Campaign.mv_orders = [ Scheme.Heur H.Weight; Scheme.Wv ];
              bit_order = Scheme.Heur_bits H.Weight }
 
+(* A coded row's ROBDD peak and size. *)
+let robdd (s : Campaign.success) =
+  match s.Campaign.build with
+  | Campaign.Coded { robdd_peak; robdd_size } -> (robdd_peak, robdd_size)
+  | Campaign.Direct _ -> Alcotest.fail "a direct-route row has no ROBDD"
+
 (* The one grid runner is deterministic: the same grid on one domain and
    on three gives equal rows field by field, floats bit for bit, budget
    failures included. Only the timing field [cpu_s] may differ. *)
@@ -450,7 +503,7 @@ let test_run_domains_deterministic () =
     }
   in
   let run domains =
-    match Campaign.run ~domains grid with
+    match Campaign.run ~route:P.Coded ~domains grid with
     | Ok c -> c
     | Error msg -> Alcotest.failf "campaign run failed: %s" msg
   in
@@ -480,10 +533,8 @@ let test_run_domains_deterministic () =
             (bits x.Campaign.yield_lower) (bits y.Campaign.yield_lower);
           Alcotest.(check int64) (label ^ ": yield_upper bits")
             (bits x.Campaign.yield_upper) (bits y.Campaign.yield_upper);
-          Alcotest.(check int) (label ^ ": robdd_peak") x.Campaign.robdd_peak
-            y.Campaign.robdd_peak;
-          Alcotest.(check int) (label ^ ": robdd_size") x.Campaign.robdd_size
-            y.Campaign.robdd_size;
+          Alcotest.(check (pair int int)) (label ^ ": robdd peak and size")
+            (robdd x) (robdd y);
           Alcotest.(check int) (label ^ ": romdd_size") x.Campaign.romdd_size
             y.Campaign.romdd_size;
           Alcotest.(check (option string)) (label ^ ": shared_with")
@@ -577,12 +628,12 @@ let counter name = Obs.counter_value (Obs.counter name)
 
 (* Progress runs on the worker domains, so it only counts; the checks
    run after the batch. *)
-let run_counting_progress ?wall_budget grid =
+let run_counting_progress ?route ?wall_budget grid =
   let progressed = Atomic.make 0 and wrong_total = Atomic.make 0 in
   let total_points = List.length (Campaign.points grid) in
   let c =
     match
-      Campaign.run ~domains:2 ?wall_budget
+      Campaign.run ?route ~domains:2 ?wall_budget
         ~progress:(fun ~completed:_ ~total ~label:_ ->
           if total <> total_points then Atomic.incr wrong_total;
           Atomic.incr progressed)
@@ -601,7 +652,7 @@ let test_shared_equal_independent () =
   with_obs @@ fun () ->
   let grid = sharing_grid in
   let jobs0 = counter "batch.jobs" in
-  let c = run_counting_progress grid in
+  let c = run_counting_progress ~route:P.Coded grid in
   Alcotest.(check int) "16 points" 16 (List.length c.Campaign.rows);
   Alcotest.(check int) "batch.jobs counts builds" 4 (counter "batch.jobs" - jobs0);
   let bits f = Int64.bits_of_float f in
@@ -627,10 +678,8 @@ let test_shared_equal_independent () =
             (bits y.P.yield_lower) (bits x.Campaign.yield_lower);
           Alcotest.(check int64) (label ^ ": yield_upper bits")
             (bits y.P.yield_upper) (bits x.Campaign.yield_upper);
-          Alcotest.(check int) (label ^ ": robdd_peak") y.P.robdd_peak
-            x.Campaign.robdd_peak;
-          Alcotest.(check int) (label ^ ": robdd_size") y.P.robdd_size
-            x.Campaign.robdd_size;
+          Alcotest.(check (pair int int)) (label ^ ": robdd peak and size")
+            (y.P.robdd_peak, y.P.robdd_size) (robdd x);
           Alcotest.(check int) (label ^ ": romdd_size") y.P.romdd_size
             x.Campaign.romdd_size;
           Option.iter
@@ -649,13 +698,60 @@ let test_shared_equal_independent () =
   Alcotest.(check int) "sequential_rerun: no status mismatch" 0
     drift.Campaign.status_mismatches
 
+(* The default route: each row's yields are bit for bit the coded
+   route's own build, the rows carry the MDD nodes their APPLY created
+   instead of ROBDD columns, a shared two-domain run equals its unshared
+   one-domain rerun, and the document round-trips the route. *)
+let test_direct_campaign () =
+  let grid = sharing_grid in
+  let c = run_counting_progress grid in
+  Alcotest.(check bool) "direct by default" true (c.Campaign.route = P.Direct);
+  let bits f = Int64.bits_of_float f in
+  List.iter
+    (fun (r : Campaign.row) ->
+      let p = r.Campaign.point in
+      let label = Campaign.point_label p in
+      let fields = List.map fst (Campaign.row_fields r) in
+      Alcotest.(check bool) (label ^ ": no ROBDD columns") false
+        (List.mem "robdd_peak" fields || List.mem "robdd_size" fields);
+      match (r.Campaign.result, own_build grid p) with
+      | Ok x, Ok y ->
+          Alcotest.(check int) (label ^ ": m") y.P.m x.Campaign.m;
+          Alcotest.(check int64) (label ^ ": yield_lower bits")
+            (bits y.P.yield_lower) (bits x.Campaign.yield_lower);
+          Alcotest.(check int64) (label ^ ": yield_upper bits")
+            (bits y.P.yield_upper) (bits x.Campaign.yield_upper);
+          Alcotest.(check int) (label ^ ": romdd_size") y.P.romdd_size
+            x.Campaign.romdd_size;
+          (match x.Campaign.build with
+          | Campaign.Direct { peak_nodes } ->
+              Alcotest.(check bool) (label ^ ": peak_nodes covers the ROMDD") true
+                (peak_nodes >= x.Campaign.romdd_size)
+          | Campaign.Coded _ -> Alcotest.failf "%s: coded build on the direct route" label)
+      | _ -> Alcotest.failf "%s: not ok" label)
+    c.Campaign.rows;
+  let seq, drift = Campaign.sequential_rerun c in
+  Alcotest.(check bool) "rerun on the same route" true (seq.Campaign.route = P.Direct);
+  Alcotest.(check (float 0.0)) "sequential_rerun: no drift" 0.0 drift.Campaign.max_drift;
+  Alcotest.(check int) "sequential_rerun: no status mismatch" 0
+    drift.Campaign.status_mismatches;
+  let text = Json.to_string (Campaign.to_json c) in
+  match Campaign.of_string text with
+  | Ok c' ->
+      Alcotest.(check bool) "document round-trips" true (c = c');
+      Alcotest.(check (option string)) "document names the route" (Some "direct")
+        (match Json.member "route" (Json.of_string text) with
+        | Some (Json.String r) -> Some r
+        | _ -> None)
+  | Error msg -> Alcotest.failf "direct document does not parse: %s" msg
+
 (* A group's budget failure is every member's row, the one its own build
    would give; a spent wall budget cancels every member. *)
 let test_shared_failures () =
   with_obs @@ fun () ->
   let grid = { sharing_grid with Campaign.benchmarks = [ "ESEN4x1" ]; node_limit = 5_000 } in
   let failed0 = counter "batch.jobs_failed" in
-  let c = run_counting_progress grid in
+  let c = run_counting_progress ~route:P.Coded grid in
   List.iter
     (fun (r : Campaign.row) ->
       let label = Campaign.point_label r.Campaign.point in
@@ -706,7 +802,7 @@ let gen_point =
         { Campaign.source; lambda; epsilon; mv })
       (quad gen_name gen_float gen_float gen_mv))
 
-let gen_result =
+let gen_result route =
   QCheck.Gen.(
     frequency
       [
@@ -718,8 +814,10 @@ let gen_result =
                   Campaign.m;
                   yield_lower = yl;
                   yield_upper = yu;
-                  robdd_peak = peak;
-                  robdd_size = size;
+                  build =
+                    (match route with
+                    | P.Coded -> Campaign.Coded { robdd_peak = peak; robdd_size = size }
+                    | P.Direct -> Campaign.Direct { peak_nodes = peak });
                   romdd_size = size + 1;
                   cpu_s = cpu;
                   shared_with =
@@ -735,13 +833,15 @@ let gen_result =
 
 let gen_campaign =
   QCheck.Gen.(
+    oneofl [ P.Coded; P.Direct ] >>= fun route ->
     map
       (fun ((name, benchmarks, lambdas, epsilons), (mvs, bit, rows), extra) ->
         let created_s, domains, wall_s, node_limit, cpu_limit, reorder, par =
           extra
         in
         {
-          Campaign.grid =
+          Campaign.route;
+          grid =
             {
               Campaign.name;
               benchmarks;
@@ -771,7 +871,7 @@ let gen_campaign =
             (list_size (int_range 0 6)
                (map2
                   (fun point result -> { Campaign.point; result })
-                  gen_point gen_result)))
+                  gen_point (gen_result route))))
          (map
             (fun ((c, d), (w, n), (cl, (re, p))) ->
               (c, d, w, n, cl, re, p))
@@ -854,7 +954,7 @@ let test_golden_campaign () =
   Alcotest.(check (list string)) "same results before and after sharing"
     (List.map result_fields old_doc.Campaign.rows)
     (List.map result_fields doc.Campaign.rows);
-  match Campaign.run ~domains:1 doc.Campaign.grid with
+  match Campaign.run ~route:P.Coded ~domains:1 doc.Campaign.grid with
   | Error msg -> Alcotest.failf "golden grid: %s" msg
   | Ok fresh ->
       Alcotest.(check (list string)) "a fresh run gives the golden results"
@@ -943,6 +1043,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_campaign_round_trip;
           Alcotest.test_case "diff regression" `Quick
             test_campaign_diff_regression;
+          Alcotest.test_case "diff across routes" `Quick test_campaign_diff_routes;
           Alcotest.test_case "bench view" `Quick test_campaign_to_bench;
           Alcotest.test_case "store rejects garbage" `Quick
             test_store_rejects_garbage;
@@ -960,6 +1061,7 @@ let () =
             test_build_keys_per_point;
           Alcotest.test_case "shared failures and cancellation" `Quick
             test_shared_failures;
+          Alcotest.test_case "direct route by default" `Quick test_direct_campaign;
           QCheck_alcotest.to_alcotest prop_campaign_codec_round_trip;
         ] );
       ( "bench-doc",

@@ -14,6 +14,7 @@ module Model = Socy_defects.Model
 module Scheme = Socy_order.Scheme
 module H = Socy_order.Heuristics
 module Mdd = Socy_mdd.Mdd
+module S = Socy_benchmarks.Suite
 
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
@@ -91,15 +92,19 @@ let test_fig2_brute_and_direct_agree () =
   check_float ~eps:1e-12 "Y_0" 1.0 per_k.(0);
   check_float ~eps:1e-12 "Y_1" (2.0 /. 3.0) per_k.(1);
   check_float ~eps:1e-12 "Y_2" (2.0 /. 9.0) per_k.(2);
-  let direct_y, m, _size = Direct.evaluate ~epsilon:0.11 ft lethal ~mv:Scheme.Vw ~bits:Scheme.Ml in
-  Alcotest.(check int) "direct M" 2 m;
-  check_float ~eps:1e-12 "direct matches" r.P.yield_lower direct_y
+  let direct = run_exn ~config:(P.Config.with_route P.Direct fig2_config) ft lethal in
+  Alcotest.(check int) "direct M" 2 direct.P.m;
+  check_float ~eps:1e-12 "direct matches" r.P.yield_lower direct.P.yield_lower
 
+(* APPLY into the converted diagram's own manager and order finds the
+   very node the conversion made. *)
 let test_fig2_conversion_equals_direct_apply () =
   match P.Artifacts.build ~config:fig2_config (fig2_fault_tree ()) (fig2_lethal ()) with
   | Error _ -> Alcotest.fail "artifacts failed"
   | Ok a ->
-      let direct_root = Direct.build_into a in
+      let direct_root =
+        Direct.build a.P.Artifacts.mdd a.P.Artifacts.problem a.P.Artifacts.scheme
+      in
       Alcotest.(check int) "same canonical node" a.P.Artifacts.mdd_root direct_root
 
 (* ------------------------------------------------------------------ *)
@@ -191,11 +196,8 @@ let test_pipeline_vs_direct_assorted () =
       let lethal = lethal_for c in
       let config = P.Config.make ~epsilon:1e-6 () in
       let r = run_exn ~config ft lethal in
-      let direct_y, _, _ =
-        Direct.evaluate ~epsilon:1e-6 ft lethal ~mv:P.default_config.P.mv_order
-          ~bits:P.default_config.P.bit_order
-      in
-      check_float ~eps:1e-10 name direct_y r.P.yield_lower)
+      let direct = run_exn ~config:(P.Config.with_route P.Direct config) ft lethal in
+      check_float ~eps:1e-10 name direct.P.yield_lower r.P.yield_lower)
     assorted_systems
 
 let test_yield_invariant_under_ordering () =
@@ -286,6 +288,139 @@ let test_node_limit_failure_reported () =
       Alcotest.(check string) "stage" "coded-robdd" stage;
       Alcotest.(check bool) "peak near limit" true (peak >= 5_000)
   | Error f -> Alcotest.failf "wrong failure: %s" (P.failure_to_string f)
+
+(* ------------------------------------------------------------------ *)
+(* Routes: the coded ROBDD and direct APPLY build the same ROMDD       *)
+(* ------------------------------------------------------------------ *)
+
+let bits = Int64.bits_of_float
+
+(* Both routes' artifacts of one problem must agree bit for bit on every
+   yield the sweep prices, and on M and the ROMDD size. *)
+let routes_agree ~config ft lethal =
+  let build route =
+    match P.Artifacts.build ~config:(P.Config.with_route route config) ft lethal with
+    | Ok a -> (a, P.Artifacts.report a ~cpu_seconds:0.0)
+    | Error f -> Alcotest.failf "%s route failed — %s" (P.route_name route) (P.failure_to_string f)
+  in
+  let ca, cr = build P.Coded and da, dr = build P.Direct in
+  cr.P.m = dr.P.m
+  && cr.P.romdd_size = dr.P.romdd_size
+  && bits cr.P.yield_lower = bits dr.P.yield_lower
+  && bits cr.P.yield_upper = bits dr.P.yield_upper
+  && bits cr.P.p_unusable = bits dr.P.p_unusable
+  && Array.map bits (P.Artifacts.conditional_yields ca)
+     = Array.map bits (P.Artifacts.conditional_yields da)
+
+(* A random fault tree of And, Or, Xor and Not gates over [c] inputs, as
+   the parser's concrete syntax. *)
+let gen_tree c =
+  QCheck.Gen.(
+    sized_size (int_range 1 6)
+    @@ fix (fun self n ->
+           let leaf = map (Printf.sprintf "x%d") (int_range 0 (c - 1)) in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (2, map2 (Printf.sprintf "(%s & %s)") (self (n / 2)) (self (n / 2)));
+                 (2, map2 (Printf.sprintf "(%s | %s)") (self (n / 2)) (self (n / 2)));
+                 (1, map2 (Printf.sprintf "xor(%s, %s)") (self (n / 2)) (self (n / 2)));
+                 (1, map (Printf.sprintf "!%s") (self (n - 1)));
+               ]))
+
+let gen_route_case =
+  QCheck.Gen.(
+    int_range 2 5 >>= fun c ->
+    quad (gen_tree c)
+      (array_size (return c) (float_range 0.05 1.0))
+      (array_size (int_range 2 6) (float_range 0.01 1.0))
+      (pair
+         (oneofl [ 1e-1; 1e-2; 1e-3; 1e-6 ])
+         (oneofl Scheme.table2_mv_orders))
+    >|= fun (src, weights, q, (epsilon, mv)) -> (c, src, weights, q, epsilon, mv))
+
+let prop_routes_agree =
+  QCheck.Test.make ~name:"coded and direct routes give the same bits" ~count:60
+    (QCheck.make
+       ~print:(fun (c, src, _, _, epsilon, mv) ->
+         Printf.sprintf "%d inputs: %s, eps %g, %s" c src epsilon (Scheme.mv_order_name mv))
+       gen_route_case)
+    (fun (c, src, weights, q, epsilon, mv) ->
+      let ft = Parse.fault_tree ~name:"random" ~num_inputs:c src in
+      let norm a =
+        let t = Array.fold_left ( +. ) 0.0 a in
+        Array.map (fun x -> x /. t) a
+      in
+      let lethal =
+        { Model.count = D.of_array (norm q); component = norm weights; p_lethal = 0.1 }
+      in
+      routes_agree ~config:(P.Config.make ~epsilon ~mv_order:mv ()) ft lethal)
+
+(* The six light rows of the paper's Table 4, at the default orders. *)
+let test_routes_agree_table4 () =
+  List.iter
+    (fun label ->
+      let row = List.find (fun r -> S.row_label r = label) (S.table_rows ()) in
+      Alcotest.(check bool) label true
+        (routes_agree ~config:P.default_config row.S.instance.S.circuit (S.lethal row)))
+    [ "MS2, l'=1"; "MS4, l'=1"; "ESEN4x1, l'=1"; "ESEN4x2, l'=1"; "MS2, l'=2"; "ESEN4x1, l'=2" ]
+
+let ms_row label =
+  let row = List.find (fun r -> S.row_label r = label) (S.table_rows ()) in
+  (row.S.instance.S.circuit, S.lethal row)
+
+(* The direct route's node budget counts the MDD nodes created, and the
+   trip reports that count; the run's report has no ROBDD. *)
+let test_direct_node_budget () =
+  let ft, lethal = ms_row "MS2, l'=1" in
+  let config = P.Config.make ~route:P.Direct () in
+  let full =
+    match P.run_family ~config ft lethal [] with
+    | Ok f -> f
+    | Error f -> Alcotest.failf "direct run failed — %s" (P.failure_to_string f)
+  in
+  let r = full.P.first in
+  Alcotest.(check (pair int int)) "no ROBDD figures" (0, 0) (r.P.robdd_peak, r.P.robdd_size);
+  Alcotest.(check (list string)) "stages"
+    [ "truncate"; "encode"; "order"; "romdd-apply"; "traversal" ]
+    (List.map fst r.P.stage_times);
+  (* The smallest limit the configuration takes trips on the first node,
+     with the two terminals created. *)
+  List.iter
+    (fun (limit, expected) ->
+      match P.run_lethal ~config:(P.Config.with_node_limit limit config) ft lethal with
+      | Error (P.Node_budget { stage; peak }) ->
+          Alcotest.(check string) "stage" "romdd-apply" stage;
+          Alcotest.(check int) "peak = nodes created at the trip" expected peak
+      | Ok _ -> Alcotest.failf "expected a node-budget failure below %d nodes" full.P.mdd_nodes
+      | Error f -> Alcotest.failf "wrong failure: %s" (P.failure_to_string f))
+    [ (full.P.mdd_nodes / 2, full.P.mdd_nodes / 2); (1, 2) ]
+
+let test_direct_cpu_budget () =
+  let ft, lethal = ms_row "MS4, l'=1" in
+  let config = P.Config.make ~route:P.Direct ~cpu_limit:1e-6 () in
+  match P.run_lethal ~config ft lethal with
+  | Error (P.Cpu_budget { stage; elapsed }) ->
+      Alcotest.(check string) "stage" "romdd-apply" stage;
+      Alcotest.(check bool) "elapsed past the budget" true (elapsed > 1e-6)
+  | Ok _ -> Alcotest.fail "expected a cpu-budget failure"
+  | Error f -> Alcotest.failf "wrong failure: %s" (P.failure_to_string f)
+
+(* Sifting and the domain team configure the coded ROBDD engine. *)
+let test_direct_rejects_coded_settings () =
+  let rejects what f =
+    match f () with
+    | (_ : P.config) -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "make ~reorder" (fun () -> P.Config.make ~route:P.Direct ~reorder:true ());
+  rejects "make ~par_domains" (fun () -> P.Config.make ~route:P.Direct ~par_domains:2 ());
+  rejects "with_route" (fun () -> P.Config.(make ~reorder:true () |> with_route P.Direct));
+  rejects "with_reorder" (fun () -> P.Config.(make ~route:P.Direct () |> with_reorder true));
+  rejects "with_par_domains" (fun () ->
+      P.Config.(make ~route:P.Direct () |> with_par_domains 2))
 
 (* ------------------------------------------------------------------ *)
 (* Report fields                                                       *)
@@ -677,6 +812,15 @@ let () =
           Alcotest.test_case "epsilon honored" `Quick test_epsilon_bound_honored;
           Alcotest.test_case "epsilon monotone" `Quick test_tighter_epsilon_monotone;
           Alcotest.test_case "node-limit failure" `Quick test_node_limit_failure_reported;
+        ] );
+      ( "routes",
+        [
+          Alcotest.test_case "Table 4 light rows agree" `Quick test_routes_agree_table4;
+          Alcotest.test_case "direct node budget" `Quick test_direct_node_budget;
+          Alcotest.test_case "direct cpu budget" `Quick test_direct_cpu_budget;
+          Alcotest.test_case "direct rejects coded settings" `Quick
+            test_direct_rejects_coded_settings;
+          QCheck_alcotest.to_alcotest prop_routes_agree;
         ] );
       ( "report",
         [
