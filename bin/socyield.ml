@@ -171,7 +171,7 @@ let eval_cmd =
                       d.Socy_obs.Memory.major_collections
                       (d.Socy_obs.Memory.promoted_words *. 8.0 /. 1048576.0))
                   r.P.stage_gc;
-                (Sink.pretty oc).Sink.emit ~label:source (Obs.snapshot ())));
+                Sink.pretty oc ~label:source (Obs.snapshot ())));
         write_trace trace_out
   in
   let term =
@@ -318,7 +318,7 @@ let sweep_cmd =
             Json.to_channel oc (Sink.snapshot_to_json (Obs.snapshot ())))
     | Some `Pretty ->
         with_metrics_channel metrics_out (fun oc ->
-            (Sink.pretty oc).Sink.emit ~label:"sweep" (Obs.snapshot ())));
+            Sink.pretty oc ~label:"sweep" (Obs.snapshot ())));
     write_trace trace_out;
     match seq with
     | Some (_, d)

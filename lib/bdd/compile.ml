@@ -10,8 +10,20 @@ type stats = {
   reorder_swaps : int;
 }
 
-let of_circuit ?(gc_threshold = 500_000) ?(reorder = false)
-    ?(reorder_threshold = 4_096) m circuit ~var_of_input =
+(* The first sift runs once this many nodes are alive. *)
+let reorder_threshold = 4_096
+
+(* Static span names: per-gate tracing must not allocate per gate. *)
+let gate_span = function
+  | C.And -> "gate.and"
+  | C.Or -> "gate.or"
+  | C.Xor -> "gate.xor"
+  | C.Not -> "gate.not"
+  | C.Nand -> "gate.nand"
+  | C.Nor -> "gate.nor"
+  | C.Xnor -> "gate.xnor"
+
+let of_circuit ?(gc_threshold = 500_000) ?(reorder = false) m circuit ~var_of_input =
   Manager.reset_peak m;
   let created_before = Manager.created_total m in
   let gc_before = Manager.gc_count m in
@@ -19,95 +31,59 @@ let of_circuit ?(gc_threshold = 500_000) ?(reorder = false)
   (* CUDD-style doubling schedule: sift once the live count crosses the
      threshold, then push the threshold to twice the post-sift size so a
      converged build stops paying for reordering. *)
-  let next_reorder = ref (max reorder_threshold 1) in
-  let maybe_reorder () =
+  let next_reorder = ref reorder_threshold in
+  let between_nodes _ =
+    if Manager.dead m >= gc_threshold then Manager.collect m;
     if reorder && Manager.alive m >= !next_reorder then begin
       Manager.sift m;
-      next_reorder := max (2 * Manager.alive m) (max reorder_threshold 1)
+      next_reorder := max (2 * Manager.alive m) reorder_threshold
     end
   in
-  let order = C.postorder circuit in
-  let fanout = C.fanout circuit in
-  (* Circuit ids are dense (allocated by a per-builder counter), so flat
-     int arrays replace the former polymorphic hash tables on the compile
-     hot path — no hashing, no boxing. *)
-  let max_id = List.fold_left (fun acc (n : C.node) -> max acc n.C.id) 0 order in
-  (* Remaining consumers per circuit node; the output gets one synthetic
-     consumer so its BDD ownership survives and transfers to the caller. *)
-  let remaining = Array.make (max_id + 1) 0 in
-  List.iter
-    (fun (n : C.node) ->
-      let f = Option.value ~default:0 (Hashtbl.find_opt fanout n.C.id) in
-      let extra = if n.C.id = circuit.C.output.C.id then 1 else 0 in
-      remaining.(n.C.id) <- f + extra)
-    order;
-  let bdd_of = Array.make (max_id + 1) (-1) in
-  let lookup (n : C.node) = bdd_of.(n.C.id) in
-  let consume (n : C.node) =
-    let r = remaining.(n.C.id) - 1 in
-    remaining.(n.C.id) <- r;
-    if r = 0 then Manager.deref m (lookup n)
-  in
-  (* Left fold of a binary manager operation over a fan-in array, threading
-     ownership through the accumulator. *)
-  let fold_op op (args : C.node array) =
-    let first = lookup args.(0) in
-    Manager.ref_ m first;
-    let acc = ref first in
-    for i = 1 to Array.length args - 1 do
-      let next = op m !acc (lookup args.(i)) in
-      Manager.deref m !acc;
-      acc := next
-    done;
-    !acc
-  in
-  let negate owned =
-    let r = Manager.not_ m owned in
-    Manager.deref m owned;
+  (* Each gate's BDD is owned from its step until its last consumer has
+     been built; the output's stays owned and passes to the caller. The
+     fold's accumulator is owned, so each operation drops its left
+     operand. *)
+  let consume op a b =
+    let r = op m a b in
+    Manager.deref m a;
     r
   in
-  let compile_gate kind args =
-    match (kind : C.gate_kind) with
-    | C.And -> fold_op Manager.and_ args
-    | C.Or -> fold_op Manager.or_ args
-    | C.Xor -> fold_op Manager.xor_ args
-    | C.Not -> Manager.not_ m (lookup args.(0))
-    | C.Nand -> negate (fold_op Manager.and_ args)
-    | C.Nor -> negate (fold_op Manager.or_ args)
-    | C.Xnor -> negate (fold_op Manager.xor_ args)
-  in
-  (* Static span names: per-gate tracing must not allocate per gate. *)
-  let gate_span = function
-    | C.And -> "gate.and"
-    | C.Or -> "gate.or"
-    | C.Xor -> "gate.xor"
-    | C.Not -> "gate.not"
-    | C.Nand -> "gate.nand"
-    | C.Nor -> "gate.nor"
-    | C.Xnor -> "gate.xnor"
+  let ops =
+    {
+      C.and_ = consume Manager.and_;
+      or_ = consume Manager.or_;
+      xor_ = consume Manager.xor_;
+      not_ =
+        (fun a ->
+          let r = Manager.not_ m a in
+          Manager.deref m a;
+          r);
+      own =
+        (fun a ->
+          Manager.ref_ m a;
+          a);
+    }
   in
   let gates_counter = Obs.counter "bdd.compile.gates" in
-  Obs.with_span "bdd.compile" (fun () ->
-      List.iter
-        (fun (n : C.node) ->
-          let bdd =
+  let value =
+    Obs.with_span "bdd.compile" (fun () ->
+        C.fold circuit
+          ~last_use:(fun _ bdd -> Manager.deref m bdd)
+          ~after:between_nodes
+          (fun n value ->
             match n.C.desc with
             | C.Input i -> Manager.var m (var_of_input i)
             | C.Const false -> Manager.zero
             | C.Const true -> Manager.one
             | C.Gate (kind, args) ->
                 let bdd =
-                  Obs.with_span (gate_span kind) (fun () -> compile_gate kind args)
+                  Obs.with_span (gate_span kind) (fun () ->
+                      C.reduce ops kind args value)
                 in
                 Obs.incr gates_counter;
-                Array.iter consume args;
-                bdd
-          in
-          bdd_of.(n.C.id) <- bdd;
-          if Manager.dead m >= gc_threshold then Manager.collect m;
-          maybe_reorder ())
-        order);
-  let root = lookup circuit.C.output in
+                bdd))
+  in
+  let root = value circuit.C.output in
   let rstats_after = Manager.reorder_stats m in
   let stats =
     {
@@ -122,52 +98,37 @@ let of_circuit ?(gc_threshold = 500_000) ?(reorder = false)
   in
   (root, stats)
 
-(* Parallel compilation: the same postorder gate walk, but over [Pbdd]
-   operations into the concurrent store — no refcounting, no GC, no
-   reordering (the store is append-only; [peak_nodes] = [created] is the
-   honest peak analog). The finished root is imported into [m], so the
-   caller receives exactly what [of_circuit] would have handed it: an
-   owned root in a sequential manager, plus build stats. *)
+(* Parallel compilation: the same walk, but over [Pbdd] operations into the
+   concurrent store — no refcounting, no GC, no reordering (the store is
+   append-only; [peak_nodes] = [created] is the honest peak analog). The
+   finished root is imported into [m], so the caller receives exactly what
+   [of_circuit] would have handed it: an owned root in a sequential
+   manager, plus build stats. *)
 let of_circuit_par pb m circuit ~var_of_input =
   Manager.reset_peak m;
-  let order = C.postorder circuit in
-  let max_id = List.fold_left (fun acc (n : C.node) -> max acc n.C.id) 0 order in
-  let bdd_of = Array.make (max_id + 1) (-1) in
-  let lookup (n : C.node) = bdd_of.(n.C.id) in
-  let fold_op op (args : C.node array) =
-    let acc = ref (lookup args.(0)) in
-    for i = 1 to Array.length args - 1 do
-      acc := op pb !acc (lookup args.(i))
-    done;
-    !acc
-  in
-  let compile_gate kind args =
-    match (kind : C.gate_kind) with
-    | C.And -> fold_op Pbdd.and_ args
-    | C.Or -> fold_op Pbdd.or_ args
-    | C.Xor -> fold_op Pbdd.xor_ args
-    | C.Not -> Pbdd.not_ pb (lookup args.(0))
-    | C.Nand -> fold_op Pbdd.and_ args lxor 1
-    | C.Nor -> fold_op Pbdd.or_ args lxor 1
-    | C.Xnor -> fold_op Pbdd.xor_ args lxor 1
+  let ops =
+    {
+      C.and_ = Pbdd.and_ pb;
+      or_ = Pbdd.or_ pb;
+      xor_ = Pbdd.xor_ pb;
+      not_ = Pbdd.not_ pb;
+      own = Fun.id;
+    }
   in
   let gates_counter = Obs.counter "bdd.compile.gates" in
-  Obs.with_span "bdd.compile.par" (fun () ->
-      List.iter
-        (fun (n : C.node) ->
-          let bdd =
+  let value =
+    Obs.with_span "bdd.compile.par" (fun () ->
+        C.fold circuit (fun n value ->
             match n.C.desc with
             | C.Input i -> Pbdd.var pb (var_of_input i)
             | C.Const false -> Pbdd.zero
             | C.Const true -> Pbdd.one
             | C.Gate (kind, args) ->
-                let r = compile_gate kind args in
+                let r = C.reduce ops kind args value in
                 Obs.incr gates_counter;
-                r
-          in
-          bdd_of.(n.C.id) <- bdd)
-        order);
-  let proot = lookup circuit.C.output in
+                r))
+  in
+  let proot = value circuit.C.output in
   let root = Obs.with_span "bdd.import" (fun () -> Pbdd.import pb proot m) in
   let created = Pbdd.created pb in
   let stats =

@@ -1,10 +1,12 @@
 (** Compiling gate-level circuits into ROBDDs.
 
-    Gates are processed in depth-first postorder; every gate's BDD is kept
-    alive exactly while some not-yet-processed gate still needs it (fan-out
-    accounting), which is what makes the manager's [peak_alive] statistic
-    match the paper's "maximum number of ROBDD nodes held simultaneously
-    while processing the generalized fault tree". *)
+    Gates are processed by {!Socy_logic.Circuit.fold}, in its depth-first
+    postorder, with its n-ary rule {!Socy_logic.Circuit.reduce}; every
+    gate's BDD is kept alive exactly while some not-yet-processed gate
+    still needs it (the fold's last-use report), which is what makes the
+    manager's [peak_alive] statistic match the paper's "maximum number of
+    ROBDD nodes held simultaneously while processing the generalized fault
+    tree". *)
 
 type stats = {
   peak_nodes : int;  (** manager live-node high-water mark during the build *)
@@ -24,8 +26,8 @@ type stats = {
 
     [reorder] (default [false]): when set, {!Manager.sift} runs between
     gates whenever the live-node count crosses a doubling threshold
-    (initially [reorder_threshold], default [4_096]; after each sift the
-    threshold becomes twice the post-sift size). In-place sifting keeps
+    (initially 4,096 live nodes; after each sift the threshold becomes
+    twice the post-sift size, and never less than 4,096). In-place sifting keeps
     every intermediate gate handle valid, so the build is unaffected apart
     from the variable order. Honours any group metadata previously
     installed with {!Manager.set_groups}.
@@ -39,14 +41,12 @@ type stats = {
 val of_circuit :
   ?gc_threshold:int ->
   ?reorder:bool ->
-  ?reorder_threshold:int ->
   Manager.t ->
   Socy_logic.Circuit.t ->
   var_of_input:(int -> int) ->
   Manager.node * stats
 
-(** [of_circuit_par pb m circuit ~var_of_input] — the same postorder gate
-    walk, but through {!Pbdd} operations so the [Par] team inside [pb]
+(** [of_circuit_par pb m circuit ~var_of_input] — the same walk, but through {!Pbdd} operations so the [Par] team inside [pb]
     builds the diagram concurrently; the finished root is then imported
     into the sequential manager [m] and returned owned, exactly like
     {!of_circuit}'s result. The concurrent store is append-only, so

@@ -529,7 +529,6 @@ let var t v = Store.var t.store (Store.allocator t.store) v
 let created t = Store.created t.store
 let cache_hits t = Atomic.get t.agg_hits
 let cache_misses t = Atomic.get t.agg_misses
-let fast_hits t = Atomic.get t.agg_fast
 
 let publish_obs t =
   Store.publish_obs t.store;

@@ -57,7 +57,6 @@ val created : t -> int
 
 val cache_hits : t -> int
 val cache_misses : t -> int
-val fast_hits : t -> int
 
 val publish_obs : t -> unit
 (** Publish store shard counters and the aggregated per-domain cache

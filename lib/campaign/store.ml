@@ -74,10 +74,6 @@ let list_runs ~root =
       Obs.add store_runs_listed (List.length runs);
       runs
 
-let find_run ~root ~id =
-  let e = entry ~root ~id in
-  if Sys.file_exists (campaign_file e) then Some e else None
-
 (* Civil-date arithmetic (Howard Hinnant's days_from_civil), so the id's
    UTC stamp round-trips to an epoch without touching the local timezone
    (Unix.mktime interprets broken-down time as local). *)

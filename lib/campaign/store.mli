@@ -37,8 +37,6 @@ val list_runs : root:string -> entry list
 (** Every run in the store, oldest first. A missing or unreadable root
     is an empty store, not an error. *)
 
-val find_run : root:string -> id:string -> entry option
-
 val run_timestamp : string -> float option
 (** The Unix time encoded in a run id's UTC stamp (collision suffixes
     stripped); [None] when the id does not end in a well-formed stamp. *)

@@ -25,37 +25,23 @@ let defect_literals mdd ~m ~components ~w_pos ~v_pos =
   (w_overflow, Array.init components component_failed)
 
 let apply_fault_tree mdd fault_tree failed =
-  let memo = Hashtbl.create 256 in
-  let rec go (n : C.node) =
-    match Hashtbl.find_opt memo n.C.id with
-    | Some v -> v
-    | None ->
-        let v =
-          match n.C.desc with
-          | C.Input i -> failed.(i)
-          | C.Const false -> Mdd.zero
-          | C.Const true -> Mdd.one
-          | C.Gate (kind, args) -> (
-              let vals = Array.map go args in
-              let fold op =
-                Array.fold_left
-                  (fun acc x -> op mdd acc x)
-                  vals.(0)
-                  (Array.sub vals 1 (Array.length vals - 1))
-              in
-              match kind with
-              | C.And -> fold Mdd.apply_and
-              | C.Or -> fold Mdd.apply_or
-              | C.Xor -> fold Mdd.apply_xor
-              | C.Not -> Mdd.not_ mdd vals.(0)
-              | C.Nand -> Mdd.not_ mdd (fold Mdd.apply_and)
-              | C.Nor -> Mdd.not_ mdd (fold Mdd.apply_or)
-              | C.Xnor -> Mdd.not_ mdd (fold Mdd.apply_xor))
-        in
-        Hashtbl.add memo n.C.id v;
-        v
+  let ops =
+    {
+      C.and_ = Mdd.apply_and mdd;
+      or_ = Mdd.apply_or mdd;
+      xor_ = Mdd.apply_xor mdd;
+      not_ = Mdd.not_ mdd;
+      own = Fun.id;
+    }
   in
-  go fault_tree.C.output
+  C.fold fault_tree
+    (fun n value ->
+      match n.C.desc with
+      | C.Input i -> failed.(i)
+      | C.Const false -> Mdd.zero
+      | C.Const true -> Mdd.one
+      | C.Gate (kind, args) -> C.reduce ops kind args value)
+    fault_tree.C.output
 
 (* Build G = I_{M+1}(w) ∨ F(x_1 … x_C) with x_i = ∨_l I_{>=l}(w)·I_i(v_l),
    entirely with multiple-valued APPLY. *)

@@ -278,8 +278,7 @@ module Artifacts = struct
     m : int;
     stage_seconds : (string * float) list;
     stage_gc : (string * Memory.gc_delta) list;
-    mutable cond_unusable : float array option;
-    mutable traversal_gc : Memory.gc_delta option;
+    cond_unusable : float array;
   }
 
   (* Wall-clock a pipeline phase: always feeds [stage_seconds] and
@@ -326,6 +325,22 @@ module Artifacts = struct
         ]
       (Printf.sprintf "cpu budget exhausted after %.1f s" elapsed);
     Error (Cpu_budget { stage; elapsed })
+
+  (* One scenario per conditioning value of W: k = 0 .. m are the
+     truncated defect counts, k = m + 1 the aggregated tail. Scenario k
+     pins W to k (an indicator vector on the W group) and leaves the
+     victim variables at their unconditional pmf, so slot k of the sweep
+     is P(G = 1 | W = k). *)
+  let layout (scheme : Scheme.t) (lethal : Model.lethal) ~m =
+    let nk = m + 2 in
+    let p' = lethal.Model.component in
+    let indicator = Array.init nk (fun v -> Array.init nk (fun k -> if k = v then 1.0 else 0.0)) in
+    let constant = Array.map (fun pj -> Array.make nk pj) p' in
+    let p pos value =
+      let g = scheme.Scheme.groups_in_order.(pos) in
+      if g = 0 then indicator.(value) else constant.(value)
+    in
+    (nk, p)
 
   (* The coded route: compile the binary circuit into the coded ROBDD,
      then convert it into an unbudgeted ROMDD manager. *)
@@ -465,6 +480,13 @@ module Artifacts = struct
     in
     Result.map
       (fun (robdd, mdd, mdd_root) ->
+        (* The single ROMDD traversal behind [report] and
+           [conditional_yields]: P(G = 1 | W = k) for every k at once. *)
+        let nk, p = layout scheme lethal ~m in
+        let cond_unusable =
+          staged "traversal" (fun () -> Mdd.probability_sweep mdd mdd_root ~nk ~p)
+        in
+        Mdd.publish_obs mdd;
         {
           problem;
           scheme;
@@ -475,8 +497,7 @@ module Artifacts = struct
           m;
           stage_seconds = List.rev !stages;
           stage_gc = List.rev !gcs;
-          cond_unusable = None;
-          traversal_gc = None;
+          cond_unusable;
         })
       built
 
@@ -506,51 +527,15 @@ module Artifacts = struct
           -. !acc)
     end
 
-  let sweep_layout t =
-    (* One scenario per conditioning value of W: k = 0 .. m are the
-       truncated defect counts, k = m + 1 the aggregated tail. Scenario k
-       pins W to k (an indicator vector on the W group) and leaves the
-       victim variables at their unconditional pmf, so slot k of the sweep
-       is P(G = 1 | W = k). *)
-    let nk = t.m + 2 in
-    let p' = t.lethal.Model.component in
-    let indicator = Array.init nk (fun v -> Array.init nk (fun k -> if k = v then 1.0 else 0.0)) in
-    let constant = Array.map (fun pj -> Array.make nk pj) p' in
-    let p pos value =
-      let g = t.scheme.Scheme.groups_in_order.(pos) in
-      if g = 0 then indicator.(value) else constant.(value)
-    in
-    (nk, p)
-
-  (* The single ROMDD traversal behind [conditional_yields] and [report]:
-     P(G = 1 | W = k) for every k at once, memoized on the artifacts so the
-     two entry points (in either order, any number of times) traverse the
-     diagram exactly once. *)
-  let sweep t =
-    match t.cond_unusable with
-    | Some v -> v
-    | None ->
-        let nk, p = sweep_layout t in
-        let v, d =
-          Memory.with_gc_delta (fun () ->
-              Trace.with_span "traversal" (fun () ->
-                  Mdd.probability_sweep t.mdd t.mdd_root ~nk ~p))
-        in
-        Memory.publish ~stage:"traversal" d;
-        Mdd.publish_obs t.mdd;
-        t.cond_unusable <- Some v;
-        t.traversal_gc <- Some d;
-        v
+  let sweep_layout t = layout t.scheme t.lethal ~m:t.m
 
   let conditional_yields t =
-    let s = sweep t in
-    Array.init (t.m + 1) (fun k -> 1.0 -. s.(k))
+    Array.init (t.m + 1) (fun k -> 1.0 -. t.cond_unusable.(k))
 
   let report t ~cpu_seconds =
-    let t0 = Obs.now () in
-    let s = sweep t in
-    let traversal_s = Obs.now () -. t0 in
-    let p_unusable, yield_lower, yield_upper = recombine t.lethal ~m:t.m s in
+    let p_unusable, yield_lower, yield_upper =
+      recombine t.lethal ~m:t.m t.cond_unusable
+    in
     (* The direct route ran no ROBDD engine: its ROBDD figures and engine
        counters are 0; a campaign row on it carries none of them. *)
     let robdd f = match t.robdd with Some r -> f r | None -> 0 in
@@ -569,7 +554,7 @@ module Artifacts = struct
       num_binary_vars = Problem.num_binary_vars t.problem;
       num_groups = Problem.num_groups t.problem;
       gate_count = C.gate_count t.problem.Problem.circuit;
-      stage_times = t.stage_seconds @ [ ("traversal", traversal_s) ];
+      stage_times = t.stage_seconds;
       unique_hits = engine (fun e -> e.B.unique_hits);
       ite_cache_hits = engine (fun e -> e.B.cache_hits);
       ite_cache_misses = engine (fun e -> e.B.cache_misses);
@@ -578,9 +563,7 @@ module Artifacts = struct
       gc_reclaimed = engine (fun e -> e.B.reclaimed);
       reorder_runs = robdd (fun r -> r.bdd_stats.Compile.reorders);
       reorder_swaps = robdd (fun r -> r.bdd_stats.Compile.reorder_swaps);
-      stage_gc =
-        (t.stage_gc
-        @ match t.traversal_gc with None -> [] | Some d -> [ ("traversal", d) ]);
+      stage_gc = t.stage_gc;
     }
 end
 
@@ -593,7 +576,7 @@ let run_family ?(config = default_config) fault_tree first rest =
       | Error f -> Error f
       | Ok artifacts ->
           let r = Artifacts.report artifacts ~cpu_seconds:(Sys.time () -. t0) in
-          let s = Artifacts.sweep artifacts in
+          let s = artifacts.Artifacts.cond_unusable in
           (* The build's M, sizes, peaks and counters are every member's;
              only the count distribution differs. *)
           let member lethal =

@@ -180,6 +180,7 @@ type report = {
   m : int;  (** truncation point M *)
   p_lethal : float;  (** P_L *)
   cpu_seconds : float;
+      (** process CPU seconds of the build, its ROMDD traversal included *)
   robdd_peak : int;  (** the paper's "ROBDD peak"; 0 on the direct route *)
   robdd_size : int;  (** final coded ROBDD size; 0 on the direct route *)
   romdd_size : int;  (** ROMDD size *)
@@ -363,25 +364,22 @@ module Artifacts : sig
     m : int;
     stage_seconds : (string * float) list;
         (** wall seconds of the build phases ([truncate] … [romdd-convert]
-            or [romdd-apply]), in execution order; {!report} appends the
-            traversal time. *)
+            or [romdd-apply], then [traversal]), in execution order. *)
     stage_gc : (string * Socy_obs.Memory.gc_delta) list;
         (** OCaml-GC deltas of the same build phases, same keys and order
             as [stage_seconds]. *)
-    mutable cond_unusable : float array option;
-        (** memo of the single probability sweep:
-            [| P(G=1 | W=0); …; P(G=1 | W=M+1) |] once {!report} or
-            {!conditional_yields} has run. Both read it, so together they
-            traverse the ROMDD exactly once. *)
-    mutable traversal_gc : Socy_obs.Memory.gc_delta option;
-        (** GC delta of the memoized sweep, recorded alongside
-            [cond_unusable]; {!report} appends it to its [stage_gc]. *)
+    cond_unusable : float array;
+        (** the single probability sweep,
+            [| P(G=1 | W=0); …; P(G=1 | W=M+1) |]: {!report} and
+            {!conditional_yields} both read it, so the ROMDD is traversed
+            exactly once. *)
   }
 
-  (** Build everything up to the ROMDD on [config.route]; [Error] on a
-      node or CPU budget exhaustion. On the direct route the ROMDD
-      manager carries the budgets; on the coded route the ROBDD engine
-      does and the conversion's manager is unbudgeted. *)
+  (** Build everything up to the ROMDD on [config.route], then sweep it
+      once (the [traversal] stage); [Error] on a node or CPU budget
+      exhaustion. On the direct route the ROMDD manager carries the
+      budgets; on the coded route the ROBDD engine does and the
+      conversion's manager is unbudgeted. *)
   val build :
     ?config:config ->
     Socy_logic.Circuit.t ->
@@ -398,14 +396,12 @@ module Artifacts : sig
       scenarios (one per conditioning value of W, the last being the
       aggregated tail) where scenario [k] pins W to [k] and leaves the
       victim variables at their unconditional pmf. Exposed for benchmarks
-      and tests; {!report} / {!conditional_yields} use it internally. *)
+      and tests; {!build} sweeps with it. *)
   val sweep_layout : t -> int * (int -> int -> float array)
 
-  (** Finish the evaluation: probability sweep + report assembly. The sweep
-      result is memoized on the artifacts (see {!type-t}), and
-      [P(G = 1) = Σ_k Q′_k · P(G = 1 | W = k)] recombines it per Theorem 1,
-      in the same function {!run_family} prices its members with — one
-      ROMDD traversal however often report/conditional yields are read. *)
+  (** Finish the evaluation: report assembly from the build's sweep, which
+      [P(G = 1) = Σ_k Q′_k · P(G = 1 | W = k)] recombines per Theorem 1,
+      in the same function {!run_family} prices its members with. *)
   val report : t -> cpu_seconds:float -> report
 
   (** [victim_sensitivities t] is the exact gradient
@@ -419,7 +415,7 @@ module Artifacts : sig
 
   (** [conditional_yields t] is [| Y_0; …; Y_M |]: the exact conditional
       yields P(functioning | k lethal defects) of Section 2, read from the
-      memoized {!Socy_mdd.Mdd.probability_sweep} — all k in the {e same}
+      build's {!Socy_mdd.Mdd.probability_sweep} — all k in the {e same}
       single traversal that {!report} uses, not one traversal per k.
       Together with any count distribution Q′ they reconstruct
       Y_M = Σ_k Q′_k · Y_k — so one ROMDD prices a whole family of defect

@@ -119,99 +119,144 @@ let exactly b k args = and_ b [ at_least b k args; at_most b k args ]
 
 let finish b ~name output = { output; num_inputs = b.num_inputs; name }
 
-let substitute b circuit ~subst =
-  let memo = Hashtbl.create 256 in
-  let rec go node =
-    match Hashtbl.find_opt memo node.id with
-    | Some n -> n
-    | None ->
-        let n =
-          match node.desc with
-          | Input i -> subst i
-          | Const v -> const b v
-          | Gate (kind, args) ->
-              gate b kind (Array.to_list (Array.map go args))
-        in
-        Hashtbl.add memo node.id n;
-        n
+(* --- the walk ------------------------------------------------------------ *)
+
+(* A gate is interned after its fan-in, so every node reachable from the
+   output has an id no greater than the output's: [output.id + 1] flat
+   slots index them all. *)
+let slots c = c.output.id + 1
+
+(* Depth-first, left-most postorder without recursion. [next.(id)] is -1
+   until the node is reached, then the index of its next fan-in to visit;
+   a DAG never reaches a node still on the stack, so each is pushed
+   once. *)
+let nodes c =
+  let n = slots c in
+  let next = Array.make n (-1) in
+  let stack = Array.make n c.output and order = Array.make n c.output in
+  let sp = ref 1 and count = ref 0 in
+  next.(c.output.id) <- 0;
+  while !sp > 0 do
+    let node = stack.(!sp - 1) in
+    let i = next.(node.id) in
+    match node.desc with
+    | Gate (_, args) when i < Array.length args ->
+        next.(node.id) <- i + 1;
+        let a = args.(i) in
+        if next.(a.id) < 0 then begin
+          next.(a.id) <- 0;
+          stack.(!sp) <- a;
+          incr sp
+        end
+    | Input _ | Const _ | Gate _ ->
+        order.(!count) <- node;
+        incr count;
+        decr sp
+  done;
+  Array.sub order 0 !count
+
+let fold ?last_use ?after c f =
+  let order = nodes c in
+  (* The memo is made from the first value: the first node of a postorder
+     is a leaf, whose step reads no fan-in. *)
+  let memo = ref [||] in
+  let value node = !memo.(node.id) in
+  (* One pending use per fan-in occurrence; the output has none, since
+     nothing consumes it. *)
+  let release =
+    match last_use with
+    | None -> None
+    | Some report ->
+        let uses = Array.make (slots c) 0 in
+        Array.iter
+          (fun node ->
+            match node.desc with
+            | Gate (_, args) -> Array.iter (fun a -> uses.(a.id) <- uses.(a.id) + 1) args
+            | Input _ | Const _ -> ())
+          order;
+        Some
+          (fun a ->
+            let r = uses.(a.id) - 1 in
+            uses.(a.id) <- r;
+            if r = 0 then report a (value a))
   in
-  go circuit.output
+  Array.iteri
+    (fun k node ->
+      let v = f node value in
+      if k = 0 then memo := Array.make (slots c) v else !memo.(node.id) <- v;
+      (match (release, node.desc) with
+      | Some release, Gate (_, args) -> Array.iter release args
+      | (Some _ | None), (Input _ | Const _ | Gate _) -> ());
+      match after with Some after -> after node | None -> ())
+    order;
+  value
+
+type 'a ops = {
+  and_ : 'a -> 'a -> 'a;
+  or_ : 'a -> 'a -> 'a;
+  xor_ : 'a -> 'a -> 'a;
+  not_ : 'a -> 'a;
+  own : 'a -> 'a;
+}
+
+let fold_args ops op args value =
+  let acc = ref (ops.own (value args.(0))) in
+  for i = 1 to Array.length args - 1 do
+    acc := op !acc (value args.(i))
+  done;
+  !acc
+
+let reduce ops kind args value =
+  match kind with
+  | And -> fold_args ops ops.and_ args value
+  | Or -> fold_args ops ops.or_ args value
+  | Xor -> fold_args ops ops.xor_ args value
+  | Not -> ops.not_ (ops.own (value args.(0)))
+  | Nand -> ops.not_ (fold_args ops ops.and_ args value)
+  | Nor -> ops.not_ (fold_args ops ops.or_ args value)
+  | Xnor -> ops.not_ (fold_args ops ops.xor_ args value)
+
+let substitute b circuit ~subst =
+  fold circuit
+    (fun node value ->
+      match node.desc with
+      | Input i -> subst i
+      | Const v -> const b v
+      | Gate (kind, args) -> gate b kind (Array.to_list (Array.map value args)))
+    circuit.output
 
 let eval c assignment =
-  let memo = Hashtbl.create 256 in
-  let rec go node =
-    match Hashtbl.find_opt memo node.id with
-    | Some v -> v
-    | None ->
-        let v =
-          match node.desc with
-          | Input i -> assignment i
-          | Const b -> b
-          | Gate (kind, args) -> (
-              let vals = Array.map go args in
-              match kind with
-              | And -> Array.for_all Fun.id vals
-              | Or -> Array.exists Fun.id vals
-              | Not -> not vals.(0)
-              | Xor -> Array.fold_left (fun a x -> a <> x) false vals
-              | Nand -> not (Array.for_all Fun.id vals)
-              | Nor -> not (Array.exists Fun.id vals)
-              | Xnor -> not (Array.fold_left (fun a x -> a <> x) false vals))
-        in
-        Hashtbl.add memo node.id v;
-        v
-  in
-  go c.output
-
-let iter_nodes c f =
-  let seen = Hashtbl.create 256 in
-  let rec go node =
-    if not (Hashtbl.mem seen node.id) then begin
-      Hashtbl.add seen node.id ();
-      (match node.desc with
-      | Input _ | Const _ -> ()
-      | Gate (_, args) -> Array.iter go args);
-      f node
-    end
-  in
-  go c.output
+  fold c
+    (fun node value ->
+      match node.desc with
+      | Input i -> assignment i
+      | Const b -> b
+      | Gate (kind, args) -> (
+          let vals = Array.map value args in
+          match kind with
+          | And -> Array.for_all Fun.id vals
+          | Or -> Array.exists Fun.id vals
+          | Not -> not vals.(0)
+          | Xor -> Array.fold_left (fun a x -> a <> x) false vals
+          | Nand -> not (Array.for_all Fun.id vals)
+          | Nor -> not (Array.exists Fun.id vals)
+          | Xnor -> not (Array.fold_left (fun a x -> a <> x) false vals)))
+    c.output
 
 let gate_count c =
-  let n = ref 0 in
-  iter_nodes c (fun node ->
-      match node.desc with Gate _ -> incr n | Input _ | Const _ -> ());
-  !n
+  Array.fold_left
+    (fun n node -> match node.desc with Gate _ -> n + 1 | Input _ | Const _ -> n)
+    0 (nodes c)
 
-let node_count c =
-  let n = ref 0 in
-  iter_nodes c (fun _ -> incr n);
-  !n
+let node_count c = Array.length (nodes c)
 
 let inputs_used c =
-  let acc = ref [] in
-  iter_nodes c (fun node ->
-      match node.desc with
-      | Input i -> acc := i :: !acc
-      | Gate _ | Const _ -> ());
-  List.sort_uniq compare !acc
+  Array.fold_left
+    (fun acc node -> match node.desc with Input i -> i :: acc | Gate _ | Const _ -> acc)
+    [] (nodes c)
+  |> List.sort_uniq compare
 
-let postorder c =
-  let acc = ref [] in
-  iter_nodes c (fun node -> acc := node :: !acc);
-  List.rev !acc
-
-let fanout c =
-  let counts = Hashtbl.create 256 in
-  iter_nodes c (fun node ->
-      match node.desc with
-      | Input _ | Const _ -> ()
-      | Gate (_, args) ->
-          Array.iter
-            (fun a ->
-              let cur = Option.value ~default:0 (Hashtbl.find_opt counts a.id) in
-              Hashtbl.replace counts a.id (cur + 1))
-            args);
-  counts
+let postorder c = Array.to_list (nodes c)
 
 let gate_kind_name = function
   | And -> "AND"
@@ -225,7 +270,8 @@ let gate_kind_name = function
 let to_dot c =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph circuit {\n  rankdir=BT;\n";
-  iter_nodes c (fun node ->
+  Array.iter
+    (fun node ->
       let label =
         match node.desc with
         | Input i -> Printf.sprintf "x%d" i
@@ -240,7 +286,8 @@ let to_dot c =
           Array.iter
             (fun a ->
               Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" a.id node.id))
-            args);
+            args)
+    (nodes c);
   Buffer.add_string buf
     (Printf.sprintf "  out [shape=plaintext]; n%d -> out;\n}\n" c.output.id);
   Buffer.contents buf

@@ -77,6 +77,63 @@ val finish : builder -> name:string -> node -> t
     paper (Fig. 1). Gate structure is preserved verbatim. *)
 val substitute : builder -> t -> subst:(int -> node) -> node
 
+(** {1 Walking circuits} *)
+
+(** [fold ?last_use ?after c step] is the one bottom-up walk of [c]: every
+    program that computes something per node (evaluation, substitution,
+    heuristic weights and cones, each diagram builder, the serve cache
+    key) is a [step] of it.
+
+    It calls [step node value] once per distinct node reachable from the
+    output, in {!postorder}: depth-first, fan-in in argument order, each
+    node after its fan-ins. [value] reads the memoized result of a node
+    already stepped, so a gate's step reads its fan-ins' results. The
+    result is that reader after the last step; apply it to [c.output] for
+    the circuit's value. Reading a node the walk has not reached returns an
+    arbitrary step result.
+
+    The order is a contract: diagram node ids, the ROBDD peak and
+    created-node counts, the substituted circuit's ids, the serve cache
+    keys and the heuristic ranks all follow it.
+
+    [last_use] reports each node whose result is no longer needed: right
+    after the step of the gate that consumes it last, and before [after],
+    with the gate's arguments in argument order, counting a repeated
+    argument once per occurrence. It is never called for the output.
+    [after node] runs once [node]'s step and its reports are done.
+
+    The walk needs no recursion; its memo is a flat array of
+    [c.output.id + 1] slots, node ids being dense per builder. *)
+val fold :
+  ?last_use:(node -> 'a -> unit) ->
+  ?after:(node -> unit) ->
+  t ->
+  (node -> (node -> 'a) -> 'a) ->
+  node ->
+  'a
+
+(** A decision-diagram engine's Boolean operations, for {!reduce}. An
+    engine with reference counts threads ownership: [own] takes a
+    reference to a fan-in's result; [and_], [or_] and [xor_] release their
+    left operand, the accumulator; [not_] releases its operand. Other
+    engines pass their plain operations and [Fun.id]. *)
+type 'a ops = {
+  and_ : 'a -> 'a -> 'a;
+  or_ : 'a -> 'a -> 'a;
+  xor_ : 'a -> 'a -> 'a;
+  not_ : 'a -> 'a;
+  own : 'a -> 'a;
+}
+
+(** [reduce ops kind args value] is the n-ary gate rule of every diagram
+    builder: a left fold of the binary operation over [args] in argument
+    order, starting from [own] of the first; [Nand], [Nor] and [Xnor]
+    negate the fold, and [Not] negates [own] of its one argument. [value]
+    reads an argument's result, as in {!fold}. {!eval} keeps a Boolean
+    table of its own: it is the reference the engines are checked
+    against. *)
+val reduce : 'a ops -> gate_kind -> node array -> (node -> 'a) -> 'a
+
 (** {1 Observing circuits} *)
 
 (** [eval c assignment] evaluates the circuit; [assignment i] is the value
@@ -94,12 +151,8 @@ val node_count : t -> int
 val inputs_used : t -> int list
 
 (** [postorder c] is a depth-first, left-most postorder of the distinct
-    nodes (every node after its fan-ins). *)
+    nodes (every node after its fan-ins): the order of {!fold}. *)
 val postorder : t -> node list
-
-(** [fanout c] maps node id to the number of distinct parents in the DAG
-    (the output has an implicit extra reference, not counted). *)
-val fanout : t -> (int, int) Hashtbl.t
 
 (** Graphviz rendering, for debugging and documentation. *)
 val to_dot : t -> string

@@ -1,64 +1,55 @@
-type t = { emit : ?label:string -> Obs.snapshot -> unit }
-
-let null = { emit = (fun ?label:_ _ -> ()) }
-
 (* --- pretty ------------------------------------------------------------- *)
 
-let pretty oc =
-  let emit ?label (snap : Obs.snapshot) =
-    let pf fmt = Printf.fprintf oc fmt in
-    (match label with Some l -> pf "== metrics: %s ==\n" l | None -> pf "== metrics ==\n");
-    let section name rows =
-      if rows <> [] then begin
-        pf "%s:\n" name;
-        let width =
-          List.fold_left (fun w (k, _) -> max w (String.length k)) 0 rows
-        in
-        List.iter (fun (k, v) -> pf "  %-*s  %s\n" width k v) rows
-      end
-    in
-    section "counters"
-      (List.filter_map
-         (fun (k, v) -> if v = 0 then None else Some (k, string_of_int v))
-         snap.Obs.counters);
-    section "gauges"
-      (List.filter_map
-         (fun (k, (g : Obs.gauge_stat)) ->
-           if g.Obs.g_samples = 0 then None
-           else
-             Some
-               ( k,
-                 Printf.sprintf "last %g  min %g  max %g  (%d samples)"
-                   g.Obs.g_last g.Obs.g_min g.Obs.g_max g.Obs.g_samples ))
-         snap.Obs.gauges);
-    section "histograms"
-      (List.filter_map
-         (fun (k, (h : Obs.histogram_stat)) ->
-           if h.Obs.h_count = 0 then None
-           else
-             Some
-               ( k,
-                 Printf.sprintf
-                   "count %d  sum %g  min %g  max %g  mean %g  p50 %g  p90 %g  p99 %g"
-                   h.Obs.h_count h.Obs.h_sum h.Obs.h_min h.Obs.h_max
-                   (h.Obs.h_sum /. float_of_int h.Obs.h_count)
-                   h.Obs.h_p50 h.Obs.h_p90 h.Obs.h_p99 ))
-         snap.Obs.histograms);
-    section "spans"
-      (List.filter_map
-         (fun (k, (s : Obs.span_stat)) ->
-           if s.Obs.s_count = 0 then None
-           else
-             Some
-               ( k,
-                 Printf.sprintf "%9.6f s total  x%d  (min %.6f, max %.6f)"
-                   s.Obs.s_total s.Obs.s_count s.Obs.s_min s.Obs.s_max ))
-         snap.Obs.spans);
-    flush oc
+let pretty oc ~label (snap : Obs.snapshot) =
+  let pf fmt = Printf.fprintf oc fmt in
+  pf "== metrics: %s ==\n" label;
+  let section name rows =
+    if rows <> [] then begin
+      pf "%s:\n" name;
+      let width =
+        List.fold_left (fun w (k, _) -> max w (String.length k)) 0 rows
+      in
+      List.iter (fun (k, v) -> pf "  %-*s  %s\n" width k v) rows
+    end
   in
-  { emit }
-
-let stderr_pretty = pretty stderr
+  section "counters"
+    (List.filter_map
+       (fun (k, v) -> if v = 0 then None else Some (k, string_of_int v))
+       snap.Obs.counters);
+  section "gauges"
+    (List.filter_map
+       (fun (k, (g : Obs.gauge_stat)) ->
+         if g.Obs.g_samples = 0 then None
+         else
+           Some
+             ( k,
+               Printf.sprintf "last %g  min %g  max %g  (%d samples)"
+                 g.Obs.g_last g.Obs.g_min g.Obs.g_max g.Obs.g_samples ))
+       snap.Obs.gauges);
+  section "histograms"
+    (List.filter_map
+       (fun (k, (h : Obs.histogram_stat)) ->
+         if h.Obs.h_count = 0 then None
+         else
+           Some
+             ( k,
+               Printf.sprintf
+                 "count %d  sum %g  min %g  max %g  mean %g  p50 %g  p90 %g  p99 %g"
+                 h.Obs.h_count h.Obs.h_sum h.Obs.h_min h.Obs.h_max
+                 (h.Obs.h_sum /. float_of_int h.Obs.h_count)
+                 h.Obs.h_p50 h.Obs.h_p90 h.Obs.h_p99 ))
+       snap.Obs.histograms);
+  section "spans"
+    (List.filter_map
+       (fun (k, (s : Obs.span_stat)) ->
+         if s.Obs.s_count = 0 then None
+         else
+           Some
+             ( k,
+               Printf.sprintf "%9.6f s total  x%d  (min %.6f, max %.6f)"
+                 s.Obs.s_total s.Obs.s_count s.Obs.s_min s.Obs.s_max ))
+       snap.Obs.spans);
+  flush oc
 
 (* --- json --------------------------------------------------------------- *)
 
@@ -126,15 +117,3 @@ let snapshot_to_json (snap : Obs.snapshot) =
                    ] ))
              snap.Obs.spans) );
     ]
-
-let json oc =
-  let emit ?label snap =
-    let doc =
-      match label with
-      | None -> snapshot_to_json snap
-      | Some l -> Json.Obj [ ("label", Json.String l); ("metrics", snapshot_to_json snap) ]
-    in
-    Json.to_channel oc doc;
-    flush oc
-  in
-  { emit }

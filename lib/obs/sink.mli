@@ -1,28 +1,9 @@
-(** Pluggable outputs for {!Obs} snapshots.
+(** Renderings of {!Obs} snapshots: human-readable tables and JSON. *)
 
-    A sink is just a function that consumes a snapshot; the three built-ins
-    cover the useful points of the space: {!null} (measure but emit nowhere),
-    {!pretty} (human-readable tables on a channel, e.g. stderr), and {!json}
-    (one machine-readable document per emission). Custom sinks — a file per
-    run, a socket, an aggregator — are ordinary values of {!type-t}. *)
-
-type t = { emit : ?label:string -> Obs.snapshot -> unit }
-(** [emit ?label snap] consumes one snapshot; [label] names the run or the
-    section the snapshot belongs to. *)
-
-(** Discards everything. *)
-val null : t
-
-(** [pretty oc] renders aligned, human-readable sections to [oc]. Empty
-    sections are omitted. *)
-val pretty : out_channel -> t
-
-(** [pretty stderr] — the conventional debug sink. *)
-val stderr_pretty : t
-
-(** [json oc] writes one pretty-printed JSON document per emission to [oc]
-    (see {!snapshot_to_json} for the shape). *)
-val json : out_channel -> t
+(** [pretty oc ~label snap] renders aligned, human-readable sections to
+    [oc] under a heading naming [label], the run or section the snapshot
+    belongs to. Empty sections are omitted. *)
+val pretty : out_channel -> label:string -> Obs.snapshot -> unit
 
 (** [snapshot_to_json snap] is the canonical JSON rendering of a snapshot:
     an object with [counters], [gauges], [histograms] and [spans] members,

@@ -37,22 +37,10 @@ let topology circuit = dfs_rank circuit ~reorder:Array.to_list
 
 let node_weights (circuit : C.t) =
   (* Float weights: fan-in sums can grow exponentially along deep DAGs. *)
-  let memo = Hashtbl.create 256 in
-  let rec weight_of (n : C.node) =
-    match Hashtbl.find_opt memo n.C.id with
-    | Some w -> w
-    | None ->
-        let w =
-          match n.C.desc with
-          | C.Input _ | C.Const _ -> 1.0
-          | C.Gate (_, args) ->
-              Array.fold_left (fun acc a -> acc +. weight_of a) 0.0 args
-        in
-        Hashtbl.add memo n.C.id w;
-        w
-  in
-  ignore (weight_of circuit.C.output);
-  fun (n : C.node) -> Hashtbl.find memo n.C.id
+  C.fold circuit (fun n weight_of ->
+      match n.C.desc with
+      | C.Input _ | C.Const _ -> 1.0
+      | C.Gate (_, args) -> Array.fold_left (fun acc a -> acc +. weight_of a) 0.0 args)
 
 let weight circuit =
   let weight_of = node_weights circuit in
@@ -66,22 +54,13 @@ let weight circuit =
 
 (* Dependency cone (set of inputs) of every node, as bitsets. *)
 let input_cones (circuit : C.t) =
-  let memo = Hashtbl.create 256 in
-  let rec cone_of (n : C.node) =
-    match Hashtbl.find_opt memo n.C.id with
-    | Some s -> s
-    | None ->
-        let s = Bitset.create circuit.C.num_inputs in
-        (match n.C.desc with
-        | C.Input i -> Bitset.add s i
-        | C.Const _ -> ()
-        | C.Gate (_, args) ->
-            Array.iter (fun a -> Bitset.union_into ~into:s (cone_of a)) args);
-        Hashtbl.add memo n.C.id s;
-        s
-  in
-  ignore (cone_of circuit.C.output);
-  fun (n : C.node) -> Hashtbl.find memo n.C.id
+  C.fold circuit (fun n cone_of ->
+      let s = Bitset.create circuit.C.num_inputs in
+      (match n.C.desc with
+      | C.Input i -> Bitset.add s i
+      | C.Const _ -> ()
+      | C.Gate (_, args) -> Array.iter (fun a -> Bitset.union_into ~into:s (cone_of a)) args);
+      s)
 
 let h4 (circuit : C.t) =
   let cone_of = input_cones circuit in

@@ -403,29 +403,31 @@ let resolve q =
 (* ------------------------------------------------------------------ *)
 
 (* Structural circuit serialization: postorder indices, so two expressions
-   building the same DAG (whatever their node ids) serialize identically. *)
+   building the same DAG (whatever their node ids) serialize identically.
+   Each node's value in the walk is its postorder index. *)
 let add_circuit buf (c : C.t) =
-  let index = Hashtbl.create 64 in
-  let nodes = C.postorder c in
-  List.iteri
-    (fun i (n : C.node) ->
-      Hashtbl.replace index n.C.id i;
-      match n.C.desc with
-      | C.Input k -> Buffer.add_string buf (Printf.sprintf "I%d;" k)
-      | C.Const b -> Buffer.add_string buf (if b then "C1;" else "C0;")
-      | C.Gate (kind, args) ->
-          Buffer.add_char buf 'G';
-          Buffer.add_string buf (C.gate_kind_name kind);
-          Buffer.add_char buf '(';
-          Array.iter
-            (fun (a : C.node) ->
-              Buffer.add_string buf (string_of_int (Hashtbl.find index a.C.id));
-              Buffer.add_char buf ',')
-            args;
-          Buffer.add_string buf ");")
-    nodes;
+  let next = ref 0 in
+  let index =
+    C.fold c (fun n index ->
+        (match n.C.desc with
+        | C.Input k -> Buffer.add_string buf (Printf.sprintf "I%d;" k)
+        | C.Const b -> Buffer.add_string buf (if b then "C1;" else "C0;")
+        | C.Gate (kind, args) ->
+            Buffer.add_char buf 'G';
+            Buffer.add_string buf (C.gate_kind_name kind);
+            Buffer.add_char buf '(';
+            Array.iter
+              (fun (a : C.node) ->
+                Buffer.add_string buf (string_of_int (index a));
+                Buffer.add_char buf ',')
+              args;
+            Buffer.add_string buf ");");
+        let i = !next in
+        incr next;
+        i)
+  in
   Buffer.add_string buf
-    (Printf.sprintf "out=%d/in=%d" (Hashtbl.find index c.C.output.C.id) c.C.num_inputs)
+    (Printf.sprintf "out=%d/in=%d" (index c.C.output) c.C.num_inputs)
 
 let cache_key ~meth ~resolved ~node_limit ~cpu_limit ~par_domains q =
   let buf = Buffer.create 512 in

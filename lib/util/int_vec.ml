@@ -33,5 +33,3 @@ let pop v =
   v.len <- v.len - 1;
   v.data.(v.len)
 
-let unsafe_get v i = Array.unsafe_get v.data i
-let unsafe_set v i x = Array.unsafe_set v.data i x

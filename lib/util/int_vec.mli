@@ -24,9 +24,3 @@ val push : t -> int -> int
 (** [pop v] removes and returns the last element; raises
     [Invalid_argument] when [v] is empty. *)
 val pop : t -> int
-
-(** [unsafe_get v i] skips bounds checking (hot paths only). *)
-val unsafe_get : t -> int -> int
-
-(** [unsafe_set v i x] skips bounds checking (hot paths only). *)
-val unsafe_set : t -> int -> int -> unit

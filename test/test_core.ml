@@ -423,6 +423,190 @@ let test_direct_rejects_coded_settings () =
       P.Config.(make ~route:P.Direct () |> with_par_domains 2))
 
 (* ------------------------------------------------------------------ *)
+(* What the circuit walk's order decides, pinned                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Per light Table 4 row, at the default configuration: the coded route's
+   ROBDD peak and size, ROMDD size, M and yield_lower bits, then the
+   direct route's MDD node count. The peak and the node counts follow the
+   order in which the gates are built. *)
+let table4_pins =
+  [
+    ("MS2, l'=1", 30150, 23463, 2034, 6, 4606692871088306898L, 3416);
+    ("MS4, l'=1", 380233, 212974, 22760, 6, 4606877954483632576L, 46038);
+    ("ESEN4x1, l'=1", 21962, 19329, 3046, 6, 4606797513860031847L, 4478);
+    ("ESEN4x2, l'=1", 69188, 64497, 6994, 6, 4606485876366116570L, 8920);
+    ("MS2, l'=2", 123192, 116090, 7534, 10, 4605669964224976326L, 9632);
+    ("ESEN4x1, l'=2", 116946, 105502, 11666, 10, 4605924522122891546L, 15162);
+  ]
+
+let test_table4_pins () =
+  List.iter
+    (fun (label, peak, size, romdd, m, yield_bits, mdd_nodes) ->
+      let ft, lethal = ms_row label in
+      let r = run_exn ft lethal in
+      let check what = Alcotest.(check int) (label ^ " " ^ what) in
+      check "robdd_peak" peak r.P.robdd_peak;
+      check "robdd_size" size r.P.robdd_size;
+      check "romdd_size" romdd r.P.romdd_size;
+      check "m" m r.P.m;
+      Alcotest.(check int64) (label ^ " yield_lower bits") yield_bits (bits r.P.yield_lower);
+      match P.run_family ~config:(P.Config.make ~route:P.Direct ()) ft lethal [] with
+      | Ok f -> check "direct mdd_nodes" mdd_nodes f.P.mdd_nodes
+      | Error f -> Alcotest.failf "%s direct: %s" label (P.failure_to_string f))
+    table4_pins
+
+(* [cpu_seconds] counts the build and its ROMDD traversal: the process CPU
+   time around [run_lethal] exceeds it only by the report's assembly, about
+   6 ms on MS4, chiefly [Mdd.size]. MS4's traversal takes 20–35 ms, so
+   leaving it out would exceed the slack. Both are CPU clocks of this
+   process, so host load does not move the difference. *)
+let test_cpu_seconds_include_traversal () =
+  let ft, lethal = ms_row "MS4, l'=1" in
+  let config = P.Config.make ~route:P.Direct () in
+  let t0 = Sys.time () in
+  let r = run_exn ~config ft lethal in
+  let outside = Sys.time () -. t0 -. r.P.cpu_seconds in
+  let slack = 0.015 in
+  if outside >= slack then
+    Alcotest.failf "%.4f s of the run's CPU time is outside cpu_seconds (traversal %.4f s)"
+      outside (List.assoc "traversal" r.P.stage_times)
+
+(* ------------------------------------------------------------------ *)
+(* The circuit walk                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The recursive depth-first, left-most postorder the walk reproduces. *)
+let reference_postorder (c : C.t) =
+  let seen = Hashtbl.create 64 and order = ref [] in
+  let rec visit (n : C.node) =
+    if not (Hashtbl.mem seen n.C.id) then begin
+      Hashtbl.add seen n.C.id ();
+      (match n.C.desc with
+      | C.Gate (_, args) -> Array.iter visit args
+      | C.Input _ | C.Const _ -> ());
+      order := n :: !order
+    end
+  in
+  visit c.C.output;
+  List.rev !order
+
+type event = Step of int | Last_use of int | After of int
+
+(* The events [C.fold] must produce, from the reference postorder: each
+   node's step, then the nodes whose last consumer it is, in the order of
+   their last occurrence among its arguments, then [After]. *)
+let expected_events c =
+  let order = reference_postorder c in
+  let last = Hashtbl.create 64 in
+  List.iter
+    (fun (n : C.node) ->
+      match n.C.desc with
+      | C.Gate (_, args) -> Array.iter (fun (a : C.node) -> Hashtbl.replace last a.C.id n.C.id) args
+      | C.Input _ | C.Const _ -> ())
+    order;
+  List.concat_map
+    (fun (n : C.node) ->
+      let released =
+        match n.C.desc with
+        | C.Input _ | C.Const _ -> []
+        | C.Gate (_, args) ->
+            let rec occurs_from j (a : C.node) =
+              j < Array.length args && (args.(j) == a || occurs_from (j + 1) a)
+            in
+            List.filteri
+              (fun i (a : C.node) ->
+                Hashtbl.find last a.C.id = n.C.id && not (occurs_from (i + 1) a))
+              (Array.to_list args)
+            |> List.map (fun (a : C.node) -> Last_use a.C.id)
+      in
+      (Step n.C.id :: released) @ [ After n.C.id ])
+    order
+
+(* Runs the walk with every node's value its id, checking that each step
+   reads its fan-ins' values and each report carries its node's. *)
+let walk_events c =
+  let events = ref [] in
+  let push e = events := e :: !events in
+  let value =
+    C.fold c
+      ~last_use:(fun n v ->
+        Alcotest.(check int) "reported value" n.C.id v;
+        push (Last_use n.C.id))
+      ~after:(fun n -> push (After n.C.id))
+      (fun n value ->
+        (match n.C.desc with
+        | C.Gate (_, args) ->
+            Array.iter (fun (a : C.node) -> Alcotest.(check int) "fan-in value" a.C.id (value a)) args
+        | C.Input _ | C.Const _ -> ());
+        push (Step n.C.id);
+        n.C.id)
+  in
+  Alcotest.(check int) "output value" c.C.output.C.id (value c.C.output);
+  List.rev !events
+
+let walk_matches_reference c =
+  let ids = List.map (fun (n : C.node) -> n.C.id) in
+  let steps = List.filter_map (function Step id -> Some id | Last_use _ | After _ -> None) in
+  let events = walk_events c in
+  ids (C.postorder c) = ids (reference_postorder c)
+  && List.length (List.sort_uniq compare (steps events)) = List.length (steps events)
+  && not (List.mem (Last_use c.C.output.C.id) events)
+  && events = expected_events c
+
+let test_walk_hand_cases () =
+  let b = C.builder ~num_inputs:3 () in
+  let x0 = C.input b 0 and x1 = C.input b 1 and x2 = C.input b 2 in
+  let shared = C.and_ b [ x0; x1 ] in
+  let cases =
+    [
+      ("repeated argument", C.and_ b [ x0; x0 ]);
+      ("shared subterm", C.or_ b [ shared; C.xor_ b [ shared; x2 ] ]);
+      ("repeats out of order", C.gate b C.Nand [ x0; x1; x0 ]);
+      ("output is an input", x1);
+      ("output is a constant", C.const b true);
+    ]
+  in
+  List.iter
+    (fun (name, output) ->
+      Alcotest.(check bool) name true (walk_matches_reference (C.finish b ~name output)))
+    cases;
+  (* x1's last use comes before x0's: x0 occurs again later in the gate. *)
+  let nand = C.finish b ~name:"nand" (C.gate b C.Nand [ x0; x1; x0 ]) in
+  Alcotest.(check bool) "reports in last-occurrence order" true
+    (List.filter (function Last_use _ -> true | Step _ | After _ -> false) (walk_events nand)
+    = [ Last_use x1.C.id; Last_use x0.C.id ])
+
+(* [C.reduce] over Booleans is [C.eval]'s truth table, for every gate kind
+   at fan-in three. *)
+let test_reduce_matches_eval () =
+  let ops = { C.and_ = ( && ); or_ = ( || ); xor_ = ( <> ); not_ = not; own = Fun.id } in
+  List.iter
+    (fun kind ->
+      let b = C.builder ~num_inputs:3 () in
+      let args = List.init (if kind = C.Not then 1 else 3) (C.input b) in
+      let c = C.finish b ~name:(C.gate_kind_name kind) (C.gate b kind args) in
+      for bits = 0 to 7 do
+        let assignment i = bits land (1 lsl i) <> 0 in
+        let reduced =
+          C.fold c
+            (fun n value ->
+              match n.C.desc with
+              | C.Input i -> assignment i
+              | C.Const v -> v
+              | C.Gate (kind, args) -> C.reduce ops kind args value)
+            c.C.output
+        in
+        Alcotest.(check bool) (C.gate_kind_name kind) (C.eval c assignment) reduced
+      done)
+    [ C.And; C.Or; C.Not; C.Xor; C.Nand; C.Nor; C.Xnor ]
+
+let prop_walk_matches_reference =
+  QCheck.Test.make ~name:"walk order and last uses match the recursive reference" ~count:200
+    (QCheck.make ~print:snd QCheck.Gen.(int_range 2 5 >>= fun c -> pair (return c) (gen_tree c)))
+    (fun (c, src) -> walk_matches_reference (Parse.fault_tree ~name:"random" ~num_inputs:c src))
+
+(* ------------------------------------------------------------------ *)
 (* Report fields                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -821,6 +1005,18 @@ let () =
           Alcotest.test_case "direct rejects coded settings" `Quick
             test_direct_rejects_coded_settings;
           QCheck_alcotest.to_alcotest prop_routes_agree;
+        ] );
+      ( "walk-pins",
+        [
+          Alcotest.test_case "Table 4 light rows" `Quick test_table4_pins;
+          Alcotest.test_case "cpu_seconds include the traversal" `Quick
+            test_cpu_seconds_include_traversal;
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "hand cases" `Quick test_walk_hand_cases;
+          Alcotest.test_case "reduce = eval" `Quick test_reduce_matches_eval;
+          QCheck_alcotest.to_alcotest prop_walk_matches_reference;
         ] );
       ( "report",
         [

@@ -169,18 +169,6 @@ let test_postorder_children_first () =
   Alcotest.(check bool) "x before inner" true (pos x.C.id < pos inner.C.id);
   Alcotest.(check int) "all nodes once" (C.node_count circuit) (List.length order)
 
-let test_fanout () =
-  let b = C.builder ~num_inputs:2 () in
-  let x = C.input b 0 and y = C.input b 1 in
-  let inner = C.and_ b [ x; y ] in
-  let outer = C.or_ b [ inner; x ] in
-  let circuit = C.finish b ~name:"c" outer in
-  let fo = C.fanout circuit in
-  let get id = Option.value ~default:0 (Hashtbl.find_opt fo id) in
-  Alcotest.(check int) "x referenced twice" 2 (get x.C.id);
-  Alcotest.(check int) "inner referenced once" 1 (get inner.C.id);
-  Alcotest.(check int) "output not referenced" 0 (get outer.C.id)
-
 let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec loop i = i + nn <= nh && (String.sub haystack i nn = needle || loop (i + 1)) in
@@ -331,7 +319,6 @@ let () =
         [
           Alcotest.test_case "counts and inputs_used" `Quick test_counts_and_inputs_used;
           Alcotest.test_case "postorder" `Quick test_postorder_children_first;
-          Alcotest.test_case "fanout" `Quick test_fanout;
           Alcotest.test_case "dot export" `Quick test_to_dot_mentions_nodes;
         ] );
       ( "parser",

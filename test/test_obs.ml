@@ -337,7 +337,7 @@ let test_pretty_sink_output () =
   populate ();
   let path = Filename.temp_file "socy_obs" ".txt" in
   let oc = open_out path in
-  (Sink.pretty oc).Sink.emit ~label:"unit" (Obs.snapshot ());
+  Sink.pretty oc ~label:"unit" (Obs.snapshot ());
   close_out oc;
   let ic = open_in path in
   let contents = really_input_string ic (in_channel_length ic) in
@@ -352,10 +352,6 @@ let test_pretty_sink_output () =
          let rec scan i = i + n <= l && (String.sub contents i n = needle || scan (i + 1)) in
          scan 0))
     [ "unit"; "sink.counter"; "sink.gauge"; "sink.hist"; "sink.span" ]
-
-let test_null_sink () =
-  populate ();
-  Sink.null.Sink.emit (Obs.snapshot ())
 
 (* ------------------------------------------------------------------ *)
 (* Doc: validated metrics/trace document loading                       *)
@@ -451,7 +447,6 @@ let () =
         [
           Alcotest.test_case "json round trip" `Quick (on test_json_sink_round_trip);
           Alcotest.test_case "pretty output" `Quick (on test_pretty_sink_output);
-          Alcotest.test_case "null" `Quick (on test_null_sink);
         ] );
       ( "doc",
         [

@@ -237,6 +237,24 @@ let prop_scheme_levels_partition =
       let s = Scheme.make p ~mv ~bits in
       is_permutation s.Scheme.level_of_input)
 
+(* The ranks the schemes read, on G of MS4 and ESEN4x2 at M = 6; the
+   weights and cones behind them come from the circuit walk. *)
+let test_ranks_pinned () =
+  let identity = Array.init 33 Fun.id in
+  let weight =
+    [| 0; 1; 2; 28; 29; 30; 31; 32; 23; 24; 25; 26; 27; 18; 19; 20; 21; 22; 13; 14; 15; 16;
+       17; 8; 9; 10; 11; 12; 3; 4; 5; 6; 7 |]
+  in
+  List.iter
+    (fun name ->
+      let instance = Socy_benchmarks.Suite.by_name name in
+      let g = (P.build instance.Socy_benchmarks.Suite.circuit ~m:6).P.circuit in
+      List.iter
+        (fun (kind, expected) ->
+          Alcotest.(check (array int)) (name ^ " " ^ H.name kind) expected (H.rank kind g))
+        [ (H.Topology, identity); (H.Weight, weight); (H.H4, identity) ])
+    [ "MS4"; "ESEN4x2" ]
+
 let () =
   Alcotest.run "socy_order"
     [
@@ -249,6 +267,7 @@ let () =
           Alcotest.test_case "weight stable ties" `Quick test_weight_stable_on_ties;
           Alcotest.test_case "h4" `Quick test_h4_prefers_visited_cones;
           Alcotest.test_case "permutations" `Quick test_heuristics_are_permutations;
+          Alcotest.test_case "ranks on G pinned" `Quick test_ranks_pinned;
         ] );
       ( "schemes",
         [
