@@ -579,10 +579,10 @@ let route mode =
 (* ------------------------------------------------------------------ *)
 
 (* Sequential vs 4-domain build+convert of the same MS4 row — the
-   sharded-store / parallel-apply / layer-parallel-conversion engine
-   behind --par-domains. Recorded only when the host recommends at least
-   2 domains: an oversubscribed team on a 1-core runner measures
-   scheduler noise, not the engine, and compare.exe gates par_speedup
+   sequential build and layer-parallel conversion behind --par-domains.
+   Recorded only when the host recommends at least 2 domains: an
+   oversubscribed team on a 1-core runner measures scheduler noise, not
+   the conversion, and compare.exe gates par_speedup
    only on records with par_domains >= 4. The timings are wall_* fields
    (a domain team makes cpu-time meaningless as a latency measure), so
    they stay exempt from the 25% cpu gate; par_yield_drift is gated at

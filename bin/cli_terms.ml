@@ -225,29 +225,13 @@ module Ordering = struct
 
   let par_domains_arg =
     let doc =
-      "Domains used INSIDE one evaluation: the coded-ROBDD build runs on the \
-       concurrent engine (sharded unique table, frontier-split APPLY) and the \
-       ROMDD conversion distributes each layer across the team. Results — \
-       yield, diagram sizes, node ids — are bit-identical to the sequential \
-       engine. 1 (the default) is the pure sequential path. Ignored with \
-       --reorder (sifting needs the sequential manager); a warning is printed. \
-       `campaign run' builds no ROBDD (direct route) and takes only 1."
+      "Domains used INSIDE one evaluation. The coded ROBDD is always built \
+       sequentially; N > 1 spreads each layer of its ROMDD conversion across \
+       a team of N domains. Every result field, node ids included, is what \
+       1 gives; only timings differ. Combines with --reorder. `campaign run' \
+       builds no ROBDD (direct route) and takes only 1."
     in
     Arg.(value & opt int 1 & info [ "par-domains" ] ~docv:"N" ~doc)
-
-  (* The range of --par-domains is Config.make's to check; when the
-     pipeline's reorder rule cuts the team down, say so. *)
-  let warn_par_fallback ~reorder par_domains =
-    if Socy_core.Pipeline.Config.team_domains ~reorder par_domains < par_domains
-    then begin
-      Socy_obs.Log.warn "cli.par_fallback"
-        ~fields:[ ("par_domains", Json.Int par_domains) ]
-        "--reorder takes precedence over --par-domains; build stays sequential";
-      Printf.eprintf
-        "socyield: --reorder takes precedence over --par-domains — the build \
-         stays sequential (in-place sifting and the concurrent store are \
-         mutually exclusive)\n%!"
-    end
 
   let registry_arg =
     let doc =

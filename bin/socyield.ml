@@ -106,7 +106,6 @@ let eval_cmd =
             ~mv_order:q.Proto.mv_order ~bit_order:q.Proto.bit_order
             ~reorder:q.Proto.reorder ~par_domains ())
     in
-    warn_par_fallback ~reorder:q.Proto.reorder par_domains;
     if metrics <> None || trace_out <> None then Obs.set_enabled true;
     let source = source_name q in
     match Cli_terms.checked (fun () -> P.run ~config circuit model) with
@@ -193,7 +192,6 @@ let run_grid ?wall_budget ?progress ~route ~domains (grid : Campaign.grid) =
   match Campaign.validate ~route grid with
   | Error msg -> Cli_terms.usage_error "%s" msg
   | Ok () ->
-      warn_par_fallback ~reorder:grid.Campaign.reorder grid.Campaign.par_domains;
       Result.get_ok (Campaign.run ~route ~domains ?wall_budget ?progress grid)
 
 (* The CPU cell of a grid row: its own seconds, or "=" and what sets the
@@ -769,9 +767,9 @@ let serve_cmd =
   let serve_par_domains_arg =
     let doc =
       "Intra-problem team size applied to requests that omit par_domains \
-       (default 1 = sequential). Parallel runs reuse the executor's worker \
-       domains — the daemon never spawns a second domain team (see \
-       docs/OPERATIONS.md)."
+       (default 1 = no team). A team converts each ROBDD layer on the \
+       executor's worker domains — the daemon never spawns a second domain \
+       team (see docs/OPERATIONS.md)."
     in
     Arg.(value & opt int 1 & info [ "par-domains" ] ~docv:"N" ~doc)
   in
@@ -1134,9 +1132,8 @@ let top_cmd =
         endpoints;
       Buffer.add_string b (Text_table.render t);
       Buffer.add_char b '\n';
-      (* Every *.occupancy gauge in one table: the serve cache plus each
-         engine's unique-table shards, which is the live view of how
-         evenly the concurrent build spreads its nodes. *)
+      (* Every *.occupancy gauge in one table: the serve cache plus the
+         engines' unique tables and computed caches. *)
       let occupancy =
         List.filter
           (fun (k, _) ->
@@ -1181,7 +1178,7 @@ let top_cmd =
        ~doc:
          "Live console view of a running serve daemon: per-endpoint latency \
           quantiles, cache hit ratio, inflight/connection gauges and \
-          shard-occupancy summaries, refreshed over the stats method")
+          table-occupancy summaries, refreshed over the stats method")
     term
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,10 @@
 (* Building a custom fault-tolerant architecture with the combinator API
    (no concrete syntax), then analyzing it end to end:
 
-     dune exec examples/custom_fault_tree.exe
+     dune exec examples/custom_fault_tree.exe [romdd.dot]
+
+   With a path argument, the ROMDD's Graphviz DOT is written there;
+   without one, only its size is printed.
 
    The design: a triple-modular-redundant (TMR) compute complex with a
    duplex voter, four memory banks of which three must survive, and a
@@ -109,9 +112,12 @@ let () =
           if rank < 3 then Printf.printf "  %-13s %+.4f\n" component_names.(i) g)
         ranked;
       let dot = Mdd.to_dot a.P.Artifacts.mdd a.P.Artifacts.mdd_root in
-      let file = Filename.temp_file "romdd" ".dot" in
-      let oc = open_out file in
-      output_string oc dot;
-      close_out oc;
-      Printf.printf "ROMDD (M = %d) written to %s (%d chars of Graphviz)\n"
-        a.P.Artifacts.m file (String.length dot)
+      if Array.length Sys.argv > 1 then begin
+        let file = Sys.argv.(1) in
+        Out_channel.with_open_text file (fun oc -> output_string oc dot);
+        Printf.printf "ROMDD (M = %d) written to %s (%d chars of Graphviz)\n"
+          a.P.Artifacts.m file (String.length dot)
+      end
+      else
+        Printf.printf "ROMDD (M = %d): %d chars of Graphviz (pass a path to write it)\n"
+          a.P.Artifacts.m (String.length dot)

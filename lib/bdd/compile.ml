@@ -98,47 +98,7 @@ let of_circuit ?(gc_threshold = 500_000) ?(reorder = false) m circuit ~var_of_in
   in
   (root, stats)
 
-(* Parallel compilation: the same walk, but over [Pbdd] operations into the
-   concurrent store — no refcounting, no GC, no reordering (the store is
-   append-only; [peak_nodes] = [created] is the honest peak analog). The
-   finished root is imported into [m], so the caller receives exactly what
-   [of_circuit] would have handed it: an owned root in a sequential
-   manager, plus build stats. *)
 let of_circuit_par pb m circuit ~var_of_input =
-  Manager.reset_peak m;
-  let ops =
-    {
-      C.and_ = Pbdd.and_ pb;
-      or_ = Pbdd.or_ pb;
-      xor_ = Pbdd.xor_ pb;
-      not_ = Pbdd.not_ pb;
-      own = Fun.id;
-    }
-  in
-  let gates_counter = Obs.counter "bdd.compile.gates" in
-  let value =
-    Obs.with_span "bdd.compile.par" (fun () ->
-        C.fold circuit (fun n value ->
-            match n.C.desc with
-            | C.Input i -> Pbdd.var pb (var_of_input i)
-            | C.Const false -> Pbdd.zero
-            | C.Const true -> Pbdd.one
-            | C.Gate (kind, args) ->
-                let r = C.reduce ops kind args value in
-                Obs.incr gates_counter;
-                r))
-  in
-  let proot = value circuit.C.output in
-  let root = Obs.with_span "bdd.import" (fun () -> Pbdd.import pb proot m) in
-  let created = Pbdd.created pb in
-  let stats =
-    {
-      peak_nodes = created;
-      final_size = Manager.size m root;
-      created;
-      gc_runs = 0;
-      reorders = 0;
-      reorder_swaps = 0;
-    }
-  in
-  (root, stats)
+  let root, st = of_circuit m circuit ~var_of_input in
+  pb.Pbdd.created <- st.created;
+  (root, st)

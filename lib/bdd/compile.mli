@@ -46,17 +46,9 @@ val of_circuit :
   var_of_input:(int -> int) ->
   Manager.node * stats
 
-(** [of_circuit_par pb m circuit ~var_of_input] — the same walk, but through {!Pbdd} operations so the [Par] team inside [pb]
-    builds the diagram concurrently; the finished root is then imported
-    into the sequential manager [m] and returned owned, exactly like
-    {!of_circuit}'s result. The concurrent store is append-only, so
-    [peak_nodes] = [created] (total store nodes) and [gc_runs] /
-    [reorders] are 0. Hash-consing makes the imported diagram canonical,
-    hence bit-identical in structure to a sequential build under the
-    same ordering.
-
-    Raises [Manager.Node_limit_exceeded] / [Manager.Cpu_limit_exceeded]
-    when [pb]'s budgets trip (on any domain). *)
+(** [of_circuit_par pb m circuit ~var_of_input] is [of_circuit m circuit
+    ~var_of_input], recording the nodes it created in [pb]: the {!Pbdd}
+    adapter socybench names, deleted with it. *)
 val of_circuit_par :
   Pbdd.t ->
   Manager.t ->

@@ -115,9 +115,9 @@ val nvar : t -> int -> node
 
 (** [mk m lv lo hi] — the raw hash-consing entry point: the canonical
     (owned) handle for "level [lv] ? [hi] : [lo]". Note the first
-    argument is a LEVEL, not a variable. Exposed for bulk importers
-    ([Pbdd.import] re-creates a parallel-built diagram node by node);
-    ordinary clients should build through {!var} and the operations. *)
+    argument is a LEVEL, not a variable. Exposed for tests that build a
+    diagram node by node; ordinary clients should build through {!var}
+    and the operations. *)
 val mk : t -> int -> node -> node -> node
 
 (** {1 Reference counting} *)

@@ -1,7 +1,6 @@
 module C = Socy_logic.Circuit
 module B = Socy_bdd.Manager
 module Par = Socy_bdd.Par
-module Pbdd = Socy_bdd.Pbdd
 module Compile = Socy_bdd.Compile
 module Mdd = Socy_mdd.Mdd
 module Conversion = Socy_mdd.Conversion
@@ -76,12 +75,12 @@ module Config = struct
       invalid "par_domains must be >= 1 (got %d)" c.par_domains;
     if c.cache_bits < 1 || c.cache_bits > 28 then
       invalid "cache_bits must be in 1..28 (got %d)" c.cache_bits;
-    (* Sifting and the domain team are settings of the coded ROBDD engine,
-       which the direct route never runs. *)
+    (* Sifting and the domain team work on the coded ROBDD, which the
+       direct route never builds. *)
     if c.route = Direct && c.reorder then
       invalid "route = direct does not take reorder = true (sifting reorders the coded ROBDD)";
     if c.route = Direct && c.par_domains > 1 then
-      invalid "route = direct does not take par_domains = %d (the team builds the coded ROBDD)"
+      invalid "route = direct does not take par_domains = %d (the team converts the coded ROBDD)"
         c.par_domains;
     c
 
@@ -119,11 +118,6 @@ module Config = struct
     check "with_par_domains" { c with par_domains }
 
   let with_par_runner par_runner c = { c with par_runner }
-
-  (* Reorder wins over the team: sifting moves levels in place, which the
-     concurrent store cannot follow, so a build with [reorder] runs on a
-     team of one. *)
-  let team_domains ~reorder par_domains = if reorder then 1 else par_domains
 end
 
 type report = {
@@ -279,6 +273,7 @@ module Artifacts = struct
     stage_seconds : (string * float) list;
     stage_gc : (string * Memory.gc_delta) list;
     cond_unusable : float array;
+    romdd_size : int;
   }
 
   (* Wall-clock a pipeline phase: always feeds [stage_seconds] and
@@ -342,109 +337,74 @@ module Artifacts = struct
     in
     (nk, p)
 
-  (* The coded route: compile the binary circuit into the coded ROBDD,
-     then convert it into an unbudgeted ROMDD manager. *)
+  (* The coded route: compile the binary circuit into the coded ROBDD on
+     the sequential engine, then convert it into an unbudgeted ROMDD
+     manager. *)
   let build_coded config ~stages ~gcs problem scheme =
     let staged name f = staged stages gcs name f in
     let cpu0 = Sys.time () in
+    let nvars = Problem.num_binary_vars problem in
     let bdd =
       B.create ~node_limit:config.node_limit ?cpu_limit:config.cpu_limit
-        ~cache_bits:config.cache_bits
-        ~num_vars:(Problem.num_binary_vars problem)
-        ()
+        ~cache_bits:config.cache_bits ~num_vars:nvars ()
     in
-    (* Reorder wins over the team; the CLI warns about it too. *)
-    let domains = Config.team_domains ~reorder:config.reorder config.par_domains in
-    if domains < config.par_domains then
-      Log.info "pipeline.par_fallback"
-        ~fields:[ ("par_domains", Json.Int config.par_domains) ]
-        "reorder wins over par-domains: building with the sequential engine";
-    let team =
-      if domains <= 1 then None
-      else
-        Some
-          (match config.par_runner with
-          | Some call -> Par.of_runner ~domains call
-          | None -> Par.spawn ~domains)
-    in
-    (* On a parallel budget trip the sequential manager is still empty;
-       the concurrent store's creation count is the honest peak figure. *)
-    let par_peak = ref 0 in
-    (* A spawned team holds domains; join them on every exit path. *)
-    Fun.protect
-      ~finally:(fun () -> Option.iter Par.shutdown team)
-      (fun () ->
-        match
-          staged "robdd-build" (fun () ->
-              let nvars = Problem.num_binary_vars problem in
-              let var_of_input i = scheme.Scheme.level_of_input.(i) in
-              match team with
-              | Some team ->
-                  let pb =
-                    Pbdd.create ~node_limit:config.node_limit
-                      ?cpu_limit:config.cpu_limit
-                      ~cache_bits:config.cache_bits ~team ~num_vars:nvars ()
-                  in
-                  let root, st =
-                    try
-                      Compile.of_circuit_par pb bdd problem.Problem.circuit
-                        ~var_of_input
-                    with e ->
-                      par_peak := Pbdd.created pb;
-                      Pbdd.publish_obs pb;
-                      raise e
-                  in
-                  Pbdd.publish_obs pb;
-                  (root, st)
-              | None ->
-                  if config.reorder then
-                    (* Manager variable [v] encodes circuit input
-                       [scheme.input_of_level.(v)]; tagging it with that
-                       input's multiple-valued group makes sifting move
-                       whole w/v bit blocks, which the ROMDD conversion
-                       layout requires. *)
-                    B.set_groups bdd
-                      (Array.init nvars (fun v ->
-                           Problem.group_of_input problem
-                             scheme.Scheme.input_of_level.(v)));
-                  let root, st =
-                    Compile.of_circuit ~gc_threshold:config.gc_threshold
-                      ~reorder:config.reorder bdd problem.Problem.circuit
-                      ~var_of_input
-                  in
-                  if config.reorder then begin
-                    (* Walk the order back to the scheme's static layout so
-                       the ROMDD conversion (and therefore the yield) is
-                       bit-identical to a reorder-free run; sifting only
-                       bounded the transient peak. The walk-back obeys the
-                       same node budget, and its transient counts: peak and
-                       final size are re-captured after it so reorder runs
-                       report what actually happened. *)
-                    B.set_order bdd (Array.init nvars Fun.id);
-                    ( root,
-                      {
-                        st with
-                        Compile.peak_nodes = B.peak_alive bdd;
-                        final_size = B.size bdd root;
-                      } )
-                  end
-                  else (root, st))
-        with
-        | exception B.Node_limit_exceeded ->
-            node_budget config ~stage:"coded-robdd"
-              (if !par_peak > 0 then !par_peak else B.peak_alive bdd)
-        | exception B.Cpu_limit_exceeded -> cpu_budget ~stage:"coded-robdd" ~cpu0
-        | bdd_root, bdd_stats ->
-            let mdd =
-              Mdd.create ~cache_bits:config.cache_bits (mdd_specs problem scheme)
-            in
-            let mdd_root =
+    match
+      staged "robdd-build" (fun () ->
+          let var_of_input i = scheme.Scheme.level_of_input.(i) in
+          if config.reorder then
+            (* Manager variable [v] encodes circuit input
+               [scheme.input_of_level.(v)]; tagging it with that input's
+               multiple-valued group makes sifting move whole w/v bit
+               blocks, which the ROMDD conversion layout requires. *)
+            B.set_groups bdd
+              (Array.init nvars (fun v ->
+                   Problem.group_of_input problem scheme.Scheme.input_of_level.(v)));
+          let root, st =
+            Compile.of_circuit ~gc_threshold:config.gc_threshold
+              ~reorder:config.reorder bdd problem.Problem.circuit ~var_of_input
+          in
+          if config.reorder then begin
+            (* Walk the order back to the scheme's static layout so the
+               ROMDD conversion (and therefore the yield) is bit-identical
+               to a reorder-free run; sifting only bounded the transient
+               peak. The walk-back obeys the same node budget, and its
+               transient counts: peak and final size are re-captured after
+               it so reorder runs report what actually happened. *)
+            B.set_order bdd (Array.init nvars Fun.id);
+            ( root,
+              {
+                st with
+                Compile.peak_nodes = B.peak_alive bdd;
+                final_size = B.size bdd root;
+              } )
+          end
+          else (root, st))
+    with
+    | exception B.Node_limit_exceeded ->
+        node_budget config ~stage:"coded-robdd" (B.peak_alive bdd)
+    | exception B.Cpu_limit_exceeded -> cpu_budget ~stage:"coded-robdd" ~cpu0
+    | bdd_root, bdd_stats ->
+        let mdd = Mdd.create ~cache_bits:config.cache_bits (mdd_specs problem scheme) in
+        (* A team only converts: it reads the finished ROBDD, in the
+           static order, layer by layer. It is lent by the caller or
+           spawned here, and a spawned one is joined on every exit path. *)
+        let team =
+          if config.par_domains <= 1 then None
+          else
+            Some
+              (match config.par_runner with
+              | Some call -> Par.of_runner ~domains:config.par_domains call
+              | None -> Par.spawn ~domains:config.par_domains)
+        in
+        let mdd_root =
+          Fun.protect
+            ~finally:(fun () -> Option.iter Par.shutdown team)
+            (fun () ->
               staged "romdd-convert" (fun () ->
-                  Conversion.run ?team bdd bdd_root mdd
-                    (layout_of_scheme problem scheme))
-            in
-            B.publish_obs bdd;
-            Ok (Some { bdd; bdd_root; bdd_stats }, mdd, mdd_root))
+                  Conversion.run ?team bdd bdd_root mdd (layout_of_scheme problem scheme)))
+        in
+        B.publish_obs bdd;
+        Ok (Some { bdd; bdd_root; bdd_stats }, mdd, mdd_root)
 
   (* The direct route: G by multiple-valued APPLY into a budgeted ROMDD
      manager; no ROBDD exists. *)
@@ -481,10 +441,12 @@ module Artifacts = struct
     Result.map
       (fun (robdd, mdd, mdd_root) ->
         (* The single ROMDD traversal behind [report] and
-           [conditional_yields]: P(G = 1 | W = k) for every k at once. *)
+           [conditional_yields]: P(G = 1 | W = k) for every k at once. The
+           size walk runs in the same stage, so [cpu_seconds] counts it. *)
         let nk, p = layout scheme lethal ~m in
-        let cond_unusable =
-          staged "traversal" (fun () -> Mdd.probability_sweep mdd mdd_root ~nk ~p)
+        let cond_unusable, romdd_size =
+          staged "traversal" (fun () ->
+              (Mdd.probability_sweep mdd mdd_root ~nk ~p, Mdd.size mdd mdd_root))
         in
         Mdd.publish_obs mdd;
         {
@@ -498,6 +460,7 @@ module Artifacts = struct
           stage_seconds = List.rev !stages;
           stage_gc = List.rev !gcs;
           cond_unusable;
+          romdd_size;
         })
       built
 
@@ -550,7 +513,7 @@ module Artifacts = struct
       cpu_seconds;
       robdd_peak = robdd (fun r -> r.bdd_stats.Compile.peak_nodes);
       robdd_size = robdd (fun r -> r.bdd_stats.Compile.final_size);
-      romdd_size = Mdd.size t.mdd t.mdd_root;
+      romdd_size = t.romdd_size;
       num_binary_vars = Problem.num_binary_vars t.problem;
       num_groups = Problem.num_groups t.problem;
       gate_count = C.gate_count t.problem.Problem.circuit;

@@ -50,8 +50,8 @@ val route_of_name : string -> route option
 type config = {
   route : route;
       (** how the ROMDD is built (default [Coded]); [Direct] takes neither
-          [reorder] nor [par_domains > 1], which configure the coded
-          ROBDD engine *)
+          [reorder] nor [par_domains > 1], which work on the coded
+          ROBDD *)
   epsilon : float;  (** absolute yield error bound ε (default 1e-3) *)
   mv_order : Socy_order.Scheme.mv_order;  (** default: weight ("w") *)
   bit_order : Socy_order.Scheme.bit_order;  (** default: ml *)
@@ -63,9 +63,8 @@ type config = {
   cache_bits : int;
       (** log2 of the cap on the ROBDD computed cache (1–28, default 21).
           The cache starts at 4096 lines and doubles whenever a miss finds
-          more nodes in the store than it has lines, up to [2^cache_bits];
-          the concurrent engine's per-domain caches grow the same way
-          under a cap scaled down by the team size. The ROMDD manager's
+          more nodes in the store than it has lines, up to [2^cache_bits].
+          The ROMDD manager's
           APPLY cache has the same cap; the conversion never calls APPLY,
           so only the direct route ({!Direct.build}) grows it. The
           size changes hit and miss counts only, never a result. *)
@@ -81,19 +80,17 @@ type config = {
           is bit-identical to a reorder-free run — only the transient
           [robdd_peak] changes. Default [false]. *)
   par_domains : int;
-      (** number of domains used {e inside} one evaluation: the coded-ROBDD
-          build runs on {!Socy_bdd.Pbdd} (sharded concurrent unique table,
-          frontier-split APPLY) and the ROMDD conversion distributes each
-          layer's codeword simulations, with the finished diagram imported
-          into the ordinary sequential manager — so results, node ids
-          included, are bit-identical to the sequential engine's.
-          [1] (the default) is the pure sequential path, byte-for-byte the
-          code that has always run. Ignored (sequential build) when
-          [reorder] is also set: in-place sifting and the append-only
-          concurrent store are mutually exclusive, and reorder wins
-          ({!Config.team_domains}). *)
+      (** number of domains used {e inside} one evaluation. The coded
+          ROBDD is always built on the sequential engine; a team of
+          [par_domains > 1] then distributes each layer's codeword
+          simulations of the ROMDD conversion ({!Socy_mdd.Conversion.run}),
+          and the ROMDD is built in the sequential call order, so every
+          report field, node ids included, is what [par_domains = 1]
+          gives, timings apart. Combines with [reorder]: the order is
+          walked back before the conversion starts. Default [1], no
+          team. *)
   par_runner : Socy_bdd.Par.runner option;
-      (** external work-distribution hook for the parallel build; when set
+      (** external work-distribution hook for the team conversion; when set
           (e.g. by [socyield serve], which re-uses its batch
           [Pool.Executor] domains), no second domain team is spawned.
           [None] (default): [par_domains > 1] spawns its own short-lived
@@ -165,12 +162,6 @@ module Config : sig
 
   val with_par_runner : Socy_bdd.Par.runner option -> t -> t
   (** Takes the option so a runner can also be cleared. *)
-
-  val team_domains : reorder:bool -> int -> int
-  (** The domains a build with these settings runs on: [par_domains], or
-      [1] when [reorder] is set — reorder wins over the team, because
-      in-place sifting needs the sequential manager. The pipeline, the
-      daemon's cache key and the CLI's warning all apply this rule. *)
 end
 
 type report = {
@@ -373,6 +364,9 @@ module Artifacts : sig
             [| P(G=1 | W=0); …; P(G=1 | W=M+1) |]: {!report} and
             {!conditional_yields} both read it, so the ROMDD is traversed
             exactly once. *)
+    romdd_size : int;
+        (** nodes reachable from [mdd_root], terminals included
+            ({!Socy_mdd.Mdd.size}), counted in the [traversal] stage. *)
   }
 
   (** Build everything up to the ROMDD on [config.route], then sweep it

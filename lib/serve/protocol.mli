@@ -46,13 +46,11 @@ type query = {
           the transient peak and the [reorder_*] report fields change.
           Encoded on the wire only when [true]. *)
   par_domains : int option;
-      (** domains used {e inside} this evaluation (parallel build +
-          layer-parallel conversion); [None] = the server's
-          [--par-domains] default. Results are bit-identical across team
-          sizes; only engine-specific report fields (peak, GC counters)
-          differ. Ignored (sequential) when [reorder] is set — sifting
-          needs the sequential manager. Encoded on the wire only when
-          set. *)
+      (** domains used {e inside} this evaluation: a team of that many
+          converts the sequentially built coded ROBDD layer by layer;
+          [None] = the server's [--par-domains] default. Every result
+          field is identical across team sizes; only timings differ.
+          Combines with [reorder]. Encoded on the wire only when set. *)
 }
 
 (** The protocol methods. [Eval], [Conditional_yields] and [Importance]
@@ -194,9 +192,8 @@ val resolve : query -> (resolved, string) result
     request share one entry. The reorder flag is keyed as requested —
     never any post-sift permutation — so replay stays bit-identical.
     [par_domains] must be the {e effective} team size (server default
-    applied, forced to 1 under [reorder]): yields are identical across
-    team sizes but the engine-specific report fields (peak, GC) are not,
-    so parallel and sequential runs get separate entries. *)
+    applied). Results are identical across team sizes, so keying it
+    only separates entries that would be equal. *)
 val cache_key :
   meth:meth ->
   resolved:resolved ->

@@ -135,7 +135,13 @@ type state = Running | Draining | Stopped
 (* What the cache stores: the deterministic part of a reply. *)
 type outcome = Payload of Json.t | Failed of P.failure
 
-type conn = { fd : Unix.file_descr; mutable conn_closed : bool }
+(* [thread] serves the connection; it is dropped with the connection, so
+   a long-lived daemon holds the handles of open connections only. *)
+type conn = {
+  fd : Unix.file_descr;
+  mutable conn_closed : bool;
+  mutable thread : Thread.t option;
+}
 
 type t = {
   cfg : config;
@@ -148,7 +154,6 @@ type t = {
   mutable listener_closed : bool;
   mutable active : int;  (* requests currently being handled *)
   mutable conns : conn list;
-  mutable threads : Thread.t list;
   counts : (Proto.meth * int ref) list;  (* per-method, for the stats endpoint *)
   mutable error_count : int;
   started_at : float;
@@ -182,7 +187,6 @@ let create cfg =
     listener_closed = false;
     active = 0;
     conns = [];
-    threads = [];
     counts = List.map (fun m -> (m, ref 0)) all_meths;
     error_count = 0;
     started_at = Obs.now ();
@@ -374,12 +378,9 @@ let eval_reply t (req : Proto.request) ~t0 =
     | Some c, Some cap -> c > cap
     | _ -> false
   in
-  (* Effective team size: request override, else the server default,
-     under the pipeline's reorder rule, so the cache key reflects the
-     engine that actually runs. *)
+  (* Effective team size: request override, else the server default. *)
   let par_domains =
-    P.Config.team_domains ~reorder:q.Proto.reorder
-      (Option.value q.Proto.par_domains ~default:t.cfg.default_par_domains)
+    Option.value q.Proto.par_domains ~default:t.cfg.default_par_domains
   in
   (* The config is built before the cache lookup: a value the pipeline
      rejects (an epsilon outside (0, 1)) is the client's error, never a
@@ -629,15 +630,20 @@ let process t oc line =
 (* Connections                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The connection leaves [t.conns], and its thread handle with it, only
+   once its fd is closed: a drain joins the threads of the connections
+   still listed. *)
 let close_conn t c =
   Mutex.lock t.lock;
   let do_close = not c.conn_closed in
   c.conn_closed <- true;
-  t.conns <- List.filter (fun c' -> c' != c) t.conns;
-  let remaining = List.length t.conns in
   Mutex.unlock t.lock;
   if do_close then (try Unix.close c.fd with Unix.Unix_error _ -> ());
+  Mutex.lock t.lock;
+  t.conns <- List.filter (fun c' -> c' != c) t.conns;
+  let remaining = List.length t.conns in
   Obs.set connections_gauge (float_of_int remaining);
+  Mutex.unlock t.lock;
   if do_close && Log.enabled_for Log.Debug then
     Log.debug "serve.close"
       ~fields:[ ("open", Json.Int remaining) ]
@@ -734,7 +740,7 @@ let drain t =
       if not c.conn_closed then
         try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
     t.conns;
-  let threads = t.threads in
+  let threads = List.filter_map (fun c -> c.thread) t.conns in
   Mutex.unlock t.lock;
   List.iter (fun th -> try Thread.join th with _ -> ()) threads;
   (* 4. The metrics writer notices the state change (≤ 0.2 s), takes its
@@ -769,7 +775,7 @@ let run t =
              shutdown: either way, accepting is over. *)
           (try Unix.close fd with Unix.Unix_error _ -> ())
         else begin
-          let c = { fd; conn_closed = false } in
+          let c = { fd; conn_closed = false; thread = None } in
           Obs.incr connections_counter;
           Mutex.lock t.lock;
           t.conns <- c :: t.conns;
@@ -782,7 +788,7 @@ let run t =
               "accepted connection";
           let th = Thread.create (fun () -> handle_connection t c) () in
           Mutex.lock t.lock;
-          t.threads <- th :: t.threads;
+          c.thread <- Some th;
           Mutex.unlock t.lock;
           accept_loop ()
         end

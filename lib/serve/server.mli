@@ -87,8 +87,8 @@ type config = {
       (** requests above this are rejected; [None] = no cap *)
   default_par_domains : int;
       (** intra-problem team size applied to requests that omit
-          [par_domains]; [1] (default) = sequential engine. Parallel runs
-          reuse the executor's worker domains via
+          [par_domains]; [1] (default) = no team. A team conversion
+          reuses the executor's worker domains via
           {!Socy_batch.Pool.Executor.parallel_tasks} — the daemon never
           spawns a second domain team (see docs/OPERATIONS.md). *)
   backlog : int;  (** listen(2) backlog *)

@@ -456,21 +456,28 @@ let test_table4_pins () =
       | Error f -> Alcotest.failf "%s direct: %s" label (P.failure_to_string f))
     table4_pins
 
-(* [cpu_seconds] counts the build and its ROMDD traversal: the process CPU
-   time around [run_lethal] exceeds it only by the report's assembly, about
-   6 ms on MS4, chiefly [Mdd.size]. MS4's traversal takes 20–35 ms, so
-   leaving it out would exceed the slack. Both are CPU clocks of this
-   process, so host load does not move the difference. *)
+(* [cpu_seconds] counts the build, its ROMDD traversal and the ROMDD size
+   walk: the process CPU time around [run_lethal] exceeds it only by the
+   report's assembly, a few records. The size walk visits every child slot
+   of the ROMDD, about 15% of the traversal's time on MS4, so leaving it
+   out would exceed the 5% bound. Both are CPU clocks of this process, so
+   host load does not move the difference; the best of three runs keeps a
+   garbage-collection slice in the assembly from deciding. *)
 let test_cpu_seconds_include_traversal () =
   let ft, lethal = ms_row "MS4, l'=1" in
   let config = P.Config.make ~route:P.Direct () in
-  let t0 = Sys.time () in
-  let r = run_exn ~config ft lethal in
-  let outside = Sys.time () -. t0 -. r.P.cpu_seconds in
-  let slack = 0.015 in
-  if outside >= slack then
-    Alcotest.failf "%.4f s of the run's CPU time is outside cpu_seconds (traversal %.4f s)"
-      outside (List.assoc "traversal" r.P.stage_times)
+  let outside_share () =
+    let t0 = Sys.time () in
+    let r = run_exn ~config ft lethal in
+    let outside = Sys.time () -. t0 -. r.P.cpu_seconds in
+    (outside /. List.assoc "traversal" r.P.stage_times, outside)
+  in
+  let share, outside =
+    List.fold_left min (outside_share ()) [ outside_share (); outside_share () ]
+  in
+  if share >= 0.05 then
+    Alcotest.failf "%.4f s of the run's CPU time is outside cpu_seconds (%.1f%% of the traversal)"
+      outside (100.0 *. share)
 
 (* ------------------------------------------------------------------ *)
 (* The circuit walk                                                    *)

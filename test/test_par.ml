@@ -1,16 +1,12 @@
-(* Tests for intra-problem parallelism: the concurrent store + Pbdd
-   algorithm layer + layer-parallel conversion must be bit-identical to
-   the sequential engine — same yields, same diagram sizes, same ROMDD
-   node ids — for any circuit, ordering, and team size, and a budget trip
-   mid-parallel-build must leave the store structurally consistent. *)
+(* Tests for intra-problem parallelism: a team of domains converts the
+   coded ROBDD layer by layer, and a run on a team must report exactly
+   what the sequential run reports — same yields, sizes, peaks and engine
+   counters, same ROMDD node ids — for any circuit, ordering and team
+   size, with or without sifting, and on a budget trip. *)
 
 module C = Socy_logic.Circuit
 module P = Socy_core.Pipeline
-module M = Socy_bdd.Manager
-module Pbdd = Socy_bdd.Pbdd
 module Par = Socy_bdd.Par
-module Store = Socy_bdd.Store
-module Compile = Socy_bdd.Compile
 module Mdd = Socy_mdd.Mdd
 module Model = Socy_defects.Model
 module D = Socy_defects.Distribution
@@ -18,6 +14,7 @@ module S = Socy_benchmarks.Suite
 module Scheme = Socy_order.Scheme
 module H = Socy_order.Heuristics
 module Ctx = Socy_obs.Ctx
+module Obs = Socy_obs.Obs
 
 (* ------------------------------------------------------------------ *)
 (* Random fault trees                                                  *)
@@ -73,7 +70,7 @@ let lethal =
   }
 
 (* A few ordering schemes spanning both sweep dimensions of the paper's
-   Tables 2-3, so the parallel engine is exercised under level layouts it
+   Tables 2-3, so the team conversion is exercised under level layouts it
    did not pick itself. *)
 let orderings =
   [
@@ -85,6 +82,10 @@ let orderings =
 
 let config ~par_domains (mv, bits) =
   P.Config.make ~mv_order:mv ~bit_order:bits ~par_domains ()
+
+(* A report without its timings: every other field must not depend on the
+   team. Structural equality compares the floats exactly, on purpose. *)
+let timeless r = { r with P.cpu_seconds = 0.0; stage_times = []; stage_gc = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Property: parallel pipeline == sequential pipeline, bit for bit     *)
@@ -107,14 +108,7 @@ let prop_par_equals_seq =
       let seq = P.run_lethal ~config:(config ~par_domains:1 ord) ft lethal in
       let par = P.run_lethal ~config:(config ~par_domains:domains ord) ft lethal in
       match (seq, par) with
-      | Ok s, Ok p ->
-          (* exact float equality on purpose: the engines must agree bit
-             for bit, not merely within tolerance *)
-          s.P.yield_lower = p.P.yield_lower
-          && s.P.yield_upper = p.P.yield_upper
-          && s.P.m = p.P.m
-          && s.P.robdd_size = p.P.robdd_size
-          && s.P.romdd_size = p.P.romdd_size
+      | Ok s, Ok p -> timeless s = timeless p
       | Error _, Error _ -> true
       | _ -> false)
 
@@ -139,42 +133,37 @@ let prop_par_romdd_root_identical =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Engine-level: the Pbdd/Store path against the sequential Manager    *)
+(* Whole runs on a team                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_engine_bit_identity () =
-  let rows = S.table_rows () in
-  let row = List.find (fun r -> S.row_label r = "MS2, l'=1") rows in
-  let circuit = row.S.instance.S.circuit in
-  let n = circuit.C.num_inputs in
-  let m_seq = M.create ~num_vars:n () in
-  let root_seq, st_seq = Compile.of_circuit m_seq circuit ~var_of_input:Fun.id in
-  let team = Par.spawn ~domains:3 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () ->
-      let pb = Pbdd.create ~team ~num_vars:n () in
-      let m_par = M.create ~num_vars:n () in
-      let root_par, st_par = Compile.of_circuit_par pb m_par circuit ~var_of_input:Fun.id in
-      Store.check_invariants (Pbdd.store pb);
-      Alcotest.(check int) "final size" st_seq.Compile.final_size st_par.Compile.final_size;
-      (* handle values differ between the managers (the sequential one
-         also numbered dead intermediates), so identity is checked
-         semantically: same function on sampled assignments *)
-      let rng = Random.State.make [| 2003 |] in
-      for _ = 1 to 500 do
-        let mask = Random.State.bits rng in
-        let env v = (mask lsr (v mod 30)) land 1 = 1 in
-        if M.eval m_seq root_seq env <> M.eval m_par root_par env then
-          Alcotest.fail "parallel build computes a different function"
-      done;
-      Alcotest.(check bool) "par path reports gc_runs = 0" true
-        (st_par.Compile.gc_runs = 0 && st_par.Compile.reorders = 0))
+(* Sifting and a team combine: the order is walked back to the static
+   layout before the team converts. MS2 under vrw sifts several times. *)
+let test_reorder_with_team () =
+  let row = List.find (fun r -> S.row_label r = "MS2, l'=1") (S.table_rows ()) in
+  let run par_domains =
+    let config = P.Config.make ~mv_order:Scheme.Vrw ~reorder:true ~par_domains () in
+    match P.run_lethal ~config row.S.instance.S.circuit (S.lethal row) with
+    | Ok r -> r
+    | Error f -> Alcotest.failf "%d domains: %s" par_domains (P.failure_to_string f)
+  in
+  let seq = run 1 in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let par =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () -> run 2)
+  in
+  let par_layers = Obs.counter_value (Obs.counter "mdd.convert.par_layers") in
+  Obs.reset ();
+  Alcotest.(check bool) "sifting ran" true (seq.P.reorder_runs > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "the team converted (%d parallel layers)" par_layers)
+    true (par_layers > 0);
+  Alcotest.(check bool) "every field but the timings equal" true (timeless seq = timeless par)
 
-(* Each domain's computed cache starts at 4096 lines and doubles with the
-   store up to its cap. At [cache_bits = 14], the per-domain floor, the
-   caches stop at 2^14 lines; at 21 they may grow to 2^20 on a 2-domain
-   team. Cache size changes hit and miss counts only, never a result. *)
+(* The team only converts, so the build's computed cache is the
+   sequential manager's: at [cache_bits = 14] it stops at 2^14 lines, at
+   21 it may grow to 2^21. Cache size changes hit and miss counts only,
+   never a result. *)
 let test_cache_cap_keeps_results () =
   let rows = S.table_rows () in
   let row = List.find (fun r -> S.row_label r = "MS2, l'=1") rows in
@@ -194,56 +183,23 @@ let test_cache_cap_keeps_results () =
   Alcotest.(check int) "ROBDD size" floor.P.robdd_size capped.P.robdd_size;
   Alcotest.(check int) "ROMDD size" floor.P.romdd_size capped.P.romdd_size
 
-let test_pbdd_cache_bits_validated () =
-  let team = Par.spawn ~domains:1 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () ->
-      List.iter
-        (fun bits ->
-          match Pbdd.create ~cache_bits:bits ~team ~num_vars:4 () with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.failf "cache_bits = %d accepted" bits)
-        [ -1; 0; 29; 63 ];
-      ignore (Pbdd.create ~cache_bits:1 ~team ~num_vars:4 ()))
-
-(* ------------------------------------------------------------------ *)
-(* Budget abort under parallelism                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* A node-budget trip on any domain must abort every participant and
-   leave the store with only complete, canonical nodes. *)
-let test_budget_abort_store_consistent () =
-  let b = C.builder ~num_inputs:64 () in
-  let ft =
-    C.finish b ~name:"xor64" (C.xor_ b (List.init 64 (C.input b)))
-  in
-  let team = Par.spawn ~domains:2 in
-  Fun.protect
-    ~finally:(fun () -> Par.shutdown team)
-    (fun () ->
-      let pb = Pbdd.create ~node_limit:40 ~team ~num_vars:64 () in
-      let m = M.create ~num_vars:64 () in
-      (match Compile.of_circuit_par pb m ft ~var_of_input:Fun.id with
-      | exception M.Node_limit_exceeded -> ()
-      | _ -> Alcotest.fail "expected Node_limit_exceeded");
-      (* quiesced after the team drained: every published node complete *)
-      Store.check_invariants (Pbdd.store pb);
-      Alcotest.(check bool) "creations were counted" true (Pbdd.created pb > 0))
-
-(* The pipeline wrapper must map the trip to the typed Node_budget
-   failure with the parallel engine's peak figure, like the sequential
-   path does. *)
+(* A node-budget trip happens in the sequential build, before any team
+   exists, so it is the typed failure [par_domains = 1] gives, peak
+   included. *)
 let test_pipeline_budget_abort () =
   let rows = S.table_rows () in
   let row = List.find (fun r -> S.row_label r = "MS4, l'=1") rows in
-  let config = P.Config.make ~node_limit:5_000 ~par_domains:4 () in
-  match P.run_lethal ~config row.S.instance.S.circuit (S.lethal row) with
-  | Error (P.Node_budget { stage; peak }) ->
+  let run par_domains =
+    let config = P.Config.make ~node_limit:5_000 ~par_domains () in
+    P.run_lethal ~config row.S.instance.S.circuit (S.lethal row)
+  in
+  match (run 1, run 4) with
+  | Error (P.Node_budget { stage; _ } as seq), Error par ->
       Alcotest.(check string) "stage" "coded-robdd" stage;
-      Alcotest.(check bool) "peak reported from the parallel store" true (peak > 0)
-  | Error f -> Alcotest.failf "unexpected failure: %s" (P.failure_to_string f)
-  | Ok _ -> Alcotest.fail "expected Node_budget"
+      Alcotest.(check string) "same failure on 4 domains" (P.failure_to_string seq)
+        (P.failure_to_string par)
+  | Error f, _ | _, Error f -> Alcotest.failf "unexpected failure: %s" (P.failure_to_string f)
+  | Ok _, Ok _ -> Alcotest.fail "expected Node_budget"
 
 (* ------------------------------------------------------------------ *)
 (* Team mechanics                                                      *)
@@ -327,17 +283,13 @@ let () =
         [ prop_par_equals_seq; prop_par_romdd_root_identical ];
       ( "engine",
         [
-          Alcotest.test_case "MS2 bit identity, 3 domains" `Quick
-            test_engine_bit_identity;
+          Alcotest.test_case "MS2 vrw reorder, 2 domains = 1" `Quick
+            test_reorder_with_team;
           Alcotest.test_case "MS2 cache cap 14 = 21, 2 domains" `Quick
             test_cache_cap_keeps_results;
-          Alcotest.test_case "cache_bits validated" `Quick
-            test_pbdd_cache_bits_validated;
         ] );
       ( "budget-abort",
         [
-          Alcotest.test_case "store consistent after trip" `Quick
-            test_budget_abort_store_consistent;
           Alcotest.test_case "pipeline Node_budget on par path" `Quick
             test_pipeline_budget_abort;
         ] );

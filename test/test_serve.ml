@@ -791,6 +791,34 @@ let test_request_id_propagation () =
                 true
                 (List.length tids >= 2))))
 
+(* A connection's thread handle leaves with the connection: 500
+   connect/close cycles leave the server value the size it was. *)
+let test_connection_threads_released () =
+  with_server (fun path server ->
+      let open_connections () =
+        match Json.member "open_connections" (Server.stats_json server) with
+        | Some (Json.Int n) -> n
+        | _ -> Alcotest.fail "stats carry no open_connections"
+      in
+      let settle () =
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while open_connections () > 0 && Unix.gettimeofday () < deadline do
+          Thread.delay 0.001
+        done;
+        Alcotest.(check int) "every connection closed" 0 (open_connections ())
+      in
+      let cycle () = disconnect (connect path) in
+      cycle ();
+      settle ();
+      let before = Obj.reachable_words (Obj.repr server) in
+      for _ = 1 to 500 do
+        cycle ()
+      done;
+      settle ();
+      let grown = Obj.reachable_words (Obj.repr server) - before in
+      if grown > 100 then
+        Alcotest.failf "the server value grew by %d words over 500 connections" grown)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -837,5 +865,7 @@ let () =
             test_request_id_propagation;
           Alcotest.test_case "deep nesting rejected" `Quick
             test_deep_nesting_rejected;
+          Alcotest.test_case "connection threads released" `Quick
+            test_connection_threads_released;
         ] );
     ]
