@@ -56,9 +56,9 @@ type t = {
      the line count, or [max_int] once the cache has [cache_max] lines. *)
   mutable cache_grow_at : int;
   cache_max : int;
-  (* Work stack for the iterative ITE/AND: packed frames of [ite_stride]
-     ints, reused across calls so the hot path allocates nothing per frame. *)
-  mutable ite_frames : int array;
+  (* Pending slots of a [kill] or [resurrect] cascade, reused across
+     calls so a cascade allocates nothing per node. *)
+  mutable cascade : int array;
   (* Statistics *)
   mutable alive_count : int;
   mutable dead_count : int;
@@ -99,16 +99,6 @@ let initial_capacity = 1024
 let initial_buckets = 1 lsl 10
 let initial_cache_bits = 12
 
-(* Frame layout of the iterative ITE work stack:
-   [kf; kg; kh] the normalized cache key, [lv] the branching level,
-   [stage] 0 = descend then-branch, 1 = descend else-branch, 2 = combine,
-   [neg] 1 when the result must be complemented (output-negation rule),
-   [f1; g1; h1] then-cofactors, [f0; g0; h0] else-cofactors,
-   [t_res] the finished then-branch result, [cidx] the computed-cache line
-   found at lookup time (so completion stores without rehashing).
-   The specialized AND uses the same array with its own (smaller) layout. *)
-let ite_stride = 14
-
 let create ?(node_limit = max_int) ?cpu_limit ?(cache_bits = 18) ~num_vars () =
   if num_vars < 0 then invalid_arg "Manager.create: negative num_vars";
   if cache_bits < 1 || cache_bits > 28 then
@@ -142,7 +132,7 @@ let create ?(node_limit = max_int) ?cpu_limit ?(cache_bits = 18) ~num_vars () =
       cache_mask = lines - 1;
       cache_grow_at = (if lines < cache_max then lines else max_int);
       cache_max;
-      ite_frames = Array.make (64 * ite_stride) 0;
+      cascade = Array.make 64 0;
       alive_count = 0;
       dead_count = 0;
       peak = 0;
@@ -240,33 +230,41 @@ let obs_reorder_aborts = Obs.counter "bdd.reorder.aborts"
 let bump_alive m =
   if m.alive_count > m.peak then m.peak <- m.alive_count
 
+(* The cascades below keep their pending child slots on [m.cascade], the
+   else-child on top, so a deep cone costs no OCaml stack and no
+   allocation. [push_children m top s] pushes the children of slot [s]
+   above [top] and returns the new top. The two cascades never nest. *)
+let push_children m top s =
+  if top + 2 > Array.length m.cascade then begin
+    let b = Array.make (2 * Array.length m.cascade) 0 in
+    Array.blit m.cascade 0 b 0 top;
+    m.cascade <- b
+  end;
+  m.cascade.(top) <- m.high.(s) lsr 1;
+  m.cascade.(top + 1) <- m.low.(s) lsr 1;
+  top + 2
+
 (* Resurrection: slot [s] was dead and just went 0 -> 1; re-acquire the
-   children it still points to. The cascade walks the dead part of the cone
-   with an explicit worklist — a deep cone must not overflow the OCaml
-   stack. *)
+   children it still points to, down the dead part of the cone. *)
 let resurrect m s =
   m.alive_count <- m.alive_count + 1;
   m.dead_count <- m.dead_count - 1;
   bump_alive m;
-  let work = ref [ m.low.(s) lsr 1; m.high.(s) lsr 1 ] in
-  let rec drain () =
-    match !work with
-    | [] -> ()
-    | x :: rest ->
-        work := rest;
-        if x > 0 then begin
-          let c = m.rc.(x) in
-          m.rc.(x) <- c + 1;
-          if c = 0 then begin
-            m.alive_count <- m.alive_count + 1;
-            m.dead_count <- m.dead_count - 1;
-            bump_alive m;
-            work := (m.low.(x) lsr 1) :: (m.high.(x) lsr 1) :: !work
-          end
-        end;
-        drain ()
-  in
-  drain ()
+  let top = ref (push_children m 0 s) in
+  while !top > 0 do
+    decr top;
+    let x = m.cascade.(!top) in
+    if x > 0 then begin
+      let c = m.rc.(x) in
+      m.rc.(x) <- c + 1;
+      if c = 0 then begin
+        m.alive_count <- m.alive_count + 1;
+        m.dead_count <- m.dead_count - 1;
+        bump_alive m;
+        top := push_children m !top x
+      end
+    end
+  done
 
 let ref_ m n =
   let s = n lsr 1 in
@@ -280,25 +278,21 @@ let ref_ m n =
 let kill m s =
   m.alive_count <- m.alive_count - 1;
   m.dead_count <- m.dead_count + 1;
-  let work = ref [ m.low.(s) lsr 1; m.high.(s) lsr 1 ] in
-  let rec drain () =
-    match !work with
-    | [] -> ()
-    | x :: rest ->
-        work := rest;
-        if x > 0 then begin
-          let c = m.rc.(x) in
-          if c <= 0 then invalid_arg "Manager.deref: reference count underflow";
-          m.rc.(x) <- c - 1;
-          if c = 1 then begin
-            m.alive_count <- m.alive_count - 1;
-            m.dead_count <- m.dead_count + 1;
-            work := (m.low.(x) lsr 1) :: (m.high.(x) lsr 1) :: !work
-          end
-        end;
-        drain ()
-  in
-  drain ()
+  let top = ref (push_children m 0 s) in
+  while !top > 0 do
+    decr top;
+    let x = m.cascade.(!top) in
+    if x > 0 then begin
+      let c = m.rc.(x) in
+      if c <= 0 then invalid_arg "Manager.deref: reference count underflow";
+      m.rc.(x) <- c - 1;
+      if c = 1 then begin
+        m.alive_count <- m.alive_count - 1;
+        m.dead_count <- m.dead_count + 1;
+        top := push_children m !top x
+      end
+    end
+  done
 
 let deref m n =
   let s = n lsr 1 in
@@ -379,12 +373,11 @@ let mk m lv lo hi =
     let cb = lo land 1 in
     let lo = lo lxor cb and hi = hi lxor cb in
     let b = hash3 lv lo hi land m.bucket_mask in
-    let rec find i =
-      if i < 0 then -1
-      else if m.level.(i) = lv && m.low.(i) = lo && m.high.(i) = hi then i
-      else find m.next.(i)
-    in
-    let existing = find m.buckets.(b) in
+    let i = ref m.buckets.(b) in
+    while !i >= 0 && not (m.level.(!i) = lv && m.low.(!i) = lo && m.high.(!i) = hi) do
+      i := m.next.(!i)
+    done;
+    let existing = !i in
     if existing >= 0 then begin
       m.unique_hits <- m.unique_hits + 1;
       ref_ m (existing lsl 1);
@@ -441,13 +434,13 @@ let not_ m f =
 
    Results cannot depend on the cache size. No cache line holds a
    reference, so the diagram built is the same whatever the cache
-   remembers: only hit and miss counts change. ITE/AND frames pushed before
-   a resize keep a line index computed under the old mask, and storing
-   through it is safe: the index is still in range, because the table only
-   grows, and every lookup compares the full key (f, g, h, or the AND
-   code), so a line whose key hashes elsewhere can only miss, never return
-   a wrong result. [collect] and [reorder_end] flush whatever arrays are
-   current. *)
+   remembers: only hit and miss counts change. An ITE/AND call that was
+   already descending when the cache grew stores through the line index it
+   took at lookup, under the old mask, and that is safe: the index is still
+   in range, because the table only grows, and every lookup compares the
+   full key (f, g, h, or the AND code), so a line whose key hashes
+   elsewhere can only miss, never return a wrong result. [collect] and
+   [reorder_end] flush whatever arrays are current. *)
 let grow_cache m =
   let n = 2 * (m.cache_mask + 1) in
   let mask = n - 1 in
@@ -472,9 +465,18 @@ let grow_cache m =
 
 (* --- ITE ---------------------------------------------------------------- *)
 
-(* Iterative ITE: a state machine over an explicit stack of packed int
-   frames (layout at [ite_stride]), so arbitrarily deep diagrams cannot
-   overflow the OCaml stack.
+(* The cofactors of [h] at level [lv]: [h] itself when it does not test
+   [lv]. *)
+let high_at m lv h =
+  let s = h lsr 1 in
+  if m.level.(s) = lv then m.high.(s) lxor (h land 1) else h
+
+let low_at m lv h =
+  let s = h lsr 1 in
+  if m.level.(s) = lv then m.low.(s) lxor (h land 1) else h
+
+(* Recursive ITE. Every call that recurses descends at least one level,
+   so the depth is at most the number of variables.
 
    Complement-aware normalization (Brace–Rudell standard triples):
      terminal rules    ite(1,g,h)=g  ite(0,g,h)=h  ite(f,g,g)=g
@@ -487,127 +489,85 @@ let grow_cache m =
      first-arg polarity  ite(¬f,g,h)=ite(f,h,g)
      output polarity     ite(f,¬g,h)=¬ite(f,g,¬h)  — the complement moves
                        to the result, so both polarities of a call share a
-                       single computed-cache line. *)
-let ite m f g h =
-  let finished = ref (-1) in
-  let ntop = ref 0 in
-  (* Resolve one (f, g, h) call: either set [finished] (terminal rules or a
-     computed-cache hit) or push a frame for the two cofactor sub-calls. *)
-  let launch f g h =
-    if f = one then begin
+                       single computed-cache line.
+   A miss takes its cache line index at lookup, builds the then-branch,
+   then the else-branch, then the node, and fills that line. *)
+let rec ite m f g h =
+  if f = one then begin
+    ref_ m g;
+    g
+  end
+  else if f = zero then begin
+    ref_ m h;
+    h
+  end
+  else begin
+    let g = if g = f then one else if g = f lxor 1 then zero else g in
+    let h = if h = f then zero else if h = f lxor 1 then one else h in
+    if g = h then begin
       ref_ m g;
-      finished := g
+      g
     end
-    else if f = zero then begin
-      ref_ m h;
-      finished := h
+    else if g = one && h = zero then begin
+      ref_ m f;
+      f
     end
-    else begin
-      let g = if g = f then one else if g = f lxor 1 then zero else g in
-      let h = if h = f then zero else if h = f lxor 1 then one else h in
-      if g = h then begin
-        ref_ m g;
-        finished := g
-      end
-      else if g = one && h = zero then begin
-        ref_ m f;
-        finished := f
-      end
-      else if g = zero && h = one then begin
-        ref_ m f;
-        finished := f lxor 1
-      end
-      else begin
-        let f, g, h =
-          if g = one then
-            if h land -2 < f land -2 then (h, one, f) else (f, g, h)
-          else if h = zero then
-            if g land -2 < f land -2 then (g, f, zero) else (f, g, h)
-          else if g = zero then
-            if h land -2 < f land -2 then (h lxor 1, zero, f lxor 1)
-            else (f, g, h)
-          else if h = one then
-            if g land -2 < f land -2 then (g lxor 1, f lxor 1, one)
-            else (f, g, h)
-          else if g = h lxor 1 then
-            if g land -2 < f land -2 then (g, f, f lxor 1) else (f, g, h)
-          else (f, g, h)
-        in
-        let f, g, h = if f land 1 = 1 then (f lxor 1, h, g) else (f, g, h) in
-        let neg = g land 1 in
-        let g = g lxor neg and h = h lxor neg in
-        let ci = hash3 f g h land m.cache_mask in
-        if m.cache_f.(ci) = f && m.cache_g.(ci) = g && m.cache_h.(ci) = h
-        then begin
-          let cached = m.cache_r.(ci) in
-          m.cache_hits <- m.cache_hits + 1;
-          ref_ m cached;
-          finished := cached lxor neg
-        end
-        else begin
-          m.cache_misses <- m.cache_misses + 1;
-          let ci =
-            if m.alive_count + m.dead_count > m.cache_grow_at then begin
-              grow_cache m;
-              hash3 f g h land m.cache_mask
-            end
-            else ci
-          in
-          let sf = f lsr 1 and sg = g lsr 1 and sh = h lsr 1 in
-          let lf = m.level.(sf) and lg = m.level.(sg) and lh = m.level.(sh) in
-          let lv = min lf (min lg lh) in
-          if !ntop * ite_stride = Array.length m.ite_frames then begin
-            let b = Array.make (2 * Array.length m.ite_frames) 0 in
-            Array.blit m.ite_frames 0 b 0 (Array.length m.ite_frames);
-            m.ite_frames <- b
-          end;
-          let s = m.ite_frames in
-          let base = !ntop * ite_stride in
-          incr ntop;
-          s.(base) <- f;
-          s.(base + 1) <- g;
-          s.(base + 2) <- h;
-          s.(base + 3) <- lv;
-          s.(base + 4) <- 0;
-          s.(base + 5) <- neg;
-          s.(base + 6) <- (if lf = lv then m.high.(sf) lxor (f land 1) else f);
-          s.(base + 7) <- (if lg = lv then m.high.(sg) lxor (g land 1) else g);
-          s.(base + 8) <- (if lh = lv then m.high.(sh) lxor (h land 1) else h);
-          s.(base + 9) <- (if lf = lv then m.low.(sf) lxor (f land 1) else f);
-          s.(base + 10) <- (if lg = lv then m.low.(sg) lxor (g land 1) else g);
-          s.(base + 11) <- (if lh = lv then m.low.(sh) lxor (h land 1) else h);
-          s.(base + 13) <- ci
-        end
-      end
+    else if g = zero && h = one then begin
+      ref_ m f;
+      f lxor 1
     end
-  in
-  launch f g h;
-  while !ntop > 0 do
-    let s = m.ite_frames in
-    let base = (!ntop - 1) * ite_stride in
-    match s.(base + 4) with
-    | 0 ->
-        s.(base + 4) <- 1;
-        launch s.(base + 6) s.(base + 7) s.(base + 8)
-    | 1 ->
-        s.(base + 12) <- !finished;
-        s.(base + 4) <- 2;
-        launch s.(base + 9) s.(base + 10) s.(base + 11)
-    | _ ->
-        let e = !finished in
-        let t = s.(base + 12) in
-        let r = mk m s.(base + 3) e t in
-        deref m t;
-        deref m e;
-        let ci = s.(base + 13) in
-        m.cache_f.(ci) <- s.(base);
-        m.cache_g.(ci) <- s.(base + 1);
-        m.cache_h.(ci) <- s.(base + 2);
-        m.cache_r.(ci) <- r;
-        decr ntop;
-        finished := r lxor s.(base + 5)
-  done;
-  !finished
+    else if g = one then
+      if h land -2 < f land -2 then ite_std m h one f else ite_std m f g h
+    else if h = zero then
+      if g land -2 < f land -2 then ite_std m g f zero else ite_std m f g h
+    else if g = zero then
+      if h land -2 < f land -2 then ite_std m (h lxor 1) zero (f lxor 1)
+      else ite_std m f g h
+    else if h = one then
+      if g land -2 < f land -2 then ite_std m (g lxor 1) (f lxor 1) one
+      else ite_std m f g h
+    else if g = h lxor 1 && g land -2 < f land -2 then ite_std m g f (f lxor 1)
+    else ite_std m f g h
+  end
+
+(* First-argument polarity, on a swapped triple. *)
+and ite_std m f g h = if f land 1 = 1 then ite_key m (f lxor 1) h g else ite_key m f g h
+
+(* Output polarity, which completes the key (f, g, h), then the
+   computed cache and the recursion. [f] is regular. *)
+and ite_key m f g h =
+  let neg = g land 1 in
+  let g = g lxor neg and h = h lxor neg in
+  let ci = hash3 f g h land m.cache_mask in
+  if m.cache_f.(ci) = f && m.cache_g.(ci) = g && m.cache_h.(ci) = h then begin
+    let cached = m.cache_r.(ci) in
+    m.cache_hits <- m.cache_hits + 1;
+    ref_ m cached;
+    cached lxor neg
+  end
+  else begin
+    m.cache_misses <- m.cache_misses + 1;
+    let ci =
+      if m.alive_count + m.dead_count > m.cache_grow_at then begin
+        grow_cache m;
+        hash3 f g h land m.cache_mask
+      end
+      else ci
+    in
+    let lf = m.level.(f lsr 1) and lg = m.level.(g lsr 1) and lh = m.level.(h lsr 1) in
+    let lv = if lf <= lg then lf else lg in
+    let lv = if lv <= lh then lv else lh in
+    let t = ite m (high_at m lv f) (high_at m lv g) (high_at m lv h) in
+    let e = ite m (low_at m lv f) (low_at m lv g) (low_at m lv h) in
+    let r = mk m lv e t in
+    deref m t;
+    deref m e;
+    m.cache_f.(ci) <- f;
+    m.cache_g.(ci) <- g;
+    m.cache_h.(ci) <- h;
+    m.cache_r.(ci) <- r;
+    r lxor neg
+  end
 
 (* --- specialized AND / OR ----------------------------------------------- *)
 
@@ -615,101 +575,61 @@ let ite m f g h =
    (handles are nonnegative, empty cache lines are marked by key -1). *)
 let and_code = -2
 
-(* Frame layout of the iterative AND (same scratch array as ITE — the two
-   never run interleaved within one operation): [a; b] the sorted operand
-   pair, [lv], [stage], [a1; b1] then-cofactors, [a0; b0] else-cofactors,
-   [t_res], [cidx]. Conjunction needs no triple normalization: the only canonical
-   work is sorting the commutative pair, and the terminal/absorption/
-   complement rules below resolve without touching the computed cache.
-   OR is derived by De Morgan with free complements, and therefore shares
-   the very same cache lines: or(f,g) = ¬and(¬f,¬g). *)
-let and_ m f g =
-  let finished = ref (-1) in
-  let ntop = ref 0 in
-  let launch f g =
-    if f = g || g = one then begin
-      m.and_or_fast_hits <- m.and_or_fast_hits + 1;
-      ref_ m f;
-      finished := f
-    end
-    else if f = one then begin
-      m.and_or_fast_hits <- m.and_or_fast_hits + 1;
-      ref_ m g;
-      finished := g
-    end
-    else if f = zero || g = zero || f = g lxor 1 then begin
-      m.and_or_fast_hits <- m.and_or_fast_hits + 1;
-      finished := zero
-    end
-    else begin
-      let a, b = if f < g then (f, g) else (g, f) in
-      let ci = hash3 a b and_code land m.cache_mask in
-      if m.cache_f.(ci) = a && m.cache_g.(ci) = b && m.cache_h.(ci) = and_code
-      then begin
-        let cached = m.cache_r.(ci) in
-        m.cache_hits <- m.cache_hits + 1;
-        ref_ m cached;
-        finished := cached
+(* Recursive AND, with the same depth bound and miss sequence as [ite].
+   Conjunction needs no triple normalization: the only canonical work is
+   sorting the commutative pair, and the terminal/absorption/complement
+   rules below resolve without touching the computed cache. OR is derived
+   by De Morgan with free complements, and therefore shares the very same
+   cache lines: or(f,g) = ¬and(¬f,¬g). *)
+let rec and_ m f g =
+  if f = g || g = one then begin
+    m.and_or_fast_hits <- m.and_or_fast_hits + 1;
+    ref_ m f;
+    f
+  end
+  else if f = one then begin
+    m.and_or_fast_hits <- m.and_or_fast_hits + 1;
+    ref_ m g;
+    g
+  end
+  else if f = zero || g = zero || f = g lxor 1 then begin
+    m.and_or_fast_hits <- m.and_or_fast_hits + 1;
+    zero
+  end
+  else if f < g then and_key m f g
+  else and_key m g f
+
+(* The sorted pair [a < b], neither terminal. *)
+and and_key m a b =
+  let ci = hash3 a b and_code land m.cache_mask in
+  if m.cache_f.(ci) = a && m.cache_g.(ci) = b && m.cache_h.(ci) = and_code then begin
+    let cached = m.cache_r.(ci) in
+    m.cache_hits <- m.cache_hits + 1;
+    ref_ m cached;
+    cached
+  end
+  else begin
+    m.cache_misses <- m.cache_misses + 1;
+    let ci =
+      if m.alive_count + m.dead_count > m.cache_grow_at then begin
+        grow_cache m;
+        hash3 a b and_code land m.cache_mask
       end
-      else begin
-        m.cache_misses <- m.cache_misses + 1;
-        let ci =
-          if m.alive_count + m.dead_count > m.cache_grow_at then begin
-            grow_cache m;
-            hash3 a b and_code land m.cache_mask
-          end
-          else ci
-        in
-        let sa = a lsr 1 and sb = b lsr 1 in
-        let la = m.level.(sa) and lb = m.level.(sb) in
-        let lv = min la lb in
-        if !ntop * ite_stride = Array.length m.ite_frames then begin
-          let bb = Array.make (2 * Array.length m.ite_frames) 0 in
-          Array.blit m.ite_frames 0 bb 0 (Array.length m.ite_frames);
-          m.ite_frames <- bb
-        end;
-        let s = m.ite_frames in
-        let base = !ntop * ite_stride in
-        incr ntop;
-        s.(base) <- a;
-        s.(base + 1) <- b;
-        s.(base + 2) <- lv;
-        s.(base + 3) <- 0;
-        s.(base + 4) <- (if la = lv then m.high.(sa) lxor (a land 1) else a);
-        s.(base + 5) <- (if lb = lv then m.high.(sb) lxor (b land 1) else b);
-        s.(base + 6) <- (if la = lv then m.low.(sa) lxor (a land 1) else a);
-        s.(base + 7) <- (if lb = lv then m.low.(sb) lxor (b land 1) else b);
-        s.(base + 9) <- ci
-      end
-    end
-  in
-  launch f g;
-  while !ntop > 0 do
-    let s = m.ite_frames in
-    let base = (!ntop - 1) * ite_stride in
-    match s.(base + 3) with
-    | 0 ->
-        s.(base + 3) <- 1;
-        launch s.(base + 4) s.(base + 5)
-    | 1 ->
-        s.(base + 8) <- !finished;
-        s.(base + 3) <- 2;
-        launch s.(base + 6) s.(base + 7)
-    | _ ->
-        let e = !finished in
-        let t = s.(base + 8) in
-        let r = mk m s.(base + 2) e t in
-        deref m t;
-        deref m e;
-        let ci = s.(base + 9) in
-        m.cache_f.(ci) <- s.(base);
-        m.cache_g.(ci) <- s.(base + 1);
-        m.cache_h.(ci) <- and_code;
-        m.cache_r.(ci) <- r;
-        decr ntop;
-        finished := r
-  done;
-  !finished
+      else ci
+    in
+    let la = m.level.(a lsr 1) and lb = m.level.(b lsr 1) in
+    let lv = if la <= lb then la else lb in
+    let t = and_ m (high_at m lv a) (high_at m lv b) in
+    let e = and_ m (low_at m lv a) (low_at m lv b) in
+    let r = mk m lv e t in
+    deref m t;
+    deref m e;
+    m.cache_f.(ci) <- a;
+    m.cache_g.(ci) <- b;
+    m.cache_h.(ci) <- and_code;
+    m.cache_r.(ci) <- r;
+    r
+  end
 
 let or_ m f g = and_ m (f lxor 1) (g lxor 1) lxor 1
 

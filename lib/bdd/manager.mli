@@ -132,7 +132,9 @@ val deref : t -> node -> unit
 (** {1 Operations}
 
     All operations return owned references. Operand references are {e not}
-    consumed. *)
+    consumed. [ite] and [and_] (hence [or_] and [xor_]) recurse, one level
+    of the diagram per call, so the OCaml stack they use is bounded by the
+    number of variables. *)
 
 val ite : t -> node -> node -> node -> node
 

@@ -441,12 +441,11 @@ module Artifacts = struct
     Result.map
       (fun (robdd, mdd, mdd_root) ->
         (* The single ROMDD traversal behind [report] and
-           [conditional_yields]: P(G = 1 | W = k) for every k at once. The
-           size walk runs in the same stage, so [cpu_seconds] counts it. *)
+           [conditional_yields]: P(G = 1 | W = k) for every k at once, and
+           the ROMDD size from the same walk of the cone. *)
         let nk, p = layout scheme lethal ~m in
         let cond_unusable, romdd_size =
-          staged "traversal" (fun () ->
-              (Mdd.probability_sweep mdd mdd_root ~nk ~p, Mdd.size mdd mdd_root))
+          staged "traversal" (fun () -> Mdd.probability_sweep_and_size mdd mdd_root ~nk ~p)
         in
         Mdd.publish_obs mdd;
         {

@@ -366,7 +366,8 @@ module Artifacts : sig
             exactly once. *)
     romdd_size : int;
         (** nodes reachable from [mdd_root], terminals included
-            ({!Socy_mdd.Mdd.size}), counted in the [traversal] stage. *)
+            ({!Socy_mdd.Mdd.size}), counted by the [traversal] stage's
+            sweep. *)
   }
 
   (** Build everything up to the ROMDD on [config.route], then sweep it

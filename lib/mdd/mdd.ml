@@ -32,8 +32,8 @@ type t = {
      most other nodes without reading their children. *)
   mutable utab : int array;
   mutable umask : int; (* slots - 1 *)
-  (* APPLY work stack, reused across calls; frame layout at [apply]. *)
-  mutable ap_stack : int array;
+  (* APPLY child buffer, reused across calls; layout at [apply_rec]. *)
+  mutable ap_kids : int array;
   (* APPLY computed cache: direct-mapped over int keys (op, f, g), like the
      ROBDD manager's ITE cache. Bounded by construction — a colliding entry
      overwrites — so repeated APPLYs on one manager cannot grow memory past
@@ -102,7 +102,7 @@ let create ?(node_limit = max_int) ?cpu_limit ?(cache_bits = 16) specs =
     used = 2;
     utab = Array.make (2 * initial_slots) (-1);
     umask = initial_slots - 1;
-    ap_stack = Array.make 256 0;
+    ap_kids = Array.make 256 0;
     ap_op = Array.make lines (-1);
     ap_f = Array.make lines 0;
     ap_g = Array.make lines 0;
@@ -304,127 +304,92 @@ let grow_apply_cache t =
   t.ap_mask <- mask;
   t.ap_grow_at <- (if n < t.ap_max then n else max_int)
 
-(* One suspended APPLY call is a frame of [t.ap_stack] from its base [b]:
-   [b], [b + 1] the normalized operands; [b + 2] the level tested;
-   [b + 3] the child index whose result is pending (-1 before the first);
-   [b + 4] the number of distinct operand pairs launched; [b + 5] the base
-   of the caller's frame (-1 for the outermost call); then the [d] result
-   slots, and one (f_j, g_j, j) triple per distinct pair, where [j] is the
-   first child index that met the pair. *)
-let frame_header = 6
+(* The result when [op] short-circuits on [f] and [g], else -1. *)
+let shortcut op f g =
+  match op with
+  | O_and ->
+      if f = zero || g = zero then zero
+      else if f = one then g
+      else if g = one then f
+      else if f = g then f
+      else -1
+  | O_or ->
+      if f = one || g = one then one
+      else if f = zero then g
+      else if g = zero then f
+      else if f = g then f
+      else -1
+  | O_xor ->
+      if f = g then zero
+      else if f = zero then g
+      else if g = zero then f
+      else if is_terminal f && is_terminal g then one
+      else -1
 
-let apply t op f g =
-  let opc = op_code op in
-  (* The result when the operation short-circuits on [f] and [g], else -1. *)
-  let shortcut f g =
-    match op with
-    | O_and ->
-        if f = zero || g = zero then zero
-        else if f = one then g
-        else if g = one then f
-        else if f = g then f
-        else -1
-    | O_or ->
-        if f = one || g = one then one
-        else if f = zero then g
-        else if g = zero then f
-        else if f = g then f
-        else -1
-    | O_xor ->
-        if f = g then zero
-        else if f = zero then g
-        else if g = zero then f
-        else if is_terminal f && is_terminal g then one
-        else -1
-  in
-  (* Explicit work stack instead of recursion: deep diagrams (hundreds of
-     thousands of levels) must not overflow the OCaml stack. [finished]
-     carries the result of the innermost resolved call to the frame that
-     requested it; [top] is the base of the innermost frame and [sp] the
-     first free stack slot. *)
-  let finished = ref (-1) and top = ref (-1) and sp = ref 0 in
-  let launch f g =
-    let r = shortcut f g in
-    if r >= 0 then finished := r
-    else begin
-      (* Commutative ops: normalize the key. *)
-      let a = if f <= g then f else g and b = if f <= g then g else f in
-      let i = hash3 opc a b land t.ap_mask in
-      if t.ap_op.(i) = opc && t.ap_f.(i) = a && t.ap_g.(i) = b then begin
-        t.apply_hits <- t.apply_hits + 1;
-        finished := t.ap_r.(i)
-      end
-      else begin
-        t.apply_misses <- t.apply_misses + 1;
-        if
-          t.apply_misses land (clock_period - 1) = 0
-          && t.cpu_deadline < infinity
-          && Sys.time () > t.cpu_deadline
-        then raise Cpu_limit_exceeded;
-        if t.used > t.ap_grow_at then grow_apply_cache t;
-        let la = t.levels.(a) and lb = t.levels.(b) in
-        let lv = if la <= lb then la else lb in
-        let base = !sp in
-        let next = base + frame_header + (4 * t.arity.(lv)) in
-        if next > Array.length t.ap_stack then
-          t.ap_stack <- extend t.ap_stack (2 * next) 0;
-        let s = t.ap_stack in
-        s.(base) <- a;
-        s.(base + 1) <- b;
-        s.(base + 2) <- lv;
-        s.(base + 3) <- -1;
-        s.(base + 4) <- 0;
-        s.(base + 5) <- !top;
-        top := base;
-        sp := next
-      end
+(* Recursive APPLY. Every call that recurses descends at least one level,
+   so the depth is at most the number of variables. A call that misses
+   the cache owns [t.ap_kids] from [base]: the [d] child results, then
+   one (f_j, g_j, j) triple per distinct operand pair, where [j] is the
+   first value that met the pair; its sub-calls own the buffer past its
+   last triple. The buffer may be replaced while a sub-call grows it, so
+   it is re-read after every sub-call. *)
+let rec apply_rec t op f g base =
+  let r = shortcut op f g in
+  if r >= 0 then r
+  else begin
+    (* Commutative ops: normalize the key. *)
+    let a = if f <= g then f else g and b = if f <= g then g else f in
+    let i = hash3 (op_code op) a b land t.ap_mask in
+    if t.ap_op.(i) = op_code op && t.ap_f.(i) = a && t.ap_g.(i) = b then begin
+      t.apply_hits <- t.apply_hits + 1;
+      t.ap_r.(i)
     end
-  in
-  launch f g;
-  while !top >= 0 do
-    let s = t.ap_stack and base = !top in
-    let lv = s.(base + 2) in
-    let d = t.arity.(lv) in
-    let kid = base + frame_header in
-    let j = s.(base + 3) in
-    if j >= 0 then s.(kid + j) <- !finished;
-    let j = j + 1 in
-    let a = s.(base) and b = s.(base + 1) in
-    if j = d then begin
-      let r = mk_sub t lv s kid in
-      let i = hash3 opc a b land t.ap_mask in
-      t.ap_op.(i) <- opc;
+    else begin
+      t.apply_misses <- t.apply_misses + 1;
+      if
+        t.apply_misses land (clock_period - 1) = 0
+        && t.cpu_deadline < infinity
+        && Sys.time () > t.cpu_deadline
+      then raise Cpu_limit_exceeded;
+      if t.used > t.ap_grow_at then grow_apply_cache t;
+      let la = t.levels.(a) and lb = t.levels.(b) in
+      let lv = if la <= lb then la else lb in
+      let d = t.arity.(lv) in
+      if base + (4 * d) > Array.length t.ap_kids then
+        t.ap_kids <- extend t.ap_kids (2 * (base + (4 * d))) 0;
+      let pairs = base + d and nd = ref 0 in
+      for j = 0 to d - 1 do
+        let cf = if t.levels.(a) = lv then (chunk_of t a).(base_of t a + j) else a in
+        let cg = if t.levels.(b) = lv then (chunk_of t b).(base_of t b + j) else b in
+        (* A pair met before gets that value's result: a second call on it
+           could only hit the cache or rebuild nodes that exist. Equal
+           children come in runs, so the search starts at the latest pair. *)
+        let s = t.ap_kids and k = ref (!nd - 1) in
+        while !k >= 0 && not (s.(pairs + (3 * !k)) = cf && s.(pairs + (3 * !k) + 1) = cg) do
+          decr k
+        done;
+        if !k >= 0 then s.(base + j) <- s.(base + s.(pairs + (3 * !k) + 2))
+        else begin
+          let p = pairs + (3 * !nd) in
+          s.(p) <- cf;
+          s.(p + 1) <- cg;
+          s.(p + 2) <- j;
+          incr nd;
+          let r = apply_rec t op cf cg (p + 3) in
+          t.ap_kids.(base + j) <- r
+        end
+      done;
+      let r = mk_sub t lv t.ap_kids base in
+      let i = hash3 (op_code op) a b land t.ap_mask in
+      t.ap_op.(i) <- op_code op;
       t.ap_f.(i) <- a;
       t.ap_g.(i) <- b;
       t.ap_r.(i) <- r;
-      sp := base;
-      top := s.(base + 5);
-      finished := r
+      r
     end
-    else begin
-      s.(base + 3) <- j;
-      let cf = if t.levels.(a) = lv then (chunk_of t a).(base_of t a + j) else a in
-      let cg = if t.levels.(b) = lv then (chunk_of t b).(base_of t b + j) else b in
-      (* A pair met before gets that child's result: launching it again
-         could only hit the cache or rebuild nodes that exist. Equal
-         children come in runs, so the search starts at the latest pair. *)
-      let pairs = kid + d and nd = s.(base + 4) in
-      let k = ref (nd - 1) in
-      while !k >= 0 && not (s.(pairs + (3 * !k)) = cf && s.(pairs + (3 * !k) + 1) = cg) do
-        decr k
-      done;
-      if !k >= 0 then finished := s.(kid + s.(pairs + (3 * !k) + 2))
-      else begin
-        let p = pairs + (3 * nd) in
-        s.(p) <- cf;
-        s.(p + 1) <- cg;
-        s.(p + 2) <- j;
-        s.(base + 4) <- nd + 1;
-        launch cf cg
-      end
-    end
-  done;
-  !finished
+  end
+
+let apply t op f g = apply_rec t op f g 0
 
 let apply_and t f g = apply t O_and f g
 let apply_or t f g = apply t O_or f g
@@ -444,40 +409,40 @@ let eval t n assignment =
   in
   go n
 
-(* Nonterminal nodes of the cone of [n], bucketed by level. Every child sits
-   at a strictly greater level than its parent, so iterating buckets from the
-   deepest level upward is a bottom-up topological order — the iterative
-   replacement for the old recursive memoized descent. The discovery order
-   (pop a node, push its unseen children in index order) fixes the order
-   within each bucket, and with it the summation order of the downward
-   sweep in [probability_with_sensitivities].
+(* Nonterminal nodes of the cone of [n], bucketed by level, and the size
+   of the cone: its nonterminals and the terminals it reaches. Every child
+   sits at a strictly greater level than its parent, so iterating buckets
+   from the deepest level upward is a bottom-up topological order. The
+   discovery order (pop a node, push its unseen children in index order)
+   fixes the order within each bucket, and with it the summation order of
+   the downward sweep in [probability_with_sensitivities].
 
    Node ids are dense (below [t.used]), so this walk and [iter_reachable]
    mark them in a [Bytes] and the value tables below are arrays indexed by
    node id: no hashing, nothing kept on the manager between calls. *)
 let cone_by_level t n =
   let buckets = Array.make (num_mvars t) [] in
-  if not (is_terminal n) then begin
-    let seen = Bytes.make t.used '\000' in
-    let stack = Int_vec.create () in
-    let push c =
-      if (not (is_terminal c)) && Bytes.get seen c = '\000' then begin
-        Bytes.set seen c '\001';
-        ignore (Int_vec.push stack c)
-      end
-    in
-    push n;
-    while Int_vec.length stack > 0 do
-      let x = Int_vec.pop stack in
-      let lv = t.levels.(x) in
-      buckets.(lv) <- x :: buckets.(lv);
-      let kids = chunk_of t x and base = base_of t x in
-      for j = 0 to t.arity.(lv) - 1 do
-        push kids.(base + j)
-      done
+  let seen = Bytes.make t.used '\000' in
+  let stack = Int_vec.create () in
+  let size = ref 0 in
+  let push c =
+    if Bytes.get seen c = '\000' then begin
+      Bytes.set seen c '\001';
+      incr size;
+      if not (is_terminal c) then ignore (Int_vec.push stack c)
+    end
+  in
+  push n;
+  while Int_vec.length stack > 0 do
+    let x = Int_vec.pop stack in
+    let lv = t.levels.(x) in
+    buckets.(lv) <- x :: buckets.(lv);
+    let kids = chunk_of t x and base = base_of t x in
+    for j = 0 to t.arity.(lv) - 1 do
+      push kids.(base + j)
     done
-  end;
-  buckets
+  done;
+  (buckets, !size)
 
 (* Per-call value table indexed by node id, terminals preset. *)
 let terminal_values t =
@@ -487,7 +452,7 @@ let terminal_values t =
 
 let probability t n ~p =
   let value = terminal_values t in
-  let buckets = cone_by_level t n in
+  let buckets, _ = cone_by_level t n in
   for lv = num_mvars t - 1 downto 0 do
     List.iter
       (fun x ->
@@ -504,59 +469,103 @@ let probability t n ~p =
 
 let sweep_counter = Obs.counter "mdd.sweep.runs"
 
-let probability_sweep t n ~nk ~p =
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* A node is scalar when every probability vector of its level holds one
+   value over the first [nk] scenarios and every child is a terminal or a
+   scalar node: all [nk] entries of its vector would then be computed by
+   the same operations on the same values, so it keeps that value once,
+   in [sval], and its [vec] slot stays empty. Terminals are scalar. Every
+   other node keeps its vector in [vec], and reads a scalar child's value
+   where it would have read an entry of that child's vector, so each
+   result entry is the bits of the all-vector sweep. *)
+let probability_sweep_and_size t n ~nk ~p =
   if nk < 1 then invalid_arg "Mdd.probability_sweep: nk must be positive";
   t.sweeps <- t.sweeps + 1;
   Obs.incr sweep_counter;
-  if n = zero then Array.make nk 0.0
-  else if n = one then Array.make nk 1.0
+  if n = zero then (Array.make nk 0.0, 1)
+  else if n = one then (Array.make nk 1.0, 1)
   else begin
     (* Edge-probability vectors, fetched once per (level, value) pair that
-       actually occurs in the cone. *)
-    let pv = Array.make (num_mvars t) [||] in
+       actually occurs in the cone, and whether they are uniform over the
+       scenarios. *)
+    let pv = Array.make (num_mvars t) [||] and uniform = Array.make (num_mvars t) true in
     let pvec lv =
-      if pv.(lv) = [||] then
+      if pv.(lv) = [||] then begin
         pv.(lv) <-
           Array.init t.arity.(lv) (fun j ->
               let v = p lv j in
               if Array.length v < nk then
                 invalid_arg "Mdd.probability_sweep: probability vector shorter than nk";
               v);
+        Array.iter
+          (fun v ->
+            for k = 1 to nk - 1 do
+              if not (same_bits v.(k) v.(0)) then uniform.(lv) <- false
+            done)
+          pv.(lv)
+      end;
       pv.(lv)
     in
-    let buckets = cone_by_level t n in
-    let value = Array.make t.used [||] in
+    let buckets, size = cone_by_level t n in
+    let vec = Array.make t.used [||] and sval = Array.make t.used 0.0 in
     for lv = num_mvars t - 1 downto 0 do
       let vecs = if buckets.(lv) = [] then [||] else pvec lv in
+      let d = t.arity.(lv) in
       List.iter
         (fun x ->
           let kids = chunk_of t x and base = base_of t x in
-          let acc = Array.make nk 0.0 in
-          for j = 0 to t.arity.(lv) - 1 do
-            let c = kids.(base + j) in
-            if c <> zero then begin
-              let pj = vecs.(j) in
-              if c = one then
-                for k = 0 to nk - 1 do
-                  acc.(k) <- acc.(k) +. pj.(k)
-                done
-              else begin
-                let cv : float array = value.(c) in
-                for k = 0 to nk - 1 do
-                  acc.(k) <- acc.(k) +. (pj.(k) *. cv.(k))
-                done
-              end
-            end
+          let scalar = ref uniform.(lv) and j = ref 0 in
+          while !scalar && !j < d do
+            if Array.length vec.(kids.(base + !j)) > 0 then scalar := false;
+            incr j
           done;
-          value.(x) <- acc)
+          if !scalar then begin
+            let acc = ref 0.0 in
+            for j = 0 to d - 1 do
+              let c = kids.(base + j) in
+              if c <> zero then begin
+                let pj = vecs.(j).(0) in
+                if c = one then acc := !acc +. pj else acc := !acc +. (pj *. sval.(c))
+              end
+            done;
+            sval.(x) <- !acc
+          end
+          else begin
+            let acc = Array.make nk 0.0 in
+            for j = 0 to d - 1 do
+              let c = kids.(base + j) in
+              if c <> zero then begin
+                let pj = vecs.(j) in
+                let cv : float array = vec.(c) in
+                if c = one then
+                  for k = 0 to nk - 1 do
+                    acc.(k) <- acc.(k) +. pj.(k)
+                  done
+                else if Array.length cv = 0 then begin
+                  let sc = sval.(c) in
+                  for k = 0 to nk - 1 do
+                    acc.(k) <- acc.(k) +. (pj.(k) *. sc)
+                  done
+                end
+                else
+                  for k = 0 to nk - 1 do
+                    acc.(k) <- acc.(k) +. (pj.(k) *. cv.(k))
+                  done
+              end
+            done;
+            vec.(x) <- acc
+          end)
         buckets.(lv)
     done;
-    value.(n)
+    ((if Array.length vec.(n) > 0 then vec.(n) else Array.make nk sval.(n)), size)
   end
+
+let probability_sweep t n ~nk ~p = fst (probability_sweep_and_size t n ~nk ~p)
 
 let probability_with_sensitivities t n ~p =
   let nvars = num_mvars t in
-  let buckets = cone_by_level t n in
+  let buckets, _ = cone_by_level t n in
   (* Upward sweep: value of every node in the cone, bottom level first. *)
   let value = terminal_values t in
   for lv = nvars - 1 downto 0 do

@@ -84,9 +84,10 @@ val children : t -> node -> node array
 (** {1 Boolean combinators}
 
     Hash-consed, memoized APPLY. A call combines the children of its
-    operands value by value, and launches one sub-call per distinct pair
-    of child operands: a value whose pair came up before takes that
-    value's result. *)
+    operands value by value, in value order, and recurses once per
+    distinct pair of child operands: a value whose pair came up before
+    takes that value's result. Each recursion descends a level, so the
+    OCaml stack used is bounded by the number of variables. *)
 
 val apply_and : t -> node -> node -> node
 val apply_or : t -> node -> node -> node
@@ -111,9 +112,11 @@ val probability : t -> node -> p:(int -> int -> float) -> float
 (** [probability_sweep t n ~nk ~p] evaluates [nk] independent probability
     scenarios in one traversal of the cone of [n]: scenario [k < nk] assigns
     variable [v] value [j] with probability [(p v j).(k)], and slot [k] of
-    the result is P(f = 1) under scenario [k]. Each node carries a length-
-    [nk] value vector instead of a scalar; one bottom-up pass computes what
-    [nk] separate {!probability} calls would. This is how the pipeline gets
+    the result is P(f = 1) under scenario [k]. One bottom-up pass computes
+    what [nk] separate {!probability} calls would. A node carries a
+    length-[nk] value vector, or one value when its level's vectors are
+    uniform over the [nk] scenarios and its children all carry one value;
+    the result is the same bits either way. This is how the pipeline gets
     every conditional yield Y_k = 1 − P(G = 1 | W = k) plus the truncation
     tail from a single ROMDD traversal (Theorem 1 of the paper). The arrays
     returned by [p] must have length at least [nk]; they are read once per
@@ -121,6 +124,13 @@ val probability : t -> node -> p:(int -> int -> float) -> float
     [nk < 1] or a vector is too short. *)
 val probability_sweep :
   t -> node -> nk:int -> p:(int -> int -> float array) -> float array
+
+(** [probability_sweep_and_size t n ~nk ~p] is
+    [(probability_sweep t n ~nk ~p, size t n)] from the sweep's one walk of
+    the cone: its size counts the nodes the sweep values and the terminals
+    they reach, so no second walk runs. *)
+val probability_sweep_and_size :
+  t -> node -> nk:int -> p:(int -> int -> float array) -> float array * int
 
 (** [probability_with_sensitivities t n ~p] additionally returns the exact
     partial derivatives ∂P(f = 1)/∂p(v, j) for every variable [v] and value

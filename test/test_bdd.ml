@@ -697,7 +697,7 @@ let test_deep_chain_ops () =
       (* iter_reachable (via size/support) over the whole chain *)
       Alcotest.(check int) "size" (deep_n + 1) (M.size m chain);
       Alcotest.(check int) "support" deep_n (List.length (M.support m chain));
-      (* ite descends the full depth: not_ chain = ite (chain, 0, 1) *)
+      (* not_ only flips the complement bit: no ITE or AND runs here *)
       let neg = M.not_ m chain in
       Alcotest.(check bool) "chain eval" true (M.eval m chain (fun _ -> true));
       Alcotest.(check bool) "neg eval" false (M.eval m neg (fun _ -> true));
@@ -709,6 +709,39 @@ let test_deep_chain_ops () =
       (* deref cascades the kill down the whole neg cone *)
       M.deref m neg;
       M.deref m chain)
+
+(* The recursive APPLY cores at full depth: each call below meets the
+   chain's nodes one level at a time down to x(n-1), missing the cache at
+   every level above it, so the recursion is as deep as the chain. *)
+let deep_apply_ops m n =
+  let chain = deep_chain m n and x = M.var m (n - 1) in
+  let misses () = (M.stats m).M.cache_misses in
+  let descends what f =
+    let before = misses () in
+    let r = f () in
+    let descended = misses () - before in
+    if descended < n - 1 then
+      Alcotest.failf "%s missed %d times on a %d-deep chain" what descended n;
+    r
+  in
+  (* x(n-1) is a conjunct: chain ∧ x = chain, chain ∨ x = x *)
+  let a = descends "and_" (fun () -> M.and_ m chain x) in
+  Alcotest.(check int) "and_ = chain" chain a;
+  let o = descends "or_" (fun () -> M.or_ m chain x) in
+  Alcotest.(check int) "or_ = x" x o;
+  (* chain ⊕ x = x ∧ ¬(x0 ∧ … ∧ x(n-2)): one ITE call down the chain *)
+  let p = descends "xor_" (fun () -> M.xor_ m chain x) in
+  Alcotest.(check bool) "xor_ all set" false (M.eval m p (fun _ -> true));
+  Alcotest.(check bool) "xor_ x0 clear" true (M.eval m p (fun v -> v > 0));
+  Alcotest.(check int) "xor_ size" (n + 1) (M.size m p);
+  List.iter (M.deref m) [ a; o; p; x; chain ]
+
+let test_deep_apply_cores () = with_manager deep_n (fun m -> deep_apply_ops m deep_n)
+
+(* The same, in two team tasks, one of them on a worker domain of the
+   team: a serve executor's domain runs builds too. *)
+let test_deep_apply_cores_in_team () =
+  Two_domains.run (fun _ -> with_manager deep_n (fun m -> deep_apply_ops m deep_n))
 
 (* Runs [f] with a fresh, enabled observability registry. *)
 let with_obs f =
@@ -826,6 +859,43 @@ let test_cache_growth_keeps_results () =
         true (lines > 4096.0);
       Alcotest.(check bool) "cache within 2^21 lines" true
         (lines <= float_of_int (1 lsl 21)))
+
+(* The engine counters of one manager after twelve seeded random circuits
+   of AND, OR and XOR gates, pinned: XOR runs ITE, so these follow the
+   order of every ITE and AND step, where the Table 4 circuits, all AND
+   and OR, exercise only AND. *)
+let test_random_circuit_counter_pins () =
+  let inputs = 20 in
+  let m = M.create ~num_vars:inputs () in
+  let rng = Random.State.make [| 2003 |] in
+  let size = ref 0 in
+  for _ = 1 to 12 do
+    let circuit = random_circuit rng ~inputs ~gates:120 in
+    let r, _ = Compile.of_circuit m circuit ~var_of_input:Fun.id in
+    size := !size + M.size m r;
+    M.deref m r
+  done;
+  let s = M.stats m in
+  Alcotest.(check (list (pair string int)))
+    "counters"
+    [
+      ("size", 9352);
+      ("peak", 530);
+      ("created", 79072);
+      ("unique_hits", 34449);
+      ("cache_hits", 77906);
+      ("cache_misses", 122911);
+      ("and_or_fast_hits", 24528);
+    ]
+    [
+      ("size", !size);
+      ("peak", s.M.peak);
+      ("created", s.M.created);
+      ("unique_hits", s.M.unique_hits);
+      ("cache_hits", s.M.cache_hits);
+      ("cache_misses", s.M.cache_misses);
+      ("and_or_fast_hits", s.M.and_or_fast_hits);
+    ]
 
 (* F = x0 ? x1 : (x1 ? x2 : (x2 ? x3 : ...)), built bottom-up with one
    [ite] per level. *)
@@ -972,6 +1042,9 @@ let () =
       ( "deep-diagrams",
         [
           Alcotest.test_case "ops on a 220k-deep chain" `Quick test_deep_chain_ops;
+          Alcotest.test_case "APPLY cores 220k deep" `Quick test_deep_apply_cores;
+          Alcotest.test_case "APPLY cores 220k deep in a team task" `Quick
+            test_deep_apply_cores_in_team;
           Alcotest.test_case "publish_obs is delta-based" `Quick
             test_publish_obs_delta;
         ] );
@@ -981,6 +1054,8 @@ let () =
             test_cache_bits_validated;
           Alcotest.test_case "growth keeps compiled results" `Quick
             test_cache_growth_keeps_results;
+          Alcotest.test_case "ITE and AND counter pins" `Quick
+            test_random_circuit_counter_pins;
           Alcotest.test_case "growth inside one call" `Quick
             test_cache_growth_inside_one_call;
           Alcotest.test_case "mk-only manager keeps 4096 lines" `Quick

@@ -426,42 +426,112 @@ let test_direct_rejects_coded_settings () =
 (* What the circuit walk's order decides, pinned                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Per light Table 4 row, at the default configuration: the coded route's
-   ROBDD peak and size, ROMDD size, M and yield_lower bits, then the
-   direct route's MDD node count. The peak and the node counts follow the
-   order in which the gates are built. *)
+(* Per light Table 4 row, at the default configuration. The coded route:
+   ROBDD peak and size, ROMDD size, M, yield_lower bits, the build's node
+   creations, and the engine counters (unique-table hits, computed-cache
+   hits and misses, AND/OR fast paths, collections). The direct route: MDD
+   nodes created, APPLY hits and misses, and the MD5 of its ROMDD's DOT,
+   which names every node by id. The peak and the node counts follow the
+   order in which the gates are built; the counters follow the order of
+   every APPLY step within a gate. *)
+type pins = {
+  peak : int;
+  size : int;
+  romdd : int;
+  m : int;
+  yield_bits : int64;
+  created : int;
+  unique_hits : int;
+  cache_hits : int;
+  cache_misses : int;
+  fast_hits : int;
+  gc_runs : int;
+  mdd_nodes : int;
+  apply_hits : int;
+  apply_misses : int;
+  dot_md5 : string;
+}
+
 let table4_pins =
   [
-    ("MS2, l'=1", 30150, 23463, 2034, 6, 4606692871088306898L, 3416);
-    ("MS4, l'=1", 380233, 212974, 22760, 6, 4606877954483632576L, 46038);
-    ("ESEN4x1, l'=1", 21962, 19329, 3046, 6, 4606797513860031847L, 4478);
-    ("ESEN4x2, l'=1", 69188, 64497, 6994, 6, 4606485876366116570L, 8920);
-    ("MS2, l'=2", 123192, 116090, 7534, 10, 4605669964224976326L, 9632);
-    ("ESEN4x1, l'=2", 116946, 105502, 11666, 10, 4605924522122891546L, 15162);
+    ( "MS2, l'=1",
+      { peak = 30150; size = 23463; romdd = 2034; m = 6; yield_bits = 4606692871088306898L;
+        created = 35808; unique_hits = 7621; cache_hits = 32837; cache_misses = 44999;
+        fast_hits = 12862; gc_runs = 0; mdd_nodes = 3416; apply_hits = 18575;
+        apply_misses = 5107; dot_md5 = "b2a7b2c0f8ec619c9c1449341ee28455" } );
+    ( "MS4, l'=1",
+      { peak = 380233; size = 212974; romdd = 22760; m = 6; yield_bits = 4606877954483632576L;
+        created = 442247; unique_hits = 139356; cache_hits = 491129; cache_misses = 606830;
+        fast_hits = 116869; gc_runs = 0; mdd_nodes = 46038; apply_hits = 560594;
+        apply_misses = 84235; dot_md5 = "c7ef38c712d5414be31b1d8310ba5541" } );
+    ( "ESEN4x1, l'=1",
+      { peak = 21962; size = 19329; romdd = 3046; m = 6; yield_bits = 4606797513860031847L;
+        created = 26952; unique_hits = 7879; cache_hits = 24545; cache_misses = 35160;
+        fast_hits = 11073; gc_runs = 0; mdd_nodes = 4478; apply_hits = 17514;
+        apply_misses = 6933; dot_md5 = "ef96aae3bd7b0acfe206175ac5f0f7e9" } );
+    ( "ESEN4x2, l'=1",
+      { peak = 69188; size = 64497; romdd = 6994; m = 6; yield_bits = 4606485876366116570L;
+        created = 76928; unique_hits = 30854; cache_hits = 75544; cache_misses = 108607;
+        fast_hits = 34057; gc_runs = 0; mdd_nodes = 8920; apply_hits = 46273;
+        apply_misses = 17360; dot_md5 = "77e7067c48e2dc2d7d6c9fee665cba63" } );
+    ( "MS2, l'=2",
+      { peak = 123192; size = 116090; romdd = 7534; m = 10; yield_bits = 4605669964224976326L;
+        created = 134762; unique_hits = 10891; cache_hits = 109182; cache_misses = 147469;
+        fast_hits = 39442; gc_runs = 0; mdd_nodes = 9632; apply_hits = 60587;
+        apply_misses = 13670; dot_md5 = "78aa77acf41e5871b7e9a53de62cdeea" } );
+    ( "ESEN4x1, l'=2",
+      { peak = 116946; size = 105502; romdd = 11666; m = 10; yield_bits = 4605924522122891546L;
+        created = 129471; unique_hits = 30040; cache_hits = 118685; cache_misses = 160988;
+        fast_hits = 43064; gc_runs = 0; mdd_nodes = 15162; apply_hits = 107823;
+        apply_misses = 30035; dot_md5 = "45acc73f0b86f7cc4975db57920d10fc" } );
   ]
+
+let artifacts_exn ?config label =
+  let ft, lethal = ms_row label in
+  match P.Artifacts.build ?config ft lethal with
+  | Ok a -> a
+  | Error f -> Alcotest.failf "%s: %s" label (P.failure_to_string f)
 
 let test_table4_pins () =
   List.iter
-    (fun (label, peak, size, romdd, m, yield_bits, mdd_nodes) ->
-      let ft, lethal = ms_row label in
-      let r = run_exn ft lethal in
+    (fun (label, pin) ->
       let check what = Alcotest.(check int) (label ^ " " ^ what) in
-      check "robdd_peak" peak r.P.robdd_peak;
-      check "robdd_size" size r.P.robdd_size;
-      check "romdd_size" romdd r.P.romdd_size;
-      check "m" m r.P.m;
-      Alcotest.(check int64) (label ^ " yield_lower bits") yield_bits (bits r.P.yield_lower);
-      match P.run_family ~config:(P.Config.make ~route:P.Direct ()) ft lethal [] with
-      | Ok f -> check "direct mdd_nodes" mdd_nodes f.P.mdd_nodes
-      | Error f -> Alcotest.failf "%s direct: %s" label (P.failure_to_string f))
+      let coded = artifacts_exn label in
+      let r = P.Artifacts.report coded ~cpu_seconds:0.0 in
+      check "robdd_peak" pin.peak r.P.robdd_peak;
+      check "robdd_size" pin.size r.P.robdd_size;
+      check "romdd_size" pin.romdd r.P.romdd_size;
+      check "m" pin.m r.P.m;
+      Alcotest.(check int64) (label ^ " yield_lower bits") pin.yield_bits (bits r.P.yield_lower);
+      check "unique_hits" pin.unique_hits r.P.unique_hits;
+      check "ite_cache_hits" pin.cache_hits r.P.ite_cache_hits;
+      check "ite_cache_misses" pin.cache_misses r.P.ite_cache_misses;
+      check "and_or_fast_hits" pin.fast_hits r.P.and_or_fast_hits;
+      check "gc_runs" pin.gc_runs r.P.gc_runs;
+      (match coded.P.Artifacts.robdd with
+      | Some robdd -> check "created" pin.created robdd.P.Artifacts.bdd_stats.Socy_bdd.Compile.created
+      | None -> Alcotest.failf "%s: the coded route built no ROBDD" label);
+      check "coded romdd_size = Mdd.size"
+        (Mdd.size coded.P.Artifacts.mdd coded.P.Artifacts.mdd_root)
+        coded.P.Artifacts.romdd_size;
+      let direct = artifacts_exn ~config:(P.Config.make ~route:P.Direct ()) label in
+      let mdd = direct.P.Artifacts.mdd and root = direct.P.Artifacts.mdd_root in
+      let st = Mdd.stats mdd in
+      check "direct mdd_nodes" pin.mdd_nodes st.Mdd.nodes;
+      check "direct apply_hits" pin.apply_hits st.Mdd.apply_hits;
+      check "direct apply_misses" pin.apply_misses st.Mdd.apply_misses;
+      check "direct romdd_size = Mdd.size" (Mdd.size mdd root) direct.P.Artifacts.romdd_size;
+      check "direct romdd_size" pin.romdd direct.P.Artifacts.romdd_size;
+      Alcotest.(check string) (label ^ " direct ROMDD DOT md5") pin.dot_md5
+        (Digest.to_hex (Digest.string (Mdd.to_dot mdd root))))
     table4_pins
 
-(* [cpu_seconds] counts the build, its ROMDD traversal and the ROMDD size
-   walk: the process CPU time around [run_lethal] exceeds it only by the
-   report's assembly, a few records. The size walk visits every child slot
-   of the ROMDD, about 15% of the traversal's time on MS4, so leaving it
-   out would exceed the 5% bound. Both are CPU clocks of this process, so
-   host load does not move the difference; the best of three runs keeps a
+(* [cpu_seconds] counts the build and its ROMDD traversal, whose one walk
+   of the cone also counts the ROMDD's size: the process CPU time around
+   [run_lethal] exceeds it only by the report's assembly, a few records.
+   Leaving the traversal out would put all of it outside [cpu_seconds],
+   twenty times the 5% bound. Both are CPU clocks of this process, so host
+   load does not move the difference; the best of three runs keeps a
    garbage-collection slice in the assembly from deciding. *)
 let test_cpu_seconds_include_traversal () =
   let ft, lethal = ms_row "MS4, l'=1" in

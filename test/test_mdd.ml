@@ -691,6 +691,14 @@ let prop_walks_match_reference =
          summation order shows in the low bits *)
       let p v j = 1.0 /. float_of_int (3 + v + (2 * j)) in
       let pv v j = Array.init sweep_nk (fun k -> p v j *. (1.0 +. (0.1 *. float_of_int k))) in
+      (* Levels 0 and 2 uniform over the scenarios, so their nodes take
+         the scalar path wherever their children allow; the entry past
+         [sweep_nk] differs and must be ignored. In [pu_all] every level is
+         uniform. *)
+      let pu v j =
+        if v = 1 then pv v j else Array.init (sweep_nk + 1) (fun k -> if k < sweep_nk then p v j else 0.5)
+      in
+      let pu_all v j = Array.make sweep_nk (p v j) in
       let bits x = Int64.bits_of_float x in
       let same_floats a b = Array.map bits a = Array.map bits b in
       let visits walk n =
@@ -706,9 +714,13 @@ let prop_walks_match_reference =
           && Mdd.size t n = Ref_walk.size t n
           && Mdd.support t n = Ref_walk.support t n
           && bits (Mdd.probability t n ~p) = bits (Ref_walk.probability t n ~p)
-          && same_floats
-               (Mdd.probability_sweep t n ~nk:sweep_nk ~p:pv)
-               (Ref_walk.probability_sweep t n ~nk:sweep_nk ~p:pv)
+          && List.for_all
+               (fun p ->
+                 let swept, size = Mdd.probability_sweep_and_size t n ~nk:sweep_nk ~p in
+                 same_floats swept (Ref_walk.probability_sweep t n ~nk:sweep_nk ~p)
+                 && same_floats swept (Mdd.probability_sweep t n ~nk:sweep_nk ~p)
+                 && size = Ref_walk.size t n)
+               [ pv; pu; pu_all ]
           && bits total = bits rtotal
           && Array.for_all2 same_floats sens rsens)
         [ f; g; h; Mdd.not_ t g; Mdd.zero; Mdd.one ])
@@ -760,6 +772,38 @@ let test_deep_mdd_chain () =
   Alcotest.(check (float 1e-12)) "sweep scenario 0" 1.0 swept.(0);
   let total, _sens = Mdd.probability_with_sensitivities t chain ~p in
   Alcotest.(check (float 1e-12)) "sensitivities total" 1.0 total
+
+(* [apply_and], [apply_or] and [apply_xor] at full depth: each meets the
+   chain's nodes one level at a time down to the literal at the last
+   level, missing the cache at every level above it. *)
+let deep_apply_ops n =
+  let t = Mdd.create (Array.init n (fun i -> spec (Printf.sprintf "v%d" i) 2)) in
+  let chain = ref Mdd.one in
+  for v = n - 1 downto 0 do
+    chain := Mdd.mk t v [| Mdd.zero; !chain |]
+  done;
+  let chain = !chain and x = Mdd.literal t (n - 1) ~values:[ 1 ] in
+  let descends what f =
+    let before = (Mdd.stats t).Mdd.apply_misses in
+    let r = f () in
+    let descended = (Mdd.stats t).Mdd.apply_misses - before in
+    if descended < n - 1 then
+      Alcotest.failf "%s missed %d times on a %d-deep chain" what descended n;
+    r
+  in
+  Alcotest.(check int) "apply_and = chain" chain
+    (descends "apply_and" (fun () -> Mdd.apply_and t chain x));
+  Alcotest.(check int) "apply_or = x" x (descends "apply_or" (fun () -> Mdd.apply_or t chain x));
+  let p = descends "apply_xor" (fun () -> Mdd.apply_xor t chain x) in
+  Alcotest.(check bool) "apply_xor all set" false (Mdd.eval t p (fun _ -> 1));
+  Alcotest.(check bool) "apply_xor v0 clear" true (Mdd.eval t p (fun v -> if v = 0 then 0 else 1));
+  Alcotest.(check int) "apply_xor size" (n + 2) (Mdd.size t p)
+
+let test_deep_apply () = deep_apply_ops mdd_deep_n
+
+(* The same, in two team tasks, one of them on a worker domain of the
+   team. *)
+let test_deep_apply_in_team () = Two_domains.run (fun _ -> deep_apply_ops mdd_deep_n)
 
 let test_conversion_deep_scan () =
   let n = 200_000 in
@@ -1103,6 +1147,8 @@ let () =
           Alcotest.test_case "200k-deep MDD chain" `Quick test_deep_mdd_chain;
           Alcotest.test_case "200k-deep conversion scan" `Quick
             test_conversion_deep_scan;
+          Alcotest.test_case "APPLY 200k deep" `Quick test_deep_apply;
+          Alcotest.test_case "APPLY 200k deep in a team task" `Quick test_deep_apply_in_team;
           Alcotest.test_case "bounded APPLY cache" `Quick
             test_apply_cache_bounded;
           Alcotest.test_case "APPLY cache grows" `Quick test_apply_cache_grows;
