@@ -1054,11 +1054,11 @@ let () =
             test_cache_bits_validated;
           Alcotest.test_case "growth keeps compiled results" `Quick
             test_cache_growth_keeps_results;
-          Alcotest.test_case "ITE and AND counter pins" `Quick
-            test_random_circuit_counter_pins;
           Alcotest.test_case "growth inside one call" `Quick
             test_cache_growth_inside_one_call;
           Alcotest.test_case "mk-only manager keeps 4096 lines" `Quick
             test_mk_only_manager_keeps_small_cache;
+          Alcotest.test_case "ITE and AND counter pins" `Quick
+            test_random_circuit_counter_pins;
         ] );
     ]
